@@ -15,19 +15,8 @@ extension is built, with an equivalent pure-Python fallback; see
 ``kernel_backend()``.
 """
 
+from . import dense
 from ._kernels import backend_name as kernel_backend
-from .dense import (
-    MAX_DENSE_QUBITS,
-    DenseState,
-    apply_pauli,
-    canonical_phase,
-    dense_measure,
-    dense_state_vector,
-    expectation,
-    project,
-    same_up_to_phase,
-    stabilizer_residual,
-)
 from .errors import FormulaParseError, GraphParseError, SizeLimitError
 from .gf2 import Gf2Matrix, cut_rank, cut_rank_masks, cut_submatrix, rank2
 from .graphs import (
@@ -75,6 +64,14 @@ from .stabilizer import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the dense oracle's names load numpy on first use; see gslogic.dense
+    if name in dense.__all__:
+        return getattr(dense, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -125,16 +122,7 @@ __all__ = [
     "measure_pauli",
     "simulate_pattern",
     # dense oracle
-    "MAX_DENSE_QUBITS",
-    "DenseState",
-    "dense_state_vector",
-    "apply_pauli",
-    "expectation",
-    "dense_measure",
-    "project",
-    "canonical_phase",
-    "stabilizer_residual",
-    "same_up_to_phase",
+    *dense.__all__,
     # errors
     "SizeLimitError",
     "GraphParseError",

@@ -139,7 +139,10 @@ def _cmd_cutrank(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.named is not None:
-        formula = named_formula(args.named)
+        try:
+            formula = named_formula(args.named)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         sources = args.args
         shown = args.named
     else:
@@ -290,10 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except KeyError as exc:
-        reason = exc.args[0] if exc.args else exc
-        print(f"error: {reason}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

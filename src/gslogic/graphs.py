@@ -55,10 +55,16 @@ class Graph:
                 raise ValueError(f"adjacency row {a} references vertices >= {self.n}")
             if (row >> a) & 1:
                 raise ValueError(f"self-loop at vertex {a}")
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if ((self.adj[a] >> b) & 1) != ((self.adj[b] >> a) & 1):
-                    raise ValueError(f"adjacency not symmetric at ({a}, {b})")
+        # one bit test per stored edge end: b in adj[a] needs a in adj[b]
+        for a, row in enumerate(self.adj):
+            while row:
+                low = row & -row
+                b = low.bit_length() - 1
+                if not (self.adj[b] >> a) & 1:
+                    raise ValueError(
+                        f"adjacency not symmetric at ({min(a, b)}, {max(a, b)})"
+                    )
+                row ^= low
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], name: str | None = None) -> "Graph":

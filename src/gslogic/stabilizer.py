@@ -10,6 +10,25 @@ with bitmasks (x, z) and phase t denotes i^t X^x Z^z, where X^x is the
 tensor product of X on the set bits of x. Hermitian Pauli operators are
 exactly those with t == popcount(x & z) (mod 2), i.e. one factor of i per
 Y; the public sign is then +1 or -1.
+
+Following Aaronson and Gottesman ("Improved simulation of stabilizer
+circuits", PRA 70, 052328, 2004), the tableau also keeps one destabilizer
+d_i per generator S_i, with the invariant that d_i anticommutes with S_i
+and commutes with every other generator. For a graph state d_a = Z_a. Both
+lists are stored twice: as rows (one bitmask over the qubits per operator)
+and as columns (for each qubit, a bitmask over the operators that carry X
+there, and one for Z). Measuring a Pauli p then costs:
+
+- one XOR of columns per qubit in the support of p to find the generators
+  that anticommute with p (O(1) big-int operations for a single qubit);
+- if there are none, the outcome is determined: p is, up to sign, the
+  product of the generators whose destabilizers anticommute with p, found
+  the same way, and its sign is that product's phase, with no elimination;
+- otherwise the outcome is a fair coin. The first anticommuting generator
+  S_k is multiplied into every other generator and destabilizer that
+  anticommutes with p; d_k becomes the old S_k and S_k becomes +-p. That
+  is one big-int operation per changed row, plus one per qubit in the
+  support of S_k, d_k and p to update the columns.
 """
 
 from __future__ import annotations
@@ -17,7 +36,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ._kernels import gf2_rank_rows
 from .errors import SizeLimitError
 from .graphs import Graph
 
@@ -131,16 +149,46 @@ def multiply_paulis(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     raise ValueError("product of anticommuting Paulis is not a signed Pauli")
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """Column masks of a bit matrix: bit k of column q is bit q of row k."""
+    cols = [0] * width
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        for q in _bits(row):
+            cols[q] |= bit
+    return cols
+
+
+def _anticommuting(x_bits: int, z_bits: int, xcol: list[int], zcol: list[int]) -> int:
+    """Bitmask over the rows of a column-stored Pauli list that anticommute
+    with X^x Z^z: one XOR per qubit in its support."""
+    mask = 0
+    for q in _bits(z_bits):
+        mask ^= xcol[q]
+    for q in _bits(x_bits):
+        mask ^= zcol[q]
+    return mask
+
+
+# every per-row and per-column list of a tableau
+_LISTS = ("xs", "zs", "ts", "dxs", "dzs", "xcol", "zcol", "dxcol", "dzcol")
+
+
 class StabilizerTableau:
     """n independent, pairwise commuting stabilizer generators of an
-    n-qubit state, stored as parallel bitmask lists with mod-4 phases."""
+    n-qubit state, stored as parallel bitmask lists with mod-4 phases,
+    together with their destabilizers and the column masks of both."""
 
     def __init__(self, generators: list[PauliOperator], validate: bool = True):
         n = generators[0].n if generators else 0
-        self.n = n
-        self.xs = [g.x_bits for g in generators]
-        self.zs = [g.z_bits for g in generators]
-        self.ts = [_phase_t(g.x_bits, g.z_bits, g.sign) for g in generators]
         if validate:
             if len(generators) != n:
                 raise ValueError(
@@ -148,14 +196,35 @@ class StabilizerTableau:
                 )
             if any(g.n != n for g in generators):
                 raise ValueError("generators act on different register sizes")
+        xs = [g.x_bits for g in generators]
+        zs = [g.z_bits for g in generators]
+        ts = [_phase_t(g.x_bits, g.z_bits, g.sign) for g in generators]
+        self._set_rows(n, xs, zs, ts, *_destabilizer_rows(n, xs, zs))
+        if validate:
             self.check_invariants()
+
+    @classmethod
+    def _from_rows(cls, n, xs, zs, ts, dxs, dzs, cols=None) -> "StabilizerTableau":
+        """A tableau from generator and destabilizer rows already known to
+        satisfy the invariants, and optionally their column masks
+        (xcol, zcol, dxcol, dzcol); the lists are taken over, not copied."""
+        tab = cls.__new__(cls)
+        tab._set_rows(n, xs, zs, ts, dxs, dzs, cols)
+        return tab
+
+    def _set_rows(self, n, xs, zs, ts, dxs, dzs, cols=None) -> None:
+        self.n = n
+        self.xs, self.zs, self.ts = xs, zs, ts
+        self.dxs, self.dzs = dxs, dzs
+        if cols is None:
+            cols = [_transpose(rows, n) for rows in (xs, zs, dxs, dzs)]
+        self.xcol, self.zcol, self.dxcol, self.dzcol = cols
 
     def copy(self) -> "StabilizerTableau":
         dup = StabilizerTableau.__new__(StabilizerTableau)
         dup.n = self.n
-        dup.xs = list(self.xs)
-        dup.zs = list(self.zs)
-        dup.ts = list(self.ts)
+        for name in _LISTS:
+            setattr(dup, name, list(getattr(self, name)))
         return dup
 
     def _sign_of(self, k: int) -> int:
@@ -173,8 +242,10 @@ class StabilizerTableau:
         ]
 
     def check_invariants(self) -> None:
-        """Raise ValueError unless the generators are Hermitian, pairwise
-        commuting, and independent over GF(2)."""
+        """Raise ValueError unless the generators are Hermitian and pairwise
+        commuting, destabilizer i anticommutes with generator i and with no
+        other generator (which makes the generators independent), and the
+        column masks match the rows."""
         n = self.n
         for k in range(n):
             self._sign_of(k)
@@ -186,72 +257,28 @@ class StabilizerTableau:
                 ) % 2
                 if parity:
                     raise ValueError(f"generators {i} and {j} anticommute")
-        rows = [self.xs[k] | (self.zs[k] << n) for k in range(n)]
-        if gf2_rank_rows(rows, 2 * n) != n:
-            raise ValueError("generators are linearly dependent")
+        pairs = (("xs", "xcol"), ("zs", "zcol"), ("dxs", "dxcol"), ("dzs", "dzcol"))
+        for rows, cols in pairs:
+            if _transpose(getattr(self, rows), n) != getattr(self, cols):
+                raise ValueError(f"column masks {cols} do not match the rows")
+        for i in range(n):
+            if _anticommuting(self.dxs[i], self.dzs[i], self.xcol, self.zcol) != 1 << i:
+                raise ValueError(
+                    f"destabilizer {i} does not pair with generator {i} alone"
+                )
 
     # -------------------------------------------------- expectation values
 
-    def _anticommuting(self, p: PauliOperator) -> list[int]:
-        out = []
-        for k in range(self.n):
-            parity = (
-                (self.xs[k] & p.z_bits).bit_count()
-                + (self.zs[k] & p.x_bits).bit_count()
-            ) % 2
-            if parity:
-                out.append(k)
-        return out
-
-    def _combo_for(self, p: PauliOperator) -> int:
-        """Bitmask over generators whose product has the bitmasks of p.
-        Raises ValueError when p is outside the span."""
-        n = self.n
-        pivots: dict[int, tuple[int, int]] = {}
-        for k in range(n):
-            vec = self.xs[k] | (self.zs[k] << n)
-            combo = 1 << k
-            while vec:
-                low = vec & -vec
-                if low in pivots:
-                    pv, pc = pivots[low]
-                    vec ^= pv
-                    combo ^= pc
-                else:
-                    pivots[low] = (vec, combo)
-                    break
-        vec = p.x_bits | (p.z_bits << n)
-        combo = 0
-        while vec:
-            low = vec & -vec
-            if low not in pivots:
-                raise ValueError("operator is outside the stabilizer span")
-            pv, pc = pivots[low]
-            vec ^= pv
-            combo ^= pc
-        return combo
-
-    def _product_phase(self, combo: int) -> tuple[int, int, int]:
-        """Accumulated (x, z, t) of the ordered product of the generators
-        selected by combo, lowest index first."""
+    def _determined(self, p: PauliOperator) -> int:
+        """Eigenvalue of an observable p that commutes with every generator.
+        p is then the product of the generators whose destabilizers
+        anticommute with it, up to sign; the sign is read off that product."""
+        combo = _anticommuting(p.x_bits, p.z_bits, self.dxcol, self.dzcol)
         x = z = t = 0
-        rest = combo
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for k in _bits(combo):
             t = (t + self.ts[k] + 2 * (z & self.xs[k]).bit_count()) % 4
             x ^= self.xs[k]
             z ^= self.zs[k]
-        return x, z, t
-
-    def expectation(self, p: PauliOperator) -> int:
-        """<psi| p |psi> for the stabilized state: always -1, 0, or +1."""
-        if p.n != self.n:
-            raise ValueError("operator size does not match the register")
-        if self._anticommuting(p):
-            return 0
-        combo = self._combo_for(p)
-        x, z, t = self._product_phase(combo)
         if x != p.x_bits or z != p.z_bits:
             raise ValueError("operator is outside the stabilizer span")
         diff = (t - _phase_t(p.x_bits, p.z_bits, p.sign)) % 4
@@ -260,6 +287,14 @@ class StabilizerTableau:
         if diff == 2:
             return -1
         raise ValueError("inconsistent phase; tableau is corrupt")
+
+    def expectation(self, p: PauliOperator) -> int:
+        """<psi| p |psi> for the stabilized state: always -1, 0, or +1."""
+        if p.n != self.n:
+            raise ValueError("operator size does not match the register")
+        if _anticommuting(p.x_bits, p.z_bits, self.xcol, self.zcol):
+            return 0
+        return self._determined(p)
 
     # -------------------------------------------------------- measurement
 
@@ -281,9 +316,10 @@ class StabilizerTableau:
             raise ValueError("operator size does not match the register")
         if forced_outcome is not None and forced_outcome not in (1, -1):
             raise ValueError("forced outcome must be +1 or -1")
-        anti = self._anticommuting(p)
+        px, pz = p.x_bits, p.z_bits
+        anti = _anticommuting(px, pz, self.xcol, self.zcol)
         if not anti:
-            outcome = self.expectation(p)
+            outcome = self._determined(p)
             if forced_outcome is not None and forced_outcome != outcome:
                 raise ValueError(
                     f"outcome {forced_outcome:+d} has probability 0 "
@@ -296,34 +332,101 @@ class StabilizerTableau:
             if rng is None:
                 rng = random
             outcome = 1 if rng.random() < 0.5 else -1
-        # wipe the anticommuting generators except the first by multiplying
-        # it in, then replace the first with (outcome * p)
-        k0 = anti[0]
-        for k in anti[1:]:
-            t = (
-                self.ts[k0]
-                + self.ts[k]
-                + 2 * (self.zs[k0] & self.xs[k]).bit_count()
-            ) % 4
-            self.xs[k] = self.xs[k0] ^ self.xs[k]
-            self.zs[k] = self.zs[k0] ^ self.zs[k]
-            self.ts[k] = t
-        self.xs[k0] = p.x_bits
-        self.zs[k0] = p.z_bits
-        t_new = _phase_t(p.x_bits, p.z_bits, p.sign)
+        xs, zs, ts = self.xs, self.zs, self.ts
+        dxs, dzs = self.dxs, self.dzs
+        # the first anticommuting generator k0 is multiplied into the other
+        # anticommuting generators and into every other destabilizer that
+        # anticommutes with p; then destabilizer k0 becomes the old
+        # generator k0, and generator k0 becomes outcome * p
+        k0_bit = anti & -anti
+        k0 = k0_bit.bit_length() - 1
+        x0, z0, t0 = xs[k0], zs[k0], ts[k0]
+        rest = anti ^ k0_bit
+        for k in _bits(rest):
+            ts[k] = (t0 + ts[k] + 2 * (z0 & xs[k]).bit_count()) % 4
+            xs[k] ^= x0
+            zs[k] ^= z0
+        drest = _anticommuting(px, pz, self.dxcol, self.dzcol) & ~k0_bit
+        for i in _bits(drest):
+            dxs[i] ^= x0
+            dzs[i] ^= z0
+        # columns: rows in rest and drest gained the old generator k0, row
+        # k0 of the generators trades it for p, and row k0 of the
+        # destabilizers trades its old value for it
+        xcol, zcol, dxcol, dzcol = self.xcol, self.zcol, self.dxcol, self.dzcol
+        dk0 = drest ^ k0_bit
+        for q in _bits(x0):
+            xcol[q] ^= anti
+            dxcol[q] ^= dk0
+        for q in _bits(z0):
+            zcol[q] ^= anti
+            dzcol[q] ^= dk0
+        for q in _bits(px):
+            xcol[q] ^= k0_bit
+        for q in _bits(pz):
+            zcol[q] ^= k0_bit
+        for q in _bits(dxs[k0]):
+            dxcol[q] ^= k0_bit
+        for q in _bits(dzs[k0]):
+            dzcol[q] ^= k0_bit
+        dxs[k0], dzs[k0] = x0, z0
+        xs[k0], zs[k0] = px, pz
+        t_new = _phase_t(px, pz, p.sign)
         if outcome == -1:
             t_new = (t_new + 2) % 4
-        self.ts[k0] = t_new
+        ts[k0] = t_new
         return outcome, 0.5
+
+
+def _destabilizer_rows(
+    n: int, xs: list[int], zs: list[int]
+) -> tuple[list[int], list[int]]:
+    """Rows (dx_i, dz_i) with <d_i, S_j> = delta_ij for the generators
+    S_j = (xs[j], zs[j]), by one Gauss-Jordan elimination.
+
+    In the swapped layout v_j = z_j | x_j << n the symplectic product
+    <d, S_j> is the plain dot product of d = dx | dz << n with v_j. Reduce
+    the v_j to rows with distinct pivot columns, each pivot column cleared
+    in every other row, recording which v_j each row combines; then the
+    pivot column c of a row that combines v_i belongs to d_i.
+    """
+    pivots: list[list[int]] = []  # [pivot bit, reduced row, combination]
+    for k in range(len(xs)):
+        vec = zs[k] | (xs[k] << n)
+        combo = 1 << k
+        for bit, row, rc in pivots:
+            if vec & bit:
+                vec ^= row
+                combo ^= rc
+        if not vec:
+            raise ValueError("generators are linearly dependent")
+        bit = vec & -vec
+        for piv in pivots:
+            if piv[1] & bit:
+                piv[1] ^= vec
+                piv[2] ^= combo
+        pivots.append([bit, vec, combo])
+    ds = [0] * len(xs)
+    for bit, _, combo in pivots:
+        for i in _bits(combo):
+            ds[i] |= bit
+    full = (1 << n) - 1
+    return [d & full for d in ds], [d >> n for d in ds]
 
 
 def graph_state_tableau(g: Graph) -> StabilizerTableau:
     """Tableau of the graph state: generator a is X on a and Z on each
-    neighbor of a, all with sign +1."""
+    neighbor of a, all with sign +1; its destabilizer is Z on a."""
     if g.n > 4096:
         raise SizeLimitError("refusing a tableau with more than 4096 qubits")
-    gens = [PauliOperator(g.n, 1 << a, g.adj[a], 1) for a in range(g.n)]
-    return StabilizerTableau(gens, validate=False)
+    n = g.n
+    singles = [1 << a for a in range(n)]
+    # the rows form (I | A) and (0 | I) with A symmetric, so every column
+    # mask equals the row of the same index
+    cols = (list(singles), list(g.adj), [0] * n, list(singles))
+    return StabilizerTableau._from_rows(
+        n, singles, list(g.adj), [0] * n, [0] * n, list(singles), cols
+    )
 
 
 def expectation_pauli(tableau: StabilizerTableau, p: PauliOperator) -> int:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import gslogic.cli
 from gslogic import parse_edge_list
 
 
@@ -164,10 +165,26 @@ def test_check_family_verdicts():
 
 def test_check_usage_errors():
     assert run_cli("check", "x = x").returncode == 2  # formula but no graph
-    assert run_cli("check", "--named", "nope", "path:3").returncode == 2
+    res = run_cli("check", "--named", "nope", "path:3")
+    assert res.returncode == 2
+    assert "unknown formula" in res.stderr
     res = run_cli("check", "edge(x, y", "path:3")
     assert res.returncode == 2
     assert "position" in res.stderr
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(graph, formula):
+        raise KeyError("unbound variable")
+
+    monkeypatch.setattr(gslogic.cli, "evaluate", broken)
+    with pytest.raises(KeyError):
+        gslogic.cli.main(["check", "--named", "connected", "path:3"])
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, gslogic.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
 
 def test_check_text_output_lists_graphs():

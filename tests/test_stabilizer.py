@@ -1,5 +1,7 @@
 """Stabilizer tableau mechanics, cross-checked against the dense oracle."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -11,6 +13,7 @@ from gslogic import (
     Graph,
     PauliOperator,
     StabilizerTableau,
+    dense_measure,
     dense_state_vector,
     expectation,
     expectation_pauli,
@@ -18,6 +21,7 @@ from gslogic import (
     graph_state_tableau,
     measure_pauli,
     multiply_paulis,
+    neighbors,
     paulis_commute,
     project,
     simulate_pattern,
@@ -294,3 +298,121 @@ def test_star_graph_z_measurements_correlate_with_center_x():
         outcome, prob = t.measure(PauliOperator.single(n, 0, "X"), rng=rng)
         assert prob == 1.0
         assert outcome == product
+
+
+# ------------------------------------------------- tableaux not from a graph
+
+
+def _shuffled_products(gens, rng):
+    """The same stabilizer group under another generator list: shuffled,
+    then each generator multiplied by random others."""
+    gens = list(gens)
+    rng.shuffle(gens)
+    n = len(gens)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            gens[i] = multiply_paulis(gens[i], gens[j])
+    return gens
+
+
+def _check_against_dense(t, state, rng):
+    n = t.n
+    t.check_invariants()
+    for _ in range(10):
+        p = PauliOperator(
+            n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1))
+        )
+        assert abs(t.expectation(p) - expectation(state, p)) < 1e-9
+    q = rng.randrange(n)
+    basis = rng.choice("XYZ")
+    (p_plus, p_minus), _ = dense_measure(state, q, basis)
+    outcome, prob = t.measure(PauliOperator.single(n, q, basis), rng=rng)
+    assert abs(prob - (p_plus if outcome == 1 else p_minus)) < 1e-9
+    t.check_invariants()
+    return project(state, q, basis, outcome)
+
+
+def test_destabilizers_of_generator_lists_match_dense_oracle():
+    # StabilizerTableau(generators) derives its destabilizers by elimination;
+    # expectations and measurements must not depend on the generator list
+    rng = random.Random(16)
+    for _ in range(30):
+        n = rng.randrange(1, 7)
+        g = random_graph(n, rng)
+        state = dense_state_vector(g)
+        gens = _shuffled_products(graph_state_tableau(g).generators(), rng)
+        t = StabilizerTableau(gens)
+        _check_against_dense(t, state, rng)
+
+
+def test_destabilizers_of_measured_generator_lists_match_dense_oracle():
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randrange(2, 7)
+        g = random_graph(n, rng)
+        t = graph_state_tableau(g)
+        state = dense_state_vector(g)
+        for _ in range(rng.randrange(1, n + 1)):
+            q = rng.randrange(n)
+            basis = rng.choice("XYZ")
+            outcome, _ = t.measure(PauliOperator.single(n, q, basis), rng=rng)
+            state = project(state, q, basis, outcome)
+        rebuilt = StabilizerTableau(_shuffled_products(t.generators(), rng))
+        state = _check_against_dense(rebuilt, state, rng)
+        _check_against_dense(rebuilt, state, rng)
+
+
+def test_copy_is_independent():
+    t = graph_state_tableau(generate("cycle", 5))
+    dup = t.copy()
+    dup.measure(PauliOperator.single(5, 0, "Z"), forced_outcome=1)
+    assert t.expectation(PauliOperator.single(5, 0, "Z")) == 0
+    t.check_invariants()
+    dup.check_invariants()
+
+
+# ------------------------------------------ registers past the dense oracle
+
+
+def test_large_grid_transcript_is_pinned():
+    # a mixed X/Y/Z pattern over all 441 qubits of grid(21); the digest was
+    # recorded with an implementation that found deterministic outcomes by
+    # Gaussian elimination, not destabilizers, so it checks the two against
+    # each other past the size the dense oracle reaches
+    g = generate("grid", 21)
+    rng = random.Random(20070122)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    pattern = [(q, rng.choice("XYZ")) for q in order]
+    transcript = simulate_pattern(g, pattern, rng_seed=20070122)
+    text = json.dumps(transcript, sort_keys=True)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "f93eacd9073fb40cb1627517d53f378de089477423c8ed1d311a0e877fcfd56b"
+    )
+    assert sum(rec["probability"] == 1.0 for rec in transcript) == 14
+
+
+@pytest.mark.parametrize("kind", ["grid", "hexagonal"])
+def test_carve_rule_on_large_lattice(kind):
+    # measure one colour class in Z, then the other in X: K_a forces each X
+    # outcome to the product of the Z outcomes on the neighbours of a
+    k = 21
+    g = generate(kind, k)
+    colour = [(v // k + v % k) % 2 for v in range(g.n)]
+    pattern = [(v, "Z") for v in range(g.n) if colour[v] == 0]
+    pattern += [(v, "X") for v in range(g.n) if colour[v] == 1]
+    transcript = simulate_pattern(g, pattern, rng_seed=5)
+    z_outcome = {}
+    for rec in transcript:
+        v = rec["qubit"]
+        if rec["basis"] == "Z":
+            z_outcome[v] = rec["outcome"]
+            continue
+        assert rec["probability"] == 1.0
+        product = 1
+        for b in neighbors(g, v):
+            product *= z_outcome[b]
+        assert rec["outcome"] == product
+    assert len(z_outcome) >= 200
