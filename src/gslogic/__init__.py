@@ -2,21 +2,20 @@
 
 Three interlocking toolkits around simple undirected graphs:
 
-- GF(2) cut-rank and exact rank-width via exhaustive search over binary
-  (subcubic) decomposition trees, with a branch-and-bound option and a
-  greedy upper bound for larger graphs.
+- GF(2) cut-rank and exact rank-width. A subset dynamic program gives the
+  width from 2^(n-1) cut-ranks and at most 3^(n-1)/2 split checks; a
+  search over subcubic trees, bounded by that width, returns the first
+  optimal tree as the witness (usually fast, but with no bound of its
+  own). A greedy upper bound covers larger graphs.
 - A parser and exhaustive model checker for monadic second-order logic
   extended with an even-cardinality set predicate.
 - A stabilizer simulator for graph states under Pauli measurements, plus
   a dense state-vector oracle for cross-validation on small registers.
 
-The rank computations run on a compiled kernel when the optional
-extension is built, with an equivalent pure-Python fallback; see
-``kernel_backend()``.
+The kernels are pure Python (``kernel_backend()`` reports "pure").
 """
 
 from . import dense
-from ._kernels import backend_name as kernel_backend
 from .errors import FormulaParseError, GraphParseError, SizeLimitError
 from .gf2 import Gf2Matrix, cut_rank, cut_rank_masks, cut_submatrix, rank2
 from .graphs import (
@@ -64,6 +63,11 @@ from .stabilizer import (
 )
 
 __version__ = "0.1.0"
+
+
+def kernel_backend() -> str:
+    """Name of the rank and search kernels: always "pure" (pure Python)."""
+    return "pure"
 
 
 def __getattr__(name: str):

@@ -23,6 +23,7 @@ from .graphs import GENERATOR_KINDS, Graph, generate, parse_edge_list, serialize
 from .logic import evaluate, named_formula, parse_formula, pretty
 from .rankwidth import (
     DEFAULT_EXACT_CAP,
+    EXACT_VERTEX_LIMIT,
     count_subcubic_trees,
     enumerate_subcubic_trees,
     exact_rankwidth,
@@ -219,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
                         dest="exact_cap", metavar="N",
                         help="largest vertex count the exact rank-width "
-                             f"search accepts (default: {DEFAULT_EXACT_CAP})")
+                             f"search accepts (default: {DEFAULT_EXACT_CAP}; "
+                             "a graph with an edge is refused above "
+                             f"{EXACT_VERTEX_LIMIT} whatever N)")
 
     parser = argparse.ArgumentParser(
         prog="gslogic",

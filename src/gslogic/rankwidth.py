@@ -2,14 +2,18 @@
 
 The rank-width of a graph is the min over subcubic trees (every vertex of
 degree 1 or 3, leaves labeled bijectively by the graph's vertices) of the max
-cut-rank over the bipartitions induced by deleting a tree edge. The exact
-search enumerates all (2n-5)!! leaf-labeled trees, so it is only feasible for
-small n and refuses beyond a configurable cap.
+cut-rank over the bipartitions induced by deleting a tree edge. There are
+(2n-5)!! such trees. `exact_rankwidth` does not walk them all: a subset DP
+over the 2^(n-1) vertex sets on one side of a tree edge gives the width in
+O(3^n) steps with 2^(n-1)-byte tables, and a search of the trees in
+enumeration order, bounded by that width, returns the first optimal tree.
+That search is fast on most graphs, but its cost has no bound of its own
+(see `gslogic._kernels`).
 
 Tree encoding: leaves are tree vertices 0..n-1, internal vertices n..2n-3 in
 creation order. Every tree arises from the unique 2-leaf tree by inserting
 leaf k = 2..n-1 into an existing edge; recording the chosen edge index per
-insertion gives a compact "choices" witness that both kernel backends share.
+insertion gives a compact "choices" witness.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ __all__ = [
 ]
 
 DEFAULT_EXACT_CAP = 12
+
+# Hard limit of the exact search, whatever the cap: its tables take about
+# 2^(n+2) bytes, 4 MiB at this limit.
+EXACT_VERTEX_LIMIT = 20
 
 
 def _identity_labels(n: int) -> tuple[int, ...]:
@@ -270,13 +278,16 @@ def exact_rankwidth(
 ) -> tuple[int, RankDecomposition | None]:
     """Exact rank-width with a witnessing decomposition.
 
-    The witness is the first optimal tree in enumeration order, so repeated
-    runs (and pruned vs. unpruned runs) agree. Graphs with fewer than two
-    vertices have rank-width 0 and no tree; ``None`` stands in for the
-    witness there.
+    The width comes from the subset DP; the witness is the first optimal
+    tree in enumeration order, so repeated runs (and pruned vs. unpruned
+    runs) agree. ``prune=False`` walks all (2n-5)!! trees instead, as a
+    reference. Graphs with fewer than two vertices have rank-width 0 and no
+    tree; ``None`` stands in for the witness there. An edgeless graph has
+    width 0, witnessed by the first tree, at any size.
 
-    Raises SizeLimitError when ``g.n`` exceeds ``cap`` ((2n-5)!! trees make
-    larger searches infeasible); use :func:`greedy_decomposition` for an
+    Raises SizeLimitError when ``g.n`` exceeds ``cap``, and for a graph
+    with an edge when ``g.n`` exceeds EXACT_VERTEX_LIMIT, whatever the cap
+    (its tables grow as 2^n); use :func:`greedy_decomposition` for an
     upper bound instead.
     """
     if g.n > cap:
@@ -286,7 +297,16 @@ def exact_rankwidth(
         )
     if g.n < 2:
         return 0, None
-    width, choices = _kernels.rankwidth_search(g.adj, g.n, prune)
+    if not any(g.adj):
+        width, choices = 0, (0,) * (g.n - 2)
+    elif g.n > EXACT_VERTEX_LIMIT:
+        raise SizeLimitError(
+            f"exact rank-width is limited to {EXACT_VERTEX_LIMIT} vertices "
+            f"whatever the cap: its DP table for {g.n} vertices would have "
+            f"2^{g.n - 1} = {1 << (g.n - 1):,} entries; use greedy_decomposition"
+        )
+    else:
+        width, choices = _kernels.rankwidth_search(g.adj, g.n, prune)
     tree = tree_from_choices(g.n, choices)
     return width, RankDecomposition(tree, width)
 

@@ -94,6 +94,9 @@ def test_rankwidth_cap_flag():
     assert res.returncode == 3
     res2 = run_cli("rankwidth", "path:5", "--exact-cap", "5", "--format", "json")
     assert res2.returncode == 0
+    res3 = run_cli("rankwidth", "path:30", "--exact-cap", "30")
+    assert res3.returncode == 3
+    assert "DP table" in res3.stderr
 
 
 def test_rankwidth_greedy_on_long_path():

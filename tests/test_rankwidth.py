@@ -21,6 +21,7 @@ from gslogic import (
     relabel,
     tree_edge_bipartition,
 )
+from gslogic import _kernels
 from gslogic.rankwidth import tree_from_choices
 
 
@@ -197,7 +198,8 @@ def test_witness_width_matches_claim():
 def test_witness_is_first_optimal_in_enumeration_order():
     rng = random.Random(2)
     graphs = [generate("cycle", 5), generate("grid", 2), random_graph(5, rng),
-              random_graph(6, rng)]
+              random_graph(6, rng), random_graph(7, rng, p=0.2),
+              random_graph(7, rng, p=0.8)]
     for g in graphs:
         width, decomp = exact_rankwidth(g)
         for tree in enumerate_subcubic_trees(g.n):
@@ -212,8 +214,29 @@ def test_pruned_and_unpruned_agree():
     rng = random.Random(3)
     graphs = [g for g in small_corpus() if 2 <= g.n <= 6]
     graphs.append(random_graph(7, rng))
+    graphs.append(random_graph(7, rng, p=0.2))
+    graphs.append(random_graph(7, rng, p=0.8))
     for g in graphs:
         assert exact_rankwidth(g, prune=True) == exact_rankwidth(g, prune=False)
+
+
+def test_grid4_exact_width_with_raised_cap():
+    g = generate("grid", 4)
+    width, decomp = exact_rankwidth(g, cap=16)
+    assert width == 3
+    assert decomposition_width(g, decomp.tree) == 3
+
+
+def test_edgeless_graph_has_width_zero_at_any_size():
+    width, decomp = exact_rankwidth(Graph.from_edges(65, []), cap=65)
+    assert width == 0 and decomp.width == 0
+    assert decomp.tree == tree_from_choices(65, [0] * 63)
+
+
+def test_search_rejects_tiny_inputs():
+    for prune in (True, False):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            _kernels.rankwidth_search((0,), 1, prune)
 
 
 def test_rankwidth_invariant_under_relabeling():
@@ -229,6 +252,11 @@ def test_exact_refuses_above_cap():
         exact_rankwidth(generate("grid", 4))
     with pytest.raises(SizeLimitError, match="5"):
         exact_rankwidth(generate("path", 6), cap=5)
+
+
+def test_exact_refuses_above_dp_limit_whatever_the_cap():
+    with pytest.raises(SizeLimitError, match="2\\^29 = 536,870,912 entries"):
+        exact_rankwidth(generate("path", 30), cap=30)
 
 
 def test_greedy_is_valid_upper_bound():
