@@ -1,41 +1,32 @@
-"""GF(2) rank and the exact rank-width search.
+"""GF(2) rank, cut-rank and the exact rank-width search.
 
-The search returns the rank-width of a graph and, as its witness, the first
-optimal tree in a fixed enumeration order (see `gslogic.rankwidth` for the
-tree encoding). It works in two steps.
+The search returns the rank-width of a graph and, as its witness, the
+optimal tree read from the table of a subset DP (Oum, "Computing rank-width
+exactly", IPL 109, 2009, in its O(3^n) form). For X a non-empty proper
+subset of V, w(X) is the least width of a rooted binary tree with leaves X,
+counting the edge above its root; w({v}) = f({v}) and
 
-1. A subset DP gives the width (Oum, "Computing rank-width exactly", IPL
-   109, 2009, in its O(3^n) form). For X a non-empty proper subset of V,
-   w(X) is the least width of a rooted binary tree with leaves X, counting
-   the edge above its root; w({v}) = f({v}) and
+    w(X) = max(f(X), min over splits X = Y + Z of max(w(Y), w(Z))),
 
-       w(X) = max(f(X), min over splits X = Y + Z of max(w(Y), w(Z))),
+where f is the cut-rank. Rooting every tree at the edge of leaf 0 gives
+rank-width w* = w(V - {0}). The DP fills w for the subsets of V - {0} at a
+cost of 2^(n-1) cut-ranks, at most 3^(n-1)/2 split checks (fewer, since a
+split reaching f(X) ends the search for X), and one table of 2^(n-1) bytes.
 
-   where f is the cut-rank. Rooting every tree at the edge of leaf 0 gives
-   rank-width w* = w(V - {0}). The DP fills w for the subsets of V - {0}
-   at a cost of 2^(n-1) cut-ranks, at most 3^(n-1)/2 split checks (fewer,
-   since a split reaching f(X) ends the search for X), and two tables of
-   2^(n-1) bytes. A second pass of the same recursion, cut at w*, marks
-   the sets G that contain 0 and have w(G) <= w*; it reuses the
-   cut-ranks, as f(G) = f(V - G).
-2. The depth-first insertion enumeration, bounded by w*. Every edge of a
-   tree of width w* separates a set F from V - F (F the far side, away
-   from leaf 0), and both sides are rooted trees hanging from that edge,
-   so w(F) <= w* and w(V - F) <= w*. A prefix is skipped as soon as the
-   far side of one of its edges is not the placed part of such an F.
-   Only prefixes without an optimal completion are skipped, so the first
-   complete tree the search reaches is the first optimal one. Its cost is
-   the number of prefixes that pass this test but have no optimal
-   completion: small on most graphs, but not bounded.
+The witness is read from the table top down: V - {0} hangs from leaf 0, and
+every set X with w(X) <= w* and more than one vertex splits at the first
+Y + Z, in the DP's loop order, with w(Y) <= w* and w(Z) <= w* (one exists
+by the recursion). The edge above each set Y has cut-rank f(Y) <= w(Y) <=
+w*, so the tree has width w*. The sets split at one depth are disjoint, so
+the read costs at most n * 2^(n-2) split checks and no cut-ranks.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
 
-def gf2_rank_rows(rows: Sequence[int], ncols: int) -> int:
+def gf2_rank_rows(rows: Sequence[int]) -> int:
     """Rank over GF(2) of bit-packed rows (bit j of a row = column j)."""
     pivots: dict[int, int] = {}
     rank = 0
@@ -51,8 +42,13 @@ def gf2_rank_rows(rows: Sequence[int], ncols: int) -> int:
     return rank
 
 
-def _cut_rank(adj: Sequence[int], amask: int, bmask: int) -> int:
-    """GF(2) rank of the adjacency block between vertex masks A and B."""
+def cut_rank_masks(adj: Sequence[int], amask: int, bmask: int) -> int:
+    """GF(2) rank of the adjacency block between vertex masks A and B.
+
+    Dropping the all-zero columns outside B does not change the rank, so
+    the rows are taken directly as ``adj[a] & bmask`` for a in the smaller
+    side; no matrix is materialized.
+    """
     if amask.bit_count() > bmask.bit_count():
         amask, bmask = bmask, amask
     pivots: dict[int, int] = {}
@@ -73,19 +69,18 @@ def _cut_rank(adj: Sequence[int], amask: int, bmask: int) -> int:
     return rank
 
 
-def _subset_widths(adj: Sequence[int], n: int) -> tuple[bytearray, bytearray]:
-    """The DP tables w and f: entry i is for the vertex set X = i << 1.
+def _subset_widths(adj: Sequence[int], n: int) -> bytearray:
+    """The DP table w: entry i is for the vertex set X = i << 1.
 
     Index i runs over the subsets of V - {0}, vertex v on bit v - 1, so a
     subset's index is larger than those of its proper subsets and the last
-    entry of w is the rank-width.
+    entry is the rank-width.
     """
     size = 1 << (n - 1)
     full = (1 << n) - 1
     w = bytearray(size)
-    f = bytearray(size)
     for x in range(1, size):
-        fx = f[x] = _cut_rank(adj, x << 1, full ^ (x << 1))
+        fx = cut_rank_masks(adj, x << 1, full ^ (x << 1))
         if x & (x - 1) == 0:
             w[x] = fx
             continue
@@ -103,118 +98,45 @@ def _subset_widths(adj: Sequence[int], n: int) -> tuple[bytearray, bytearray]:
                     break
             z = (z - 1) & rest
         w[x] = fx if fx > best else best
-    return w, f
+    return w
 
 
-def _near_within(w: bytearray, f: bytearray, width: int) -> bytearray:
-    """Entry j is 1 when G = {0} + (j << 1) has w(G) <= width.
+def _tree_edges(w: bytearray, n: int, width: int) -> tuple[tuple[int, int], ...]:
+    """Edges of a tree of the given width read from the DP table (see the
+    module docstring): leaves 0..n-1, internal vertices n, n+1, ... in
+    creation order, leaf 0 on the edge (0, root) and then every internal
+    vertex's two child edges, in vertex order."""
+    edges: list[tuple[int, int]] = []
+    next_internal = n
 
-    The same recursion as `_subset_widths`, cut at ``width``: a split of G
-    is Y + Z with 0 in Y, and f(G) = f(V - G) is read from the table.
-    """
-    top = len(w) - 1
-    near = bytearray(len(w))
-    near[0] = 1  # w({0}) = f(V - {0}) <= w(V - {0})
-    for j in range(1, top):
-        if f[top ^ j] > width:
-            continue
-        z = j
-        while z:
-            if w[z] <= width and near[j ^ z]:
-                near[j] = 1
-                break
-            z = (z - 1) & j
-    return near
+    def build(x: int) -> int:
+        nonlocal next_internal
+        if x & (x - 1) == 0:
+            return x.bit_length()
+        node = next_internal
+        next_internal += 1
+        rest = x & (x - 1)
+        z = rest
+        # w(X) <= width, so a split within the width comes before z = 0
+        while w[z] > width or w[x ^ z] > width:
+            z = (z - 1) & rest
+        edges.append((node, build(x ^ z)))
+        edges.append((node, build(z)))
+        return node
 
-
-def _insert(far: list[int], i: int, bit: int) -> list[int]:
-    """Far sides of the edges after leaf ``bit`` subdivides edge i: edge i
-    keeps the half towards leaf 0, the other half and the new leaf's edge
-    are appended, and every edge between leaf 0 and edge i gains the leaf."""
-    m = far[i]
-    child = [(f | bit) if (m | f) == f else f for f in far]
-    child[i] = m | bit
-    child.append(m)
-    child.append(bit)
-    return child
+    root = build(len(w) - 1)
+    return ((0, root), *sorted(edges))
 
 
-def _first_tree_within(n: int, w: bytearray, near: bytearray, width: int) -> tuple[int, ...]:
-    """Insertion choices of the first tree in enumeration order whose every
-    edge separates F from V - F with w(F), w(V - F) <= width (one must
-    exist)."""
-    top = len(w) - 1
-    # fits[k][f]: whether some such F meets the placed leaves 0..k in f, so
-    # an edge may have far side f at step k
-    fits = [b""] * n
-    last = bytearray(1 << n)
-    for i in range(1, top + 1):
-        if w[i] <= width and near[top ^ i]:
-            last[i << 1] = 1
-    fits[n - 1] = last
-    for k in range(n - 1, 2, -1):
-        half = 1 << k
-        fits[k - 1] = bytes(map(operator.or_, fits[k][:half], fits[k][half:]))
-    choices: list[int] = []
+def rankwidth_search(adj: Sequence[int], n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Rank-width and the edges of an optimal subcubic tree.
 
-    def visit(far: list[int], k: int) -> bool:
-        if k == n:
-            return True
-        fit = fits[k].__getitem__
-        for i in range(len(far)):
-            child = _insert(far, i, 1 << k)
-            if all(map(fit, child)):
-                choices.append(i)
-                if visit(child, k + 1):
-                    return True
-                choices.pop()
-        return False
-
-    visit([2], 2)
-    return tuple(choices)
-
-
-def _first_optimal_exhaustive(adj: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
-    """Width of every tree in enumeration order; the first of least width."""
-    full = (1 << n) - 1
-    best_width = n + 1
-    best_choices: tuple[int, ...] = ()
-    choices: list[int] = []
-
-    def visit(far: list[int], k: int) -> None:
-        nonlocal best_width, best_choices
-        if k == n:
-            width = max(_cut_rank(adj, f, full ^ f) for f in far)
-            if width < best_width:
-                best_width = width
-                best_choices = tuple(choices)
-            return
-        for i in range(len(far)):
-            choices.append(i)
-            visit(_insert(far, i, 1 << k), k + 1)
-            choices.pop()
-
-    visit([2], 2)
-    return best_width, best_choices
-
-
-def rankwidth_search(adj: Sequence[int], n: int, prune: bool = True) -> tuple[int, tuple[int, ...]]:
-    """Rank-width and the first optimal tree over leaf-labeled subcubic trees.
-
-    Trees are enumerated by inserting leaf k (k = 2..n-1) into each existing
-    edge, lowest edge index first, depth first. Returns the optimal width and
-    the insertion-choice tuple of the first optimal tree in that order.
-
-    With ``prune`` set, the width comes from the subset DP and the witness
-    from the enumeration bounded by it. Their tables take about 2^(n+2)
-    bytes in all, so the caller limits n. Without it, every tree is
-    walked: (2n-5)!! of them, the reference the tests compare against.
-    Both give the same result.
+    The width comes from the subset DP and the tree from a top-down read of
+    its table, so the same graph always gives the same tree. The table has
+    2^(n-1) bytes, so the caller limits n.
     """
     if n < 2:
         raise ValueError(f"search needs at least 2 vertices, got {n}")
-    if not prune:
-        return _first_optimal_exhaustive(adj, n)
-    w, f = _subset_widths(adj, n)
+    w = _subset_widths(adj, n)
     width = w[-1]
-    return width, _first_tree_within(n, w, _near_within(w, f, width), width)
+    return width, _tree_edges(w, n, width)

@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph source")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true",
-                      help="exhaustive optimal search (the default)")
+                      help="exact subset DP with an optimal tree (the default)")
     mode.add_argument("--greedy", action="store_true",
                       help="fast upper bound from a greedy vertex order")
     p.set_defaults(func=_cmd_rankwidth)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import _kernels
+from ._kernels import cut_rank_masks, gf2_rank_rows
 from .graphs import Graph
 
 __all__ = ["Gf2Matrix", "rank2", "cut_submatrix", "cut_rank", "cut_rank_masks"]
@@ -78,7 +78,7 @@ class Gf2Matrix:
 
 def rank2(m: Gf2Matrix) -> int:
     """Rank of a binary matrix with arithmetic mod 2."""
-    return _kernels.gf2_rank_rows(m.row_bits, m.n_cols)
+    return gf2_rank_rows(m.row_bits)
 
 
 def _sorted_vertices(g: Graph, subset: Iterable[int]) -> list[int]:
@@ -115,20 +115,3 @@ def cut_rank(g: Graph, subset: Iterable[int]) -> int:
         amask |= 1 << v
     bmask = ((1 << g.n) - 1) ^ amask
     return cut_rank_masks(g.adj, amask, bmask)
-
-
-def cut_rank_masks(adj: Sequence[int], amask: int, bmask: int) -> int:
-    """Cut rank with both sides given as bitmasks (no matrix materialized).
-
-    Dropping the all-zero columns outside B does not change the rank, so the
-    rows can be taken directly as ``adj[a] & bmask``.
-    """
-    if amask.bit_count() > bmask.bit_count():
-        amask, bmask = bmask, amask
-    rows = []
-    rest = amask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        rows.append(adj[low.bit_length() - 1] & bmask)
-    return _kernels.gf2_rank_rows(rows, max(bmask.bit_length(), 1))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import FormulaParseError, SizeLimitError
 from .graphs import Graph, GraphFamily
@@ -525,7 +525,3 @@ def named_formula(name: str) -> Formula:
     if name not in _named_cache:
         _named_cache[name] = parse_formula(source)
     return _named_cache[name]
-
-
-def library_names() -> Iterator[str]:
-    return iter(sorted(NAMED_FORMULA_SOURCES))

@@ -3,17 +3,17 @@
 The rank-width of a graph is the min over subcubic trees (every vertex of
 degree 1 or 3, leaves labeled bijectively by the graph's vertices) of the max
 cut-rank over the bipartitions induced by deleting a tree edge. There are
-(2n-5)!! such trees. `exact_rankwidth` does not walk them all: a subset DP
+(2n-5)!! such trees. `exact_rankwidth` does not walk them: a subset DP
 over the 2^(n-1) vertex sets on one side of a tree edge gives the width in
-O(3^n) steps with 2^(n-1)-byte tables, and a search of the trees in
-enumeration order, bounded by that width, returns the first optimal tree.
-That search is fast on most graphs, but its cost has no bound of its own
-(see `gslogic._kernels`).
+O(3^n) steps with one 2^(n-1)-byte table, and an optimal tree is read from
+that table top down in at most n * 2^(n-2) split checks (see
+`gslogic._kernels`).
 
-Tree encoding: leaves are tree vertices 0..n-1, internal vertices n..2n-3 in
-creation order. Every tree arises from the unique 2-leaf tree by inserting
-leaf k = 2..n-1 into an existing edge; recording the chosen edge index per
-insertion gives a compact "choices" witness.
+Tree encoding: leaves are tree vertices 0..n-1, internal vertices n..2n-3.
+Every tree arises from the unique 2-leaf tree by inserting leaf k = 2..n-1
+into an existing edge; recording the chosen edge index per insertion gives
+a compact "choices" encoding, which `tree_from_choices` decodes (internal
+vertices in creation order) and `enumerate_subcubic_trees` walks.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ __all__ = [
 
 DEFAULT_EXACT_CAP = 12
 
-# Hard limit of the exact search, whatever the cap: its tables take about
-# 2^(n+2) bytes, 4 MiB at this limit.
+# Hard limit of the exact search, whatever the cap: its DP table takes
+# 2^(n-1) bytes, 512 KiB at this limit.
 EXACT_VERTEX_LIMIT = 20
 
 
@@ -274,20 +274,19 @@ def decomposition_width(g: Graph, tree: SubcubicTree) -> int:
 def exact_rankwidth(
     g: Graph,
     cap: int = DEFAULT_EXACT_CAP,
-    prune: bool = True,
 ) -> tuple[int, RankDecomposition | None]:
     """Exact rank-width with a witnessing decomposition.
 
-    The width comes from the subset DP; the witness is the first optimal
-    tree in enumeration order, so repeated runs (and pruned vs. unpruned
-    runs) agree. ``prune=False`` walks all (2n-5)!! trees instead, as a
-    reference. Graphs with fewer than two vertices have rank-width 0 and no
-    tree; ``None`` stands in for the witness there. An edgeless graph has
-    width 0, witnessed by the first tree, at any size.
+    The width comes from the subset DP and the witness is the optimal tree
+    read from its table, a deterministic function of the graph, so repeated
+    runs agree. Graphs with fewer than two vertices have rank-width 0 and
+    no tree; ``None`` stands in for the witness there. An edgeless graph
+    has width 0, witnessed by the tree of all-zero insertion choices, at
+    any size.
 
     Raises SizeLimitError when ``g.n`` exceeds ``cap``, and for a graph
     with an edge when ``g.n`` exceeds EXACT_VERTEX_LIMIT, whatever the cap
-    (its tables grow as 2^n); use :func:`greedy_decomposition` for an
+    (its table grows as 2^n); use :func:`greedy_decomposition` for an
     upper bound instead.
     """
     if g.n > cap:
@@ -298,7 +297,7 @@ def exact_rankwidth(
     if g.n < 2:
         return 0, None
     if not any(g.adj):
-        width, choices = 0, (0,) * (g.n - 2)
+        width, tree = 0, tree_from_choices(g.n, (0,) * (g.n - 2))
     elif g.n > EXACT_VERTEX_LIMIT:
         raise SizeLimitError(
             f"exact rank-width is limited to {EXACT_VERTEX_LIMIT} vertices "
@@ -306,8 +305,8 @@ def exact_rankwidth(
             f"2^{g.n - 1} = {1 << (g.n - 1):,} entries; use greedy_decomposition"
         )
     else:
-        width, choices = _kernels.rankwidth_search(g.adj, g.n, prune)
-    tree = tree_from_choices(g.n, choices)
+        width, edges = _kernels.rankwidth_search(g.adj, g.n)
+        tree = SubcubicTree(g.n, edges)
     return width, RankDecomposition(tree, width)
 
 

@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from gslogic import Graph, generate
+from gslogic import Graph, cut_submatrix, generate, rank2
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
@@ -48,3 +48,36 @@ def all_graphs(n: int):
     for bits in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1]
         yield Graph.from_edges(n, edges)
+
+
+def exhaustive_rankwidth(g: Graph) -> int:
+    """Rank-width by walking all (2n-5)!! subcubic trees (n >= 2).
+
+    Leaf k = 2..n-1 is inserted into every edge of each tree on leaves
+    0..k-1. Each edge is kept as its far side (the leaves away from leaf 0),
+    and the cut-ranks come from `rank2(cut_submatrix(...))`, so nothing here
+    is shared with the subset DP of `exact_rankwidth`.
+    """
+    n = g.n
+    cut_ranks = [
+        rank2(cut_submatrix(g, [v for v in range(n) if (mask >> v) & 1]))
+        for mask in range(1 << n)
+    ]
+
+    def insert(far: list[int], i: int, bit: int) -> list[int]:
+        # edge i keeps the half towards leaf 0; the other half and the new
+        # leaf's edge are appended; every edge between leaf 0 and edge i
+        # gains the leaf
+        m = far[i]
+        child = [(f | bit) if (m | f) == f else f for f in far]
+        child[i] = m | bit
+        child.append(m)
+        child.append(bit)
+        return child
+
+    def best(far: list[int], k: int) -> int:
+        if k == n:
+            return max(cut_ranks[f] for f in far)
+        return min(best(insert(far, i, 1 << k), k + 1) for i in range(len(far)))
+
+    return best([2], 2)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_graph, small_corpus
+from conftest import all_graphs, exhaustive_rankwidth, random_graph, small_corpus
 from gslogic import (
     Graph,
     RankDecomposition,
@@ -195,29 +195,34 @@ def test_witness_width_matches_claim():
         assert decomposition_width(g, decomp.tree) == width
 
 
-def test_witness_is_first_optimal_in_enumeration_order():
+def test_witness_is_optimal():
     rng = random.Random(2)
     graphs = [generate("cycle", 5), generate("grid", 2), random_graph(5, rng),
               random_graph(6, rng), random_graph(7, rng, p=0.2),
               random_graph(7, rng, p=0.8)]
     for g in graphs:
         width, decomp = exact_rankwidth(g)
-        for tree in enumerate_subcubic_trees(g.n):
-            w = decomposition_width(g, tree)
-            if w == width:
-                assert tree == decomp.tree
-                break
-            assert w > width
+        assert width == exhaustive_rankwidth(g)
+        assert decomposition_width(g, decomp.tree) == width
 
 
-def test_pruned_and_unpruned_agree():
+def test_width_matches_exhaustive_walk():
     rng = random.Random(3)
     graphs = [g for g in small_corpus() if 2 <= g.n <= 6]
     graphs.append(random_graph(7, rng))
     graphs.append(random_graph(7, rng, p=0.2))
     graphs.append(random_graph(7, rng, p=0.8))
     for g in graphs:
-        assert exact_rankwidth(g, prune=True) == exact_rankwidth(g, prune=False)
+        assert exact_rankwidth(g)[0] == exhaustive_rankwidth(g)
+
+
+def test_width_and_witness_on_all_small_graphs():
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            width, decomp = exact_rankwidth(g)
+            assert width == exhaustive_rankwidth(g)
+            assert decomp.width == width
+            assert decomposition_width(g, decomp.tree) == width
 
 
 def test_grid4_exact_width_with_raised_cap():
@@ -234,9 +239,8 @@ def test_edgeless_graph_has_width_zero_at_any_size():
 
 
 def test_search_rejects_tiny_inputs():
-    for prune in (True, False):
-        with pytest.raises(ValueError, match="at least 2 vertices"):
-            _kernels.rankwidth_search((0,), 1, prune)
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        _kernels.rankwidth_search((0,), 1)
 
 
 def test_rankwidth_invariant_under_relabeling():
