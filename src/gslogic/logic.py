@@ -4,8 +4,12 @@ Formulas quantify over vertices (lowercase variables) and vertex sets
 (uppercase variables), with connectives & | !, an adjacency atom edge(x, y),
 membership x in X, an even-cardinality atom Even(X), and vertex equality
 x = y. Evaluation on a finite graph is exhaustive enumeration with
-short-circuiting; set variables range over all 2^n subsets, so a cost
-estimator refuses formulas whose enumeration would be astronomically large.
+short-circuiting. Each call to ``evaluate`` compiles the formula once into
+closures, with every bound variable resolved to a fixed slot of a list
+environment, so evaluation does no name lookups. Set variables range over
+all 2^n subsets, so a worst-case cost estimate is taken first and formulas
+whose enumeration could exceed the limit (2^30 environments by default)
+are refused.
 
 Surface grammar (ASCII, shell-friendly):
 
@@ -24,6 +28,7 @@ as an operand of & | ! must be parenthesized.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,19 +68,8 @@ def is_set_name(name: str) -> bool:
     return name[0].isupper()
 
 
-class _Ctx(NamedTuple):
-    n: int
-    adj: tuple[int, ...]
-
-
-_MISSING = object()
-
-
 class Formula:
     """Base class of AST nodes; subclasses are frozen dataclasses."""
-
-    def _eval(self, ctx: _Ctx, env: dict) -> bool:
-        raise NotImplementedError
 
     def __str__(self) -> str:
         return pretty(self)
@@ -86,25 +80,16 @@ class Edge(Formula):
     x: str
     y: str
 
-    def _eval(self, ctx, env):
-        return (ctx.adj[env[self.x]] >> env[self.y]) & 1 == 1
-
 
 @dataclass(frozen=True)
 class In(Formula):
     x: str
     set_var: str
 
-    def _eval(self, ctx, env):
-        return (env[self.set_var] >> env[self.x]) & 1 == 1
-
 
 @dataclass(frozen=True)
 class Even(Formula):
     set_var: str
-
-    def _eval(self, ctx, env):
-        return env[self.set_var].bit_count() % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -112,16 +97,10 @@ class Eq(Formula):
     x: str
     y: str
 
-    def _eval(self, ctx, env):
-        return env[self.x] == env[self.y]
-
 
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
-
-    def _eval(self, ctx, env):
-        return not self.body._eval(ctx, env)
 
 
 @dataclass(frozen=True)
@@ -129,88 +108,38 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    def _eval(self, ctx, env):
-        return self.left._eval(ctx, env) and self.right._eval(ctx, env)
-
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
-    def _eval(self, ctx, env):
-        return self.left._eval(ctx, env) or self.right._eval(ctx, env)
 
-
-class _Quantifier(Formula):
+@dataclass(frozen=True)
+class ExistsVertex(Formula):
     var: str
     body: Formula
-
-    def _domain(self, ctx: _Ctx) -> range:
-        raise NotImplementedError
-
-    def _scan(self, ctx, env, want: bool) -> bool:
-        var, body = self.var, self.body
-        prev = env.get(var, _MISSING)
-        result = not want
-        for value in self._domain(ctx):
-            env[var] = value
-            if body._eval(ctx, env) == want:
-                result = want
-                break
-        if prev is _MISSING:
-            env.pop(var, None)
-        else:
-            env[var] = prev
-        return result
 
 
 @dataclass(frozen=True)
-class ExistsVertex(_Quantifier):
+class ForallVertex(Formula):
     var: str
     body: Formula
-
-    def _domain(self, ctx):
-        return range(ctx.n)
-
-    def _eval(self, ctx, env):
-        return self._scan(ctx, env, True)
 
 
 @dataclass(frozen=True)
-class ForallVertex(_Quantifier):
+class ExistsSet(Formula):
     var: str
     body: Formula
-
-    def _domain(self, ctx):
-        return range(ctx.n)
-
-    def _eval(self, ctx, env):
-        return self._scan(ctx, env, False)
 
 
 @dataclass(frozen=True)
-class ExistsSet(_Quantifier):
+class ForallSet(Formula):
     var: str
     body: Formula
 
-    def _domain(self, ctx):
-        return range(1 << ctx.n)
 
-    def _eval(self, ctx, env):
-        return self._scan(ctx, env, True)
-
-
-@dataclass(frozen=True)
-class ForallSet(_Quantifier):
-    var: str
-    body: Formula
-
-    def _domain(self, ctx):
-        return range(1 << ctx.n)
-
-    def _eval(self, ctx, env):
-        return self._scan(ctx, env, False)
+_QUANTIFIERS = (ExistsVertex, ForallVertex, ExistsSet, ForallSet)
 
 
 # ---------------------------------------------------------------- parsing
@@ -376,7 +305,7 @@ _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = 1, 2, 3, 4
 
 
 def _pp(f: Formula, min_level: int) -> str:
-    if isinstance(f, (ExistsVertex, ExistsSet, ForallVertex, ForallSet)):
+    if isinstance(f, _QUANTIFIERS):
         kw = "exists" if isinstance(f, (ExistsVertex, ExistsSet)) else "forall"
         s = f"{kw} {f.var}. {_pp(f.body, 0)}"
         level = 0
@@ -413,7 +342,7 @@ def free_variables(f: Formula) -> tuple[set[str], set[str]]:
     free_s: set[str] = set()
 
     def walk(node: Formula, bound: set[str]) -> None:
-        if isinstance(node, (ExistsVertex, ExistsSet, ForallVertex, ForallSet)):
+        if isinstance(node, _QUANTIFIERS):
             walk(node.body, bound | {node.var})
         elif isinstance(node, (And, Or)):
             walk(node.left, bound)
@@ -455,6 +384,69 @@ def _cost(f: Formula, n: int) -> int:
     return 1
 
 
+def _depth(f: Formula) -> int:
+    """Quantifier nesting depth: the number of slots ``_compile`` uses."""
+    if isinstance(f, _QUANTIFIERS):
+        return 1 + _depth(f.body)
+    if isinstance(f, (And, Or)):
+        return max(_depth(f.left), _depth(f.right))
+    return _depth(f.body) if isinstance(f, Not) else 0
+
+
+def _compile(
+    f: Formula, slots: dict[str, int], adj: tuple[int, ...], n: int
+) -> Callable[[list[int]], bool]:
+    """A closure ``env -> bool`` deciding f on the graph (adj, n).
+
+    ``slots`` maps each variable in scope to its index in the list ``env``,
+    which holds a vertex index or, for a set variable, a vertex bit mask.
+    """
+    if isinstance(f, _QUANTIFIERS):
+        # one above the highest slot in scope: len(slots) is not, once a
+        # name has been rebound, and would hand out a slot still in use
+        slot = max(slots.values(), default=-1) + 1
+        body = _compile(f.body, {**slots, f.var: slot}, adj, n)
+        domain = range(1 << n) if isinstance(f, (ExistsSet, ForallSet)) else range(n)
+        if isinstance(f, (ExistsVertex, ExistsSet)):
+            def exists(env):
+                for value in domain:
+                    env[slot] = value
+                    if body(env):
+                        return True
+                return False
+            return exists
+
+        def forall(env):
+            for value in domain:
+                env[slot] = value
+                if not body(env):
+                    return False
+            return True
+        return forall
+    if isinstance(f, Not):
+        inner = _compile(f.body, slots, adj, n)
+        return lambda env: not inner(env)
+    if isinstance(f, (And, Or)):
+        left = _compile(f.left, slots, adj, n)
+        right = _compile(f.right, slots, adj, n)
+        if isinstance(f, And):
+            return lambda env: left(env) and right(env)
+        return lambda env: left(env) or right(env)
+    if isinstance(f, Edge):
+        x, y = slots[f.x], slots[f.y]
+        return lambda env: (adj[env[x]] >> env[y]) & 1 == 1
+    if isinstance(f, In):
+        x, s = slots[f.x], slots[f.set_var]
+        return lambda env: (env[s] >> env[x]) & 1 == 1
+    if isinstance(f, Even):
+        s = slots[f.set_var]
+        return lambda env: env[s].bit_count() % 2 == 0
+    if isinstance(f, Eq):
+        x, y = slots[f.x], slots[f.y]
+        return lambda env: env[x] == env[y]
+    raise TypeError(f"not a formula node: {f!r}")
+
+
 def evaluate(g: Graph, f: Formula, max_cost: int = DEFAULT_COST_LIMIT) -> bool:
     """Truth of a closed formula on a graph by exhaustive enumeration.
 
@@ -471,7 +463,7 @@ def evaluate(g: Graph, f: Formula, max_cost: int = DEFAULT_COST_LIMIT) -> bool:
             f"evaluation cost {cost} exceeds the limit {max_cost}; "
             f"reduce the graph or the quantifier nesting"
         )
-    return f._eval(_Ctx(g.n, g.adj), {})
+    return _compile(f, {}, g.adj, g.n)([0] * _depth(f))
 
 
 def theory_member_witness(

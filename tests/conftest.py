@@ -1,9 +1,23 @@
-"""Shared helpers: the small graph corpus and random-graph utilities."""
+"""Shared helpers: the small graph corpus, random-graph utilities and
+independent reference implementations used as test oracles."""
 
 import itertools
 import random
 
 from gslogic import Graph, cut_submatrix, generate, rank2
+from gslogic.logic import (
+    And,
+    Edge,
+    Eq,
+    Even,
+    ExistsSet,
+    ExistsVertex,
+    ForallSet,
+    ForallVertex,
+    In,
+    Not,
+    Or,
+)
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
@@ -81,3 +95,41 @@ def exhaustive_rankwidth(g: Graph) -> int:
         return min(best(insert(far, i, 1 << k), k + 1) for i in range(len(far)))
 
     return best([2], 2)
+
+
+def reference_evaluate(g: Graph, f, env: dict | None = None) -> bool:
+    """Truth of a formula on g by the textbook recursive definition.
+
+    This is the evaluator's former semantics, kept as an oracle. Every
+    binding makes a fresh dict, quantifiers are `any`/`all` over the domain,
+    set values are frozensets and edges come from `g.edges()`, so nothing
+    here is shared with the compiled closures of `gslogic.logic.evaluate`.
+    """
+    env = {} if env is None else env
+    if isinstance(f, (ExistsVertex, ForallVertex)):
+        values = (reference_evaluate(g, f.body, {**env, f.var: v}) for v in range(g.n))
+        return any(values) if isinstance(f, ExistsVertex) else all(values)
+    if isinstance(f, (ExistsSet, ForallSet)):
+        subsets = (
+            frozenset(c)
+            for k in range(g.n + 1)
+            for c in itertools.combinations(range(g.n), k)
+        )
+        values = (reference_evaluate(g, f.body, {**env, f.var: s}) for s in subsets)
+        return any(values) if isinstance(f, ExistsSet) else all(values)
+    if isinstance(f, Not):
+        return not reference_evaluate(g, f.body, env)
+    if isinstance(f, And):
+        return reference_evaluate(g, f.left, env) and reference_evaluate(g, f.right, env)
+    if isinstance(f, Or):
+        return reference_evaluate(g, f.left, env) or reference_evaluate(g, f.right, env)
+    if isinstance(f, Edge):
+        u, v = env[f.x], env[f.y]
+        return (min(u, v), max(u, v)) in g.edges()
+    if isinstance(f, In):
+        return env[f.x] in env[f.set_var]
+    if isinstance(f, Even):
+        return len(env[f.set_var]) % 2 == 0
+    if isinstance(f, Eq):
+        return env[f.x] == env[f.y]
+    raise TypeError(f"not a formula node: {f!r}")

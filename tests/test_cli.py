@@ -225,6 +225,12 @@ def test_simulate_seed_determinism():
     assert a.stdout == b.stdout
 
 
+def test_simulate_refuses_past_tableau_limit():
+    res = run_cli("simulate", "grid:65", "--pattern", "0:Z")
+    assert res.returncode == 3
+    assert "4096" in res.stderr
+
+
 def test_simulate_bad_patterns():
     assert run_cli("simulate", "path:3", "--pattern", "0:Q").returncode == 2
     assert run_cli("simulate", "path:3", "--pattern", "0Z").returncode == 2

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import all_graphs, random_graph
+from conftest import all_graphs, random_graph, reference_evaluate
 from gslogic import (
     FormulaParseError,
     Graph,
@@ -299,6 +299,17 @@ def test_quantifier_duality_on_random_formulas():
             assert evaluate(graph, Not(ExistsSet("U", Even("U")))) == evaluate(
                 graph, ForallSet("U", Not(Even("U")))
             )
+
+
+def test_evaluate_matches_reference_on_random_formulas():
+    # the bodies rebind x, y, S and T inside the closed prefix, so this also
+    # checks that a shadowing binding never overwrites one still in use
+    rng = random.Random(9)
+    graphs = [random_graph(4, rng) for _ in range(5)]
+    for i in range(300):
+        f = _random_closed(rng)
+        g = graphs[i % len(graphs)]
+        assert evaluate(g, f) == reference_evaluate(g, f), pretty(f)
 
 
 def test_shadowing_inner_binding_wins():

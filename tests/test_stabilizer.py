@@ -12,6 +12,7 @@ from gslogic import (
     DenseState,
     Graph,
     PauliOperator,
+    SizeLimitError,
     StabilizerTableau,
     dense_measure,
     dense_state_vector,
@@ -392,6 +393,12 @@ def test_large_grid_transcript_is_pinned():
         == "f93eacd9073fb40cb1627517d53f378de089477423c8ed1d311a0e877fcfd56b"
     )
     assert sum(rec["probability"] == 1.0 for rec in transcript) == 14
+
+
+def test_tableau_size_limit_is_4096_qubits():
+    assert graph_state_tableau(generate("grid", 64)).n == 4096
+    with pytest.raises(SizeLimitError, match="4096"):
+        graph_state_tableau(generate("grid", 65))  # 4,225 qubits
 
 
 @pytest.mark.parametrize("kind", ["grid", "hexagonal"])
