@@ -5,7 +5,9 @@ Three interlocking toolkits around simple undirected graphs:
 - GF(2) cut-rank and exact rank-width. A subset dynamic program gives the
   width from 2^(n-1) cut-ranks and at most 3^(n-1)/2 split checks; an
   optimal subcubic tree, the witness, is read from its table in at most
-  n * 2^(n-2) split checks. A greedy upper bound covers larger graphs.
+  n * 2^(n-2) split checks. A greedy upper bound covers larger graphs:
+  it scores each candidate vertex by span tests against one GF(2) basis
+  of the current cut, with no fresh cut-rank per candidate.
 - A parser and exhaustive model checker for monadic second-order logic
   extended with an even-cardinality set predicate.
 - A stabilizer simulator for graph states under Pauli measurements, plus

@@ -1,4 +1,4 @@
-"""GF(2) rank, cut-rank and the exact rank-width search.
+"""GF(2) bases, rank and cut-rank, and the exact rank-width search.
 
 The search returns the rank-width of a graph and, as its witness, the
 optimal tree read from the table of a subset DP (Oum, "Computing rank-width
@@ -23,23 +23,40 @@ the read costs at most n * 2^(n-2) split checks and no cut-ranks.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
-def gf2_rank_rows(rows: Sequence[int]) -> int:
-    """Rank over GF(2) of bit-packed rows (bit j of a row = column j)."""
+def gf2_reduce(pivots: dict[int, int], row: int) -> int:
+    """Residue of ``row`` against a basis keyed by each row's lowest bit.
+
+    Zero exactly when ``row`` lies in the span of the basis rows.
+    """
+    while row:
+        p = pivots.get(row & -row)
+        if p is None:
+            return row
+        row ^= p
+    return 0
+
+
+def gf2_basis(rows: Iterable[int]) -> dict[int, int]:
+    """A GF(2) basis of the span of bit-packed rows (bit j = column j).
+
+    Each basis row is stored under its lowest set bit, which no other basis
+    row has as its lowest bit; reducing against the dict only ever clears
+    that bit and sets higher ones, so :func:`gf2_reduce` terminates.
+    """
     pivots: dict[int, int] = {}
-    rank = 0
     for row in rows:
-        while row:
-            low = row & -row
-            p = pivots.get(low)
-            if p is None:
-                pivots[low] = row
-                rank += 1
-                break
-            row ^= p
-    return rank
+        row = gf2_reduce(pivots, row)
+        if row:
+            pivots[row & -row] = row
+    return pivots
+
+
+def gf2_rank_rows(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of bit-packed rows (bit j of a row = column j)."""
+    return len(gf2_basis(rows))
 
 
 def cut_rank_masks(adj: Sequence[int], amask: int, bmask: int) -> int:

@@ -97,6 +97,23 @@ def exhaustive_rankwidth(g: Graph) -> int:
     return best([2], 2)
 
 
+def reference_greedy_order(g: Graph) -> list[int]:
+    """The vertex order of `greedy_decomposition`, by its definition.
+
+    Each step appends the unplaced vertex whose prefix has the smallest
+    cut-rank, ties to the smallest index. Every prefix cut-rank is taken
+    afresh from `rank2(cut_submatrix(...))`, so none of the incremental
+    basis updates of `greedy_decomposition` is used here.
+    """
+    order: list[int] = []
+    unplaced = list(range(g.n))
+    while unplaced:
+        best = min(unplaced, key=lambda v: rank2(cut_submatrix(g, order + [v])))
+        order.append(best)
+        unplaced.remove(best)
+    return order
+
+
 def reference_evaluate(g: Graph, f, env: dict | None = None) -> bool:
     """Truth of a formula on g by the textbook recursive definition.
 

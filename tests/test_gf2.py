@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_graph, small_corpus
 from gslogic import Gf2Matrix, cut_rank, cut_rank_masks, cut_submatrix, generate, rank2
+from gslogic._kernels import gf2_basis, gf2_reduce
 
 
 def naive_rank(entries: list[list[int]]) -> int:
@@ -93,6 +94,21 @@ def test_rank_matches_naive_elimination(n_cols):
         ]
         m = Gf2Matrix.from_lists(entries)
         assert rank2(m) == naive_rank(entries)
+
+
+def test_basis_span_test_matches_naive_rank():
+    # x is in the span of the rows iff appending it leaves the rank unchanged
+    rng = random.Random(5)
+    n_cols = 9
+    for _ in range(200):
+        rows = [rng.getrandbits(n_cols) for _ in range(rng.randrange(6))]
+        basis = gf2_basis(rows)
+        assert all(low == row & -row for low, row in basis.items())
+        assert all(gf2_reduce(basis, row) == 0 for row in rows)
+        x = rng.getrandbits(n_cols)
+        lists = [[(r >> j) & 1 for j in range(n_cols)] for r in rows + [x]]
+        in_span = naive_rank(lists) == naive_rank(lists[:-1])
+        assert (gf2_reduce(basis, x) == 0) == in_span
 
 
 def test_cut_submatrix_shape_and_content():

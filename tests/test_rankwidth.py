@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from conftest import all_graphs, exhaustive_rankwidth, random_graph, small_corpus
+from conftest import (
+    all_graphs,
+    exhaustive_rankwidth,
+    random_graph,
+    reference_greedy_order,
+    small_corpus,
+)
 from gslogic import (
     Graph,
     RankDecomposition,
@@ -13,16 +19,19 @@ from gslogic import (
     SubcubicTree,
     count_subcubic_trees,
     cut_rank,
+    cut_submatrix,
     decomposition_width,
     enumerate_subcubic_trees,
     exact_rankwidth,
     generate,
     greedy_decomposition,
+    rank2,
     relabel,
     tree_edge_bipartition,
 )
+import gslogic.rankwidth
 from gslogic import _kernels
-from gslogic.rankwidth import tree_from_choices
+from gslogic.rankwidth import _caterpillar, tree_from_choices
 
 
 def double_factorial_count(n: int) -> int:
@@ -276,6 +285,85 @@ def test_greedy_is_valid_upper_bound():
 
 def test_greedy_on_long_path():
     assert greedy_decomposition(generate("path", 50)).width == 1
+
+
+def assert_greedy_matches_reference(g):
+    order = reference_greedy_order(g)
+    # a caterpillar's cuts are its leaves and the prefixes of its order
+    sides = [[v] for v in range(g.n)] + [order[:k] for k in range(2, g.n - 1)]
+    decomp = greedy_decomposition(g)
+    assert decomp.tree == _caterpillar(order), g.name
+    assert decomp.width == max(rank2(cut_submatrix(g, side)) for side in sides), g.name
+
+
+def test_greedy_matches_reference_on_all_small_graphs():
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            assert_greedy_matches_reference(g)
+
+
+def test_greedy_matches_reference_on_random_graphs():
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        assert_greedy_matches_reference(random_graph(n, rng, p=rng.uniform(0.1, 0.9)))
+
+
+def test_greedy_matches_reference_on_edge_cases():
+    graphs = [
+        Graph.from_edges(2, []),
+        generate("path", 2),
+        Graph.from_edges(9, [], name="edgeless(9)"),
+        Graph.from_edges(9, [(0, 1), (1, 2), (2, 0), (4, 5), (6, 7), (7, 8)],
+                         name="triangle+isolated+edge+path"),
+        Graph.from_edges(8, [(1, 6), (6, 3), (3, 1), (0, 7), (7, 2)],
+                         name="interleaved components"),
+    ]
+    for g in graphs:
+        assert_greedy_matches_reference(g)
+
+
+def test_greedy_matches_reference_on_lattices():
+    rng = random.Random(8)
+    perm = list(range(64))
+    rng.shuffle(perm)
+    for g in (generate("grid", 8), generate("hexagonal", 6),
+              generate("triangular", 6), relabel(generate("grid", 8), perm)):
+        assert_greedy_matches_reference(g)
+
+
+def test_greedy_computes_cut_ranks_only_for_the_final_width(monkeypatch):
+    # the greedy order needs no cut-rank; the 2n - 3 edges of its tree do
+    calls = 0
+    real = gslogic.rankwidth.cut_rank_masks
+
+    def counting(adj, amask, bmask):
+        nonlocal calls
+        calls += 1
+        return real(adj, amask, bmask)
+
+    monkeypatch.setattr(gslogic.rankwidth, "cut_rank_masks", counting)
+    g = generate("grid", 12)
+    greedy_decomposition(g)
+    assert 0 < calls <= 2 * g.n - 3
+
+
+@pytest.mark.parametrize(
+    "family, k, low, high",
+    [
+        ("cycle", 100, 2, 2),
+        ("complete", 40, 1, 1),
+        ("path", 300, 1, 1),
+        # rank-width k - 1 (Jelinek 2010); a caterpillar may need one more
+        ("grid", 8, 7, 8),
+        ("grid", 24, 23, 24),
+    ],
+)
+def test_greedy_closed_forms_at_lattice_scale(family, k, low, high):
+    g = generate(family, k)
+    decomp = greedy_decomposition(g)
+    assert decomposition_width(g, decomp.tree) == decomp.width
+    assert low <= decomp.width <= high
 
 
 def test_greedy_needs_two_vertices():
