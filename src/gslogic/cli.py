@@ -59,7 +59,7 @@ def parse_pattern(text: str) -> list[tuple[int, str]]:
         qubit_str, sep, basis = part.strip().partition(":")
         qubit_str = qubit_str.strip()
         basis = basis.strip()
-        if not sep or not qubit_str.isdigit() or basis not in ("X", "Y", "Z"):
+        if not sep or not qubit_str.isdecimal() or basis not in ("X", "Y", "Z"):
             raise ValueError(
                 f"bad pattern entry {part.strip()!r}; expected QUBIT:BASIS like 0:Z"
             )
@@ -116,7 +116,7 @@ def _parse_side(text: str, n: int) -> list[int]:
     side = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.isdigit():
+        if not piece.isdecimal():
             raise ValueError(f"bad vertex {piece!r} in --side; expected e.g. 0,2,5")
         v = int(piece)
         if v >= n:
@@ -214,15 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text; json is the "
                              "stable interface)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed for measurement sampling "
-                             "(default: fresh entropy)")
-    common.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
-                        dest="exact_cap", metavar="N",
-                        help="largest vertex count the exact rank-width "
-                             f"search accepts (default: {DEFAULT_EXACT_CAP}; "
-                             "a graph with an edge is refused above "
-                             f"{EXACT_VERTEX_LIMIT} whatever N)")
 
     parser = argparse.ArgumentParser(
         prog="gslogic",
@@ -249,6 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exact subset DP with an optimal tree (the default)")
     mode.add_argument("--greedy", action="store_true",
                       help="fast upper bound from a greedy vertex order")
+    p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
+                   dest="exact_cap", metavar="N",
+                   help="largest vertex count the exact rank-width search "
+                        f"accepts (default: {DEFAULT_EXACT_CAP}; a graph "
+                        f"with an edge is refused above {EXACT_VERTEX_LIMIT} "
+                        "whatever N)")
     p.set_defaults(func=_cmd_rankwidth)
 
     p = sub.add_parser("cutrank", parents=[common],
@@ -273,6 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph source")
     p.add_argument("--pattern", required=True, metavar="Q:B,...",
                    help='measurement sequence, e.g. "0:Z,3:X"')
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed for measurement sampling "
+                        "(default: fresh entropy)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("trees-count", parents=[common],

@@ -7,9 +7,9 @@ x = y. Evaluation on a finite graph is exhaustive enumeration with
 short-circuiting. Each call to ``evaluate`` compiles the formula once into
 closures, with every bound variable resolved to a fixed slot of a list
 environment, so evaluation does no name lookups. Set variables range over
-all 2^n subsets, so a worst-case cost estimate is taken first and formulas
-whose enumeration could exceed the limit (2^30 environments by default)
-are refused.
+all 2^n subsets, so the compiler charges each node its worst-case
+enumeration as it compiles it, and a formula whose total could exceed the
+limit (2^30 environments by default) is refused before any enumeration.
 
 Surface grammar (ASCII, shell-friendly):
 
@@ -372,41 +372,28 @@ def free_variables(f: Formula) -> tuple[set[str], set[str]]:
     return free_v, free_s
 
 
-def _cost(f: Formula, n: int) -> int:
-    if isinstance(f, (ExistsVertex, ForallVertex)):
-        return 1 + max(n, 1) * _cost(f.body, n)
-    if isinstance(f, (ExistsSet, ForallSet)):
-        return 1 + (1 << n) * _cost(f.body, n)
-    if isinstance(f, (And, Or)):
-        return 1 + _cost(f.left, n) + _cost(f.right, n)
-    if isinstance(f, Not):
-        return 1 + _cost(f.body, n)
-    return 1
-
-
-def _depth(f: Formula) -> int:
-    """Quantifier nesting depth: the number of slots ``_compile`` uses."""
-    if isinstance(f, _QUANTIFIERS):
-        return 1 + _depth(f.body)
-    if isinstance(f, (And, Or)):
-        return max(_depth(f.left), _depth(f.right))
-    return _depth(f.body) if isinstance(f, Not) else 0
-
-
 def _compile(
     f: Formula, slots: dict[str, int], adj: tuple[int, ...], n: int
-) -> Callable[[list[int]], bool]:
-    """A closure ``env -> bool`` deciding f on the graph (adj, n).
+) -> tuple[Callable[[list[int]], bool], int, int]:
+    """A closure ``env -> bool`` deciding f on the graph (adj, n), with its
+    cost and the environment size it needs.
 
     ``slots`` maps each variable in scope to its index in the list ``env``,
     which holds a vertex index or, for a set variable, a vertex bit mask.
+    The cost charges each node its worst-case enumeration: a quantifier
+    runs its body once per vertex (at least once) or once per vertex set.
+    The size is the highest slot used plus one.
     """
     if isinstance(f, _QUANTIFIERS):
         # one above the highest slot in scope: len(slots) is not, once a
         # name has been rebound, and would hand out a slot still in use
         slot = max(slots.values(), default=-1) + 1
-        body = _compile(f.body, {**slots, f.var: slot}, adj, n)
-        domain = range(1 << n) if isinstance(f, (ExistsSet, ForallSet)) else range(n)
+        body, body_cost, size = _compile(f.body, {**slots, f.var: slot}, adj, n)
+        if isinstance(f, (ExistsSet, ForallSet)):
+            domain, cost = range(1 << n), 1 + (1 << n) * body_cost
+        else:
+            domain, cost = range(n), 1 + max(n, 1) * body_cost
+        size = max(size, slot + 1)
         if isinstance(f, (ExistsVertex, ExistsSet)):
             def exists(env):
                 for value in domain:
@@ -414,7 +401,7 @@ def _compile(
                     if body(env):
                         return True
                 return False
-            return exists
+            return exists, cost, size
 
         def forall(env):
             for value in domain:
@@ -422,28 +409,29 @@ def _compile(
                 if not body(env):
                     return False
             return True
-        return forall
+        return forall, cost, size
     if isinstance(f, Not):
-        inner = _compile(f.body, slots, adj, n)
-        return lambda env: not inner(env)
+        inner, cost, size = _compile(f.body, slots, adj, n)
+        return (lambda env: not inner(env)), 1 + cost, size
     if isinstance(f, (And, Or)):
-        left = _compile(f.left, slots, adj, n)
-        right = _compile(f.right, slots, adj, n)
+        left, left_cost, left_size = _compile(f.left, slots, adj, n)
+        right, right_cost, right_size = _compile(f.right, slots, adj, n)
+        cost, size = 1 + left_cost + right_cost, max(left_size, right_size)
         if isinstance(f, And):
-            return lambda env: left(env) and right(env)
-        return lambda env: left(env) or right(env)
+            return (lambda env: left(env) and right(env)), cost, size
+        return (lambda env: left(env) or right(env)), cost, size
     if isinstance(f, Edge):
         x, y = slots[f.x], slots[f.y]
-        return lambda env: (adj[env[x]] >> env[y]) & 1 == 1
+        return (lambda env: (adj[env[x]] >> env[y]) & 1 == 1), 1, max(x, y) + 1
     if isinstance(f, In):
         x, s = slots[f.x], slots[f.set_var]
-        return lambda env: (env[s] >> env[x]) & 1 == 1
+        return (lambda env: (env[s] >> env[x]) & 1 == 1), 1, max(x, s) + 1
     if isinstance(f, Even):
         s = slots[f.set_var]
-        return lambda env: env[s].bit_count() % 2 == 0
+        return (lambda env: env[s].bit_count() % 2 == 0), 1, s + 1
     if isinstance(f, Eq):
         x, y = slots[f.x], slots[f.y]
-        return lambda env: env[x] == env[y]
+        return (lambda env: env[x] == env[y]), 1, max(x, y) + 1
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -457,13 +445,13 @@ def evaluate(g: Graph, f: Formula, max_cost: int = DEFAULT_COST_LIMIT) -> bool:
     if free_v or free_s:
         names = ", ".join(sorted(free_v | free_s))
         raise ValueError(f"formula has unbound variables: {names}")
-    cost = _cost(f, g.n)
+    run, cost, env_size = _compile(f, {}, g.adj, g.n)
     if cost > max_cost:
         raise SizeLimitError(
             f"evaluation cost {cost} exceeds the limit {max_cost}; "
             f"reduce the graph or the quantifier nesting"
         )
-    return _compile(f, {}, g.adj, g.n)([0] * _depth(f))
+    return run([0] * env_size)
 
 
 def theory_member_witness(

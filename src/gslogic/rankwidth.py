@@ -64,6 +64,10 @@ class SubcubicTree:
     n: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[int, ...] = field(default=())
+    # set by __post_init__: the parent of each tree vertex, rooted at 0, and
+    # the child-side leaf mask of each edge, keyed by (min, max) endpoint
+    _parent: list[int] = field(init=False, repr=False, compare=False)
+    _masks: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -75,7 +79,7 @@ class SubcubicTree:
         v_count = 2 * self.n - 2
         if len(self.edges) != v_count - 1:
             raise ValueError(f"expected {v_count - 1} edges, got {len(self.edges)}")
-        deg = [0] * v_count
+        adj: list[list[int]] = [[] for _ in range(v_count)]
         seen = set()
         for u, v in self.edges:
             if not (0 <= u < v_count and 0 <= v < v_count) or u == v:
@@ -84,73 +88,43 @@ class SubcubicTree:
             if key in seen:
                 raise ValueError(f"duplicate tree edge ({u}, {v})")
             seen.add(key)
-            deg[u] += 1
-            deg[v] += 1
-        for v in range(v_count):
-            want = 1 if v < self.n else 3
-            if self.n == 2:
-                want = 1
-            if deg[v] != want:
-                raise ValueError(f"tree vertex {v} has degree {deg[v]}, expected {want}")
-        if len(self._components()) != 1:
-            raise ValueError("tree is not connected")
-
-    def _adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(2 * self.n - 2)]
-        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return adj
-
-    def _components(self, skip: tuple[int, int] | None = None) -> list[set[int]]:
-        adj = self._adjacency()
-        unseen = set(range(2 * self.n - 2))
-        comps = []
-        while unseen:
-            start = min(unseen)
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if skip and {u, w} == set(skip):
-                        continue
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(comp)
-            unseen -= comp
-        return comps
+        for v in range(v_count):
+            want = 1 if v < self.n else 3
+            if len(adj[v]) != want:
+                raise ValueError(f"tree vertex {v} has degree {len(adj[v])}, expected {want}")
+        # one traversal from tree vertex 0, which is its own parent; with
+        # 2n-3 edges on 2n-2 vertices, it reaches every vertex exactly when
+        # the graph is a tree
+        parent = [-1] * v_count
+        parent[0] = 0
+        order = [0]
+        for u in order:
+            for w in adj[u]:
+                if parent[w] < 0:
+                    parent[w] = u
+                    order.append(w)
+        if len(order) != v_count:
+            raise ValueError("tree is not connected")
+        below = [0] * v_count
+        for u in reversed(order):
+            if u < self.n:
+                below[u] |= 1 << self.labels[u]
+            below[parent[u]] |= below[u]
+        masks = {}
+        for u, v in self.edges:
+            masks[min(u, v), max(u, v)] = below[v] if parent[v] == u else below[u]
+        object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_masks", masks)
 
     def leaf_masks(self) -> list[int]:
         """For each edge, the labels on one side of its cut, as a bitmask.
 
-        Side convention: the component not containing tree vertex 0, computed
-        in one rooted traversal (root = leaf 0).
+        Side convention: the component not containing tree vertex 0. The
+        masks are read from the traversal made when the tree was built.
         """
-        adj = self._adjacency()
-        parent = {0: None}
-        order = [0]
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    order.append(w)
-                    stack.append(w)
-        below = [0] * (2 * self.n - 2)
-        for u in reversed(order):
-            if u < self.n:
-                below[u] |= 1 << self.labels[u]
-            p = parent[u]
-            if p is not None:
-                below[p] |= below[u]
-        masks = []
-        for u, v in self.edges:
-            child = v if parent[v] == u else u
-            masks.append(below[child])
-        return masks
+        return list(self._masks.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,8 +138,10 @@ class SubcubicTree:
         n = data["n"]
         edges = tuple((u, v) for u, v in data["edges"])
         labels = [0] * n
-        for leaf, label in data["leaf_labels"].items():
-            labels[int(leaf)] = label
+        for key, label in data["leaf_labels"].items():
+            if not (str(key).isdecimal() and int(key) < n):
+                raise ValueError(f"leaf key {key!r} is not a leaf in 0..{n - 1}")
+            labels[int(key)] = label
         return cls(n, edges, tuple(labels))
 
 
@@ -246,19 +222,17 @@ def tree_edge_bipartition(tree: SubcubicTree, edge: tuple[int, int]) -> tuple[se
     """Leaf labels of the two components of the tree with ``edge`` deleted.
 
     The first set is the side containing the smaller endpoint of the edge.
+    Both are read from the traversal made when the tree was built.
     """
     key = (min(edge), max(edge))
-    if key not in {(min(u, v), max(u, v)) for u, v in tree.edges}:
+    if key not in tree._masks:
         raise ValueError(f"({edge[0]}, {edge[1]}) is not an edge of the tree")
-    comps = tree._components(skip=key)
-    assert len(comps) == 2
-    first = comps[0] if key[0] in comps[0] else comps[1]
-    second = comps[1] if first is comps[0] else comps[0]
-
-    def leaf_labels(comp: set[int]) -> set[int]:
-        return {tree.labels[v] for v in comp if v < tree.n}
-
-    return leaf_labels(first), leaf_labels(second)
+    mask = tree._masks[key]
+    if tree._parent[key[0]] != key[1]:
+        # the smaller endpoint is the parent, on the side of tree vertex 0
+        mask ^= (1 << tree.n) - 1
+    first = {v for v in range(tree.n) if mask >> v & 1}
+    return first, set(range(tree.n)) - first
 
 
 def decomposition_width(g: Graph, tree: SubcubicTree) -> int:

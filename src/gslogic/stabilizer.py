@@ -187,21 +187,17 @@ class StabilizerTableau:
     n-qubit state, stored as parallel bitmask lists with mod-4 phases,
     together with their destabilizers and the column masks of both."""
 
-    def __init__(self, generators: list[PauliOperator], validate: bool = True):
+    def __init__(self, generators: list[PauliOperator]):
         n = generators[0].n if generators else 0
-        if validate:
-            if len(generators) != n:
-                raise ValueError(
-                    f"need exactly n={n} generators, got {len(generators)}"
-                )
-            if any(g.n != n for g in generators):
-                raise ValueError("generators act on different register sizes")
+        if len(generators) != n:
+            raise ValueError(f"need exactly n={n} generators, got {len(generators)}")
+        if any(g.n != n for g in generators):
+            raise ValueError("generators act on different register sizes")
         xs = [g.x_bits for g in generators]
         zs = [g.z_bits for g in generators]
         ts = [_phase_t(g.x_bits, g.z_bits, g.sign) for g in generators]
         self._set_rows(n, xs, zs, ts, *_destabilizer_rows(n, xs, zs))
-        if validate:
-            self.check_invariants()
+        self.check_invariants()
 
     @classmethod
     def _from_rows(cls, n, xs, zs, ts, dxs, dzs, cols=None) -> "StabilizerTableau":

@@ -238,6 +238,20 @@ def test_simulate_bad_patterns():
     assert run_cli("simulate", "path:3", "--pattern", "7:Z").returncode == 2
 
 
+def test_options_only_on_the_subcommands_that_read_them():
+    assert gslogic.cli.main(["rankwidth", "path:3", "--seed", "3"]) == 2
+    assert gslogic.cli.main(["check", "--named", "path2", "path:3", "--exact-cap", "0"]) == 2
+    assert gslogic.cli.main(["simulate", "path:3", "--pattern", "0:Z", "--seed", "3"]) == 0
+    assert gslogic.cli.main(["rankwidth", "path:3", "--exact-cap", "3"]) == 0
+
+
+def test_non_ascii_digits_are_bad_entries(capsys):
+    assert gslogic.cli.main(["simulate", "path:3", "--pattern", "\u00b2:Z"]) == 2
+    assert "bad pattern entry '\u00b2:Z'" in capsys.readouterr().err
+    assert gslogic.cli.main(["cutrank", "path:3", "--side", "0,\u00b2"]) == 2
+    assert "bad vertex '\u00b2' in --side" in capsys.readouterr().err
+
+
 def test_trees_count():
     res = run_cli("trees-count", "7", "--format", "json")
     payload = json.loads(res.stdout)

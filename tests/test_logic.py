@@ -344,6 +344,25 @@ def test_cost_refusal():
         evaluate(generate("path", 3), named_formula("path2"), max_cost=10)
 
 
+# worst-case costs on path:n for n = 0, 1, 3, 10: a vertex quantifier
+# charges max(n, 1) times its body, a set quantifier 2^n times, a
+# connective its operands, and every node 1
+NAMED_COSTS = {
+    "connected": (16, 31, 553, 651265),
+    "even_order": (5, 9, 49, 13313),
+    "path2": (6, 6, 94, 3111),
+    "two_colorable": (20, 75, 7305, 1198523393),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_COSTS))
+def test_refusal_names_the_worst_case_cost(name):
+    graphs = (Graph(0, ()), generate("path", 1), generate("path", 3), generate("path", 10))
+    for g, cost in zip(graphs, NAMED_COSTS[name]):
+        with pytest.raises(SizeLimitError, match=f"evaluation cost {cost} exceeds the limit 0;"):
+            evaluate(g, named_formula(name), max_cost=0)
+
+
 def test_named_formula_library():
     assert named_formula("connected") is named_formula("connected")
     with pytest.raises(KeyError, match="unknown formula"):

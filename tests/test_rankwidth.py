@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -70,7 +71,7 @@ def test_tree_from_choices_small():
     t = tree_from_choices(2, [])
     assert t.edges == ((0, 1),)
     t = tree_from_choices(3, [0])
-    assert sorted(t._adjacency()[3]) == [0, 1, 2]
+    assert sorted(u if v == 3 else v for u, v in t.edges if 3 in (u, v)) == [0, 1, 2]
     with pytest.raises(ValueError, match="out of range"):
         tree_from_choices(4, [0, 5])
     with pytest.raises(ValueError, match="choices"):
@@ -151,6 +152,36 @@ def test_bipartition_matches_leaf_masks():
         assert from_mask in (a, b)
 
 
+def _leaves_reached(tree, start, cut):
+    """Labels of the leaves a BFS from ``start`` reaches without crossing
+    the tree edge ``cut``; independent of the tree's stored traversal."""
+    adj = {}
+    for u, v in tree.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen, frontier = {start}, [start]
+    while frontier:
+        u = frontier.pop()
+        for w in adj[u]:
+            if {u, w} != set(cut) and w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return {tree.labels[v] for v in seen if v < tree.n}
+
+
+def test_bipartition_first_side_holds_smaller_endpoint():
+    for n in range(2, 7):
+        for plain in enumerate_subcubic_trees(n):
+            reversed_labels = SubcubicTree(n, plain.edges, tuple(reversed(range(n))))
+            for tree in (plain, reversed_labels):
+                for u, v in tree.edges:
+                    want = _leaves_reached(tree, min(u, v), (u, v))
+                    for edge in ((u, v), (v, u)):
+                        first, second = tree_edge_bipartition(tree, edge)
+                        assert first == want
+                        assert second == set(range(n)) - want
+
+
 def test_decomposition_json_round_trip():
     _, decomp = exact_rankwidth(generate("cycle", 5))
     text = decomp.to_json()
@@ -158,6 +189,14 @@ def test_decomposition_json_round_trip():
     assert set(payload) == {"n", "edges", "leaf_labels", "width"}
     assert all(isinstance(k, str) for k in payload["leaf_labels"])
     assert RankDecomposition.from_json(text) == decomp
+
+
+def test_tree_json_rejects_leaf_keys_out_of_range():
+    payload = json.loads(RankDecomposition(tree_from_choices(3, [0]), 1).to_json())
+    for key in ("-1", "3", "5", "x", "\u00b2"):
+        bad = dict(payload, leaf_labels={"0": 0, "1": 1, key: 2})
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            RankDecomposition.from_json(json.dumps(bad))
 
 
 def test_decomposition_width_validates_sizes():
