@@ -232,14 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("rankwidth", parents=[common],
+    # no abbreviations, so a stray --exact is refused, not read as --exact-cap
+    p = sub.add_parser("rankwidth", parents=[common], allow_abbrev=False,
                        help="rank-width of a graph with a decomposition tree")
     p.add_argument("graph", help="graph source")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true",
-                      help="exact subset DP with an optimal tree (the default)")
-    mode.add_argument("--greedy", action="store_true",
-                      help="fast upper bound from a greedy vertex order")
+    p.add_argument("--greedy", action="store_true",
+                   help="fast upper bound from a greedy vertex order instead "
+                        "of the exact subset DP with an optimal tree")
     p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
                    dest="exact_cap", metavar="N",
                    help="largest vertex count the exact rank-width search "

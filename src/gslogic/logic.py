@@ -3,13 +3,19 @@
 Formulas quantify over vertices (lowercase variables) and vertex sets
 (uppercase variables), with connectives & | !, an adjacency atom edge(x, y),
 membership x in X, an even-cardinality atom Even(X), and vertex equality
-x = y. Evaluation on a finite graph is exhaustive enumeration with
+x = y. There are two quantifier nodes, ``Exists`` and ``Forall``; the case
+of a name gives its sort, and so the domain it ranges over. A hand-built
+formula that puts a name of the wrong sort in an atom raises ValueError.
+
+Evaluation on a finite graph is exhaustive enumeration with
 short-circuiting. Each call to ``evaluate`` compiles the formula once into
 closures, with every bound variable resolved to a fixed slot of a list
-environment, so evaluation does no name lookups. Set variables range over
-all 2^n subsets, so the compiler charges each node its worst-case
-enumeration as it compiles it, and a formula whose total could exceed the
-limit (2^30 environments by default) is refused before any enumeration.
+environment, so evaluation does no name lookups. That one compile walk also
+finds the free variables, charges the cost and sizes the environment. Set
+variables range over all 2^n subsets, so the compiler charges each node its
+worst-case enumeration as it compiles it, and a formula whose total could
+exceed the limit (2^30 environments by default) is refused before any
+enumeration.
 
 Surface grammar (ASCII, shell-friendly):
 
@@ -44,10 +50,8 @@ __all__ = [
     "Not",
     "And",
     "Or",
-    "ExistsVertex",
-    "ForallVertex",
-    "ExistsSet",
-    "ForallSet",
+    "Exists",
+    "Forall",
     "parse_formula",
     "pretty",
     "free_variables",
@@ -116,30 +120,15 @@ class Or(Formula):
 
 
 @dataclass(frozen=True)
-class ExistsVertex(Formula):
+class Exists(Formula):
     var: str
     body: Formula
 
 
 @dataclass(frozen=True)
-class ForallVertex(Formula):
+class Forall(Formula):
     var: str
     body: Formula
-
-
-@dataclass(frozen=True)
-class ExistsSet(Formula):
-    var: str
-    body: Formula
-
-
-@dataclass(frozen=True)
-class ForallSet(Formula):
-    var: str
-    body: Formula
-
-
-_QUANTIFIERS = (ExistsVertex, ForallVertex, ExistsSet, ForallSet)
 
 
 # ---------------------------------------------------------------- parsing
@@ -223,9 +212,7 @@ class _Parser:
             var = self._expect_ident(None, "quantified variable")
             self._expect_sym(".")
             body = self._formula()
-            if tok.text == "exists":
-                return ExistsSet(var, body) if is_set_name(var) else ExistsVertex(var, body)
-            return ForallSet(var, body) if is_set_name(var) else ForallVertex(var, body)
+            return (Exists if tok.text == "exists" else Forall)(var, body)
         return self._or()
 
     def _or(self) -> Formula:
@@ -305,8 +292,8 @@ _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = 1, 2, 3, 4
 
 
 def _pp(f: Formula, min_level: int) -> str:
-    if isinstance(f, _QUANTIFIERS):
-        kw = "exists" if isinstance(f, (ExistsVertex, ExistsSet)) else "forall"
+    if isinstance(f, (Exists, Forall)):
+        kw = "exists" if isinstance(f, Exists) else "forall"
         s = f"{kw} {f.var}. {_pp(f.body, 0)}"
         level = 0
     elif isinstance(f, Or):
@@ -338,63 +325,52 @@ def pretty(f: Formula) -> str:
 
 def free_variables(f: Formula) -> tuple[set[str], set[str]]:
     """Free vertex variables and free set variables of a formula."""
-    free_v: set[str] = set()
-    free_s: set[str] = set()
+    free: set[str] = set()
+    _compile(f, {}, free, (), 0)
+    sets = {v for v in free if is_set_name(v)}
+    return free - sets, sets
 
-    def walk(node: Formula, bound: set[str]) -> None:
-        if isinstance(node, _QUANTIFIERS):
-            walk(node.body, bound | {node.var})
-        elif isinstance(node, (And, Or)):
-            walk(node.left, bound)
-            walk(node.right, bound)
-        elif isinstance(node, Not):
-            walk(node.body, bound)
-        elif isinstance(node, Edge):
-            for v in (node.x, node.y):
-                if v not in bound:
-                    free_v.add(v)
-        elif isinstance(node, Eq):
-            for v in (node.x, node.y):
-                if v not in bound:
-                    free_v.add(v)
-        elif isinstance(node, In):
-            if node.x not in bound:
-                free_v.add(node.x)
-            if node.set_var not in bound:
-                free_s.add(node.set_var)
-        elif isinstance(node, Even):
-            if node.set_var not in bound:
-                free_s.add(node.set_var)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
 
-    walk(f, set())
-    return free_v, free_s
+def _slot(slots: dict[str, int], free: set[str], name: str, is_set: bool) -> int:
+    """The slot of a name used in a set place (``is_set``) or a vertex place.
+
+    A name whose case does not fit its place raises ValueError; an unbound
+    name is recorded in ``free`` and given slot 0.
+    """
+    if is_set_name(name) != is_set:
+        place, sort = ("set", "vertex") if is_set else ("vertex", "set")
+        raise ValueError(f"{sort} variable {name!r} used in a {place} place")
+    if name in slots:
+        return slots[name]
+    free.add(name)
+    return 0
 
 
 def _compile(
-    f: Formula, slots: dict[str, int], adj: tuple[int, ...], n: int
+    f: Formula, slots: dict[str, int], free: set[str], adj: tuple[int, ...], n: int
 ) -> tuple[Callable[[list[int]], bool], int, int]:
     """A closure ``env -> bool`` deciding f on the graph (adj, n), with its
     cost and the environment size it needs.
 
     ``slots`` maps each variable in scope to its index in the list ``env``,
     which holds a vertex index or, for a set variable, a vertex bit mask.
+    Every name an atom uses is resolved by ``_slot``, which checks its case
+    against its place and adds the unbound ones to ``free``.
     The cost charges each node its worst-case enumeration: a quantifier
     runs its body once per vertex (at least once) or once per vertex set.
     The size is the highest slot used plus one.
     """
-    if isinstance(f, _QUANTIFIERS):
+    if isinstance(f, (Exists, Forall)):
         # one above the highest slot in scope: len(slots) is not, once a
         # name has been rebound, and would hand out a slot still in use
         slot = max(slots.values(), default=-1) + 1
-        body, body_cost, size = _compile(f.body, {**slots, f.var: slot}, adj, n)
-        if isinstance(f, (ExistsSet, ForallSet)):
+        body, body_cost, size = _compile(f.body, {**slots, f.var: slot}, free, adj, n)
+        if is_set_name(f.var):
             domain, cost = range(1 << n), 1 + (1 << n) * body_cost
         else:
             domain, cost = range(n), 1 + max(n, 1) * body_cost
         size = max(size, slot + 1)
-        if isinstance(f, (ExistsVertex, ExistsSet)):
+        if isinstance(f, Exists):
             def exists(env):
                 for value in domain:
                     env[slot] = value
@@ -411,26 +387,26 @@ def _compile(
             return True
         return forall, cost, size
     if isinstance(f, Not):
-        inner, cost, size = _compile(f.body, slots, adj, n)
+        inner, cost, size = _compile(f.body, slots, free, adj, n)
         return (lambda env: not inner(env)), 1 + cost, size
     if isinstance(f, (And, Or)):
-        left, left_cost, left_size = _compile(f.left, slots, adj, n)
-        right, right_cost, right_size = _compile(f.right, slots, adj, n)
+        left, left_cost, left_size = _compile(f.left, slots, free, adj, n)
+        right, right_cost, right_size = _compile(f.right, slots, free, adj, n)
         cost, size = 1 + left_cost + right_cost, max(left_size, right_size)
         if isinstance(f, And):
             return (lambda env: left(env) and right(env)), cost, size
         return (lambda env: left(env) or right(env)), cost, size
     if isinstance(f, Edge):
-        x, y = slots[f.x], slots[f.y]
+        x, y = _slot(slots, free, f.x, False), _slot(slots, free, f.y, False)
         return (lambda env: (adj[env[x]] >> env[y]) & 1 == 1), 1, max(x, y) + 1
     if isinstance(f, In):
-        x, s = slots[f.x], slots[f.set_var]
+        x, s = _slot(slots, free, f.x, False), _slot(slots, free, f.set_var, True)
         return (lambda env: (env[s] >> env[x]) & 1 == 1), 1, max(x, s) + 1
     if isinstance(f, Even):
-        s = slots[f.set_var]
+        s = _slot(slots, free, f.set_var, True)
         return (lambda env: env[s].bit_count() % 2 == 0), 1, s + 1
     if isinstance(f, Eq):
-        x, y = slots[f.x], slots[f.y]
+        x, y = _slot(slots, free, f.x, False), _slot(slots, free, f.y, False)
         return (lambda env: env[x] == env[y]), 1, max(x, y) + 1
     raise TypeError(f"not a formula node: {f!r}")
 
@@ -438,14 +414,14 @@ def _compile(
 def evaluate(g: Graph, f: Formula, max_cost: int = DEFAULT_COST_LIMIT) -> bool:
     """Truth of a closed formula on a graph by exhaustive enumeration.
 
-    Raises ValueError for open formulas and SizeLimitError when the
-    worst-case number of enumerated environments exceeds ``max_cost``.
+    Raises ValueError for open formulas and for a name whose case does not
+    fit its place in an atom, and SizeLimitError when the worst-case number
+    of enumerated environments exceeds ``max_cost``.
     """
-    free_v, free_s = free_variables(f)
-    if free_v or free_s:
-        names = ", ".join(sorted(free_v | free_s))
-        raise ValueError(f"formula has unbound variables: {names}")
-    run, cost, env_size = _compile(f, {}, g.adj, g.n)
+    free: set[str] = set()
+    run, cost, env_size = _compile(f, {}, free, g.adj, g.n)
+    if free:
+        raise ValueError(f"formula has unbound variables: {', '.join(sorted(free))}")
     if cost > max_cost:
         raise SizeLimitError(
             f"evaluation cost {cost} exceeds the limit {max_cost}; "

@@ -53,6 +53,16 @@ __all__ = [
 _BASES = ("X", "Y", "Z")
 
 
+def _sign(rel: int, message: str) -> int:
+    # a phase i^rel (mod 4) is the sign +1 for 0 and -1 for 2; an odd one
+    # is not a sign of a Hermitian Pauli
+    if rel == 0:
+        return 1
+    if rel == 2:
+        return -1
+    raise ValueError(message)
+
+
 def _phase_t(x_bits: int, z_bits: int, sign: int) -> int:
     # internal exponent of i for sign * (i^|Y|) X^x Z^z written as i^t X^x Z^z
     t = (x_bits & z_bits).bit_count() % 4
@@ -141,12 +151,9 @@ def multiply_paulis(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     ) % 4
     x = p.x_bits ^ q.x_bits
     z = p.z_bits ^ q.z_bits
-    rel = (t - (x & z).bit_count()) % 4
-    if rel == 0:
-        return PauliOperator(p.n, x, z, 1)
-    if rel == 2:
-        return PauliOperator(p.n, x, z, -1)
-    raise ValueError("product of anticommuting Paulis is not a signed Pauli")
+    sign = _sign((t - (x & z).bit_count()) % 4,
+                 "product of anticommuting Paulis is not a signed Pauli")
+    return PauliOperator(p.n, x, z, sign)
 
 
 def _bits(mask: int):
@@ -225,11 +232,7 @@ class StabilizerTableau:
 
     def _sign_of(self, k: int) -> int:
         rel = (self.ts[k] - (self.xs[k] & self.zs[k]).bit_count()) % 4
-        if rel == 0:
-            return 1
-        if rel == 2:
-            return -1
-        raise ValueError(f"generator {k} is not Hermitian")
+        return _sign(rel, f"generator {k} is not Hermitian")
 
     def generators(self) -> list[PauliOperator]:
         return [
@@ -278,11 +281,7 @@ class StabilizerTableau:
         if x != p.x_bits or z != p.z_bits:
             raise ValueError("operator is outside the stabilizer span")
         diff = (t - _phase_t(p.x_bits, p.z_bits, p.sign)) % 4
-        if diff == 0:
-            return 1
-        if diff == 2:
-            return -1
-        raise ValueError("inconsistent phase; tableau is corrupt")
+        return _sign(diff, "inconsistent phase; tableau is corrupt")
 
     def expectation(self, p: PauliOperator) -> int:
         """<psi| p |psi> for the stabilized state: always -1, 0, or +1."""

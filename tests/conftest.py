@@ -10,10 +10,8 @@ from gslogic.logic import (
     Edge,
     Eq,
     Even,
-    ExistsSet,
-    ExistsVertex,
-    ForallSet,
-    ForallVertex,
+    Exists,
+    Forall,
     In,
     Not,
     Or,
@@ -123,17 +121,17 @@ def reference_evaluate(g: Graph, f, env: dict | None = None) -> bool:
     here is shared with the compiled closures of `gslogic.logic.evaluate`.
     """
     env = {} if env is None else env
-    if isinstance(f, (ExistsVertex, ForallVertex)):
-        values = (reference_evaluate(g, f.body, {**env, f.var: v}) for v in range(g.n))
-        return any(values) if isinstance(f, ExistsVertex) else all(values)
-    if isinstance(f, (ExistsSet, ForallSet)):
-        subsets = (
-            frozenset(c)
-            for k in range(g.n + 1)
-            for c in itertools.combinations(range(g.n), k)
-        )
-        values = (reference_evaluate(g, f.body, {**env, f.var: s}) for s in subsets)
-        return any(values) if isinstance(f, ExistsSet) else all(values)
+    if isinstance(f, (Exists, Forall)):
+        if f.var[0].isupper():
+            domain = (
+                frozenset(c)
+                for k in range(g.n + 1)
+                for c in itertools.combinations(range(g.n), k)
+            )
+        else:
+            domain = range(g.n)
+        values = (reference_evaluate(g, f.body, {**env, f.var: d}) for d in domain)
+        return any(values) if isinstance(f, Exists) else all(values)
     if isinstance(f, Not):
         return not reference_evaluate(g, f.body, env)
     if isinstance(f, And):
@@ -149,4 +147,29 @@ def reference_evaluate(g: Graph, f, env: dict | None = None) -> bool:
         return len(env[f.set_var]) % 2 == 0
     if isinstance(f, Eq):
         return env[f.x] == env[f.y]
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def reference_free_variables(f, bound: frozenset = frozenset()) -> tuple[set, set]:
+    """Free vertex and free set variables of a formula, by recursion.
+
+    Each name is sorted by its place in its atom: the operands of `edge` and
+    `=` and the left side of `in` are vertex places, the right side of `in`
+    and the argument of `Even` are set places. Nothing is shared with the
+    compile walk of `gslogic.logic.free_variables`.
+    """
+    if isinstance(f, (Exists, Forall)):
+        return reference_free_variables(f.body, bound | {f.var})
+    if isinstance(f, Not):
+        return reference_free_variables(f.body, bound)
+    if isinstance(f, (And, Or)):
+        left_v, left_s = reference_free_variables(f.left, bound)
+        right_v, right_s = reference_free_variables(f.right, bound)
+        return left_v | right_v, left_s | right_s
+    if isinstance(f, (Edge, Eq)):
+        return {f.x, f.y} - bound, set()
+    if isinstance(f, In):
+        return {f.x} - bound, {f.set_var} - bound
+    if isinstance(f, Even):
+        return set(), {f.set_var} - bound
     raise TypeError(f"not a formula node: {f!r}")

@@ -106,9 +106,10 @@ def test_rankwidth_greedy_on_long_path():
     assert payload["width"] == 1 and payload["method"] == "greedy"
 
 
-def test_rankwidth_exact_and_greedy_conflict():
-    res = run_cli("rankwidth", "path:4", "--exact", "--greedy")
+def test_rankwidth_has_no_exact_flag():
+    res = run_cli("rankwidth", "path:4", "--exact")
     assert res.returncode == 2
+    assert "unrecognized arguments" in res.stderr
 
 
 def test_rankwidth_tiny_graph_has_null_decomposition():
@@ -186,8 +187,13 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
 
 
 def test_cli_import_leaves_numpy_out():
+    # bench/run.py reads gslogic.dense from this -X importtime report
     code = "import sys, gslogic.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
+    res = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0
+    modules = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()}
+    assert "gslogic.dense" in modules
 
 
 def test_check_text_output_lists_graphs():
