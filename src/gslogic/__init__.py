@@ -2,12 +2,13 @@
 
 Three interlocking toolkits around simple undirected graphs:
 
-- GF(2) cut-rank and exact rank-width. A subset dynamic program gives the
-  width from 2^(n-1) cut-ranks and at most 3^(n-1)/2 split checks; an
-  optimal subcubic tree, the witness, is read from its table in at most
-  n * 2^(n-2) split checks. A greedy upper bound covers larger graphs:
-  it scores each candidate vertex by span tests against one GF(2) basis
-  of the current cut, with no fresh cut-rank per candidate.
+- GF(2) cut-rank and exact rank-width. All GF(2) code is in ``gf2`` and
+  works on bit-packed int rows (bit j = column j). A subset dynamic
+  program gives the width from 2^(n-1) cut-ranks and at most 3^(n-1)/2
+  split checks; an optimal subcubic tree, the witness, is read from its
+  table in at most n * 2^(n-2) split checks. A greedy upper bound covers
+  larger graphs: it scores each candidate vertex by span tests against one
+  GF(2) basis of the current cut, with no fresh cut-rank per candidate.
 - A parser and exhaustive model checker for monadic second-order logic
   extended with an even-cardinality set predicate.
 - A stabilizer simulator for graph states under Pauli measurements, plus
@@ -18,7 +19,7 @@ The kernels are pure Python (``kernel_backend()`` reports "pure").
 
 from . import dense
 from .errors import FormulaParseError, GraphParseError, SizeLimitError
-from .gf2 import Gf2Matrix, cut_rank, cut_rank_masks, cut_submatrix, rank2
+from .gf2 import cut_rank, cut_rank_masks
 from .graphs import (
     GENERATOR_KINDS,
     Graph,
@@ -91,11 +92,8 @@ __all__ = [
     "serialize",
     "relabel",
     # GF(2)
-    "Gf2Matrix",
-    "rank2",
     "cut_rank",
     "cut_rank_masks",
-    "cut_submatrix",
     # rank-width
     "DEFAULT_EXACT_CAP",
     "SubcubicTree",

@@ -1,4 +1,5 @@
-"""GF(2) bases, rank and cut-rank, and the exact rank-width search.
+"""The exact rank-width search, a subset DP; the cut-ranks come from
+:mod:`gslogic.gf2`.
 
 The search returns the rank-width of a graph and, as its witness, the
 optimal tree read from the table of a subset DP (Oum, "Computing rank-width
@@ -23,67 +24,9 @@ the read costs at most n * 2^(n-2) split checks and no cut-ranks.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-
-def gf2_reduce(pivots: dict[int, int], row: int) -> int:
-    """Residue of ``row`` against a basis keyed by each row's lowest bit.
-
-    Zero exactly when ``row`` lies in the span of the basis rows.
-    """
-    while row:
-        p = pivots.get(row & -row)
-        if p is None:
-            return row
-        row ^= p
-    return 0
-
-
-def gf2_basis(rows: Iterable[int]) -> dict[int, int]:
-    """A GF(2) basis of the span of bit-packed rows (bit j = column j).
-
-    Each basis row is stored under its lowest set bit, which no other basis
-    row has as its lowest bit; reducing against the dict only ever clears
-    that bit and sets higher ones, so :func:`gf2_reduce` terminates.
-    """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        row = gf2_reduce(pivots, row)
-        if row:
-            pivots[row & -row] = row
-    return pivots
-
-
-def gf2_rank_rows(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of bit-packed rows (bit j of a row = column j)."""
-    return len(gf2_basis(rows))
-
-
-def cut_rank_masks(adj: Sequence[int], amask: int, bmask: int) -> int:
-    """GF(2) rank of the adjacency block between vertex masks A and B.
-
-    Dropping the all-zero columns outside B does not change the rank, so
-    the rows are taken directly as ``adj[a] & bmask`` for a in the smaller
-    side; no matrix is materialized.
-    """
-    if amask.bit_count() > bmask.bit_count():
-        amask, bmask = bmask, amask
-    pivots: dict[int, int] = {}
-    rank = 0
-    rest = amask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        row = adj[low.bit_length() - 1] & bmask
-        while row:
-            lowbit = row & -row
-            p = pivots.get(lowbit)
-            if p is None:
-                pivots[lowbit] = row
-                rank += 1
-                break
-            row ^= p
-    return rank
+from .gf2 import cut_rank_masks
 
 
 def _subset_widths(adj: Sequence[int], n: int) -> bytearray:

@@ -1,84 +1,101 @@
-"""Bit-packed binary matrices, GF(2) rank, and cut-rank of bipartitions.
-
-The cut-rank of a vertex subset A is the GF(2) rank of the adjacency block
-between A and its complement; it is the quantity minimized over tree cuts by
-the rank-width search.
+"""The package's GF(2) code, on bit-packed rows: a row is an int, bit j
+is column j. A basis is a dict keyed by each row's lowest bit, and the rank
+of some rows is the size of their basis. The cut-rank of a vertex subset A,
+the GF(2) rank of the adjacency block between A and its complement, is the
+quantity the rank-width search minimizes over tree cuts; the dual basis
+gives a stabilizer tableau its destabilizers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._kernels import cut_rank_masks, gf2_rank_rows
 from .graphs import Graph
 
-__all__ = ["Gf2Matrix", "rank2", "cut_submatrix", "cut_rank", "cut_rank_masks"]
+__all__ = ["gf2_reduce", "gf2_basis", "gf2_dual_basis", "cut_rank_masks", "cut_rank"]
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
-    """Dense binary matrix; each row packed into an int (bit j = column j)."""
+def gf2_reduce(pivots: dict[int, int], row: int) -> int:
+    """Residue of ``row`` against a basis keyed by each row's lowest bit.
 
-    n_rows: int
-    n_cols: int
-    row_bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n_rows < 0 or self.n_cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        if len(self.row_bits) != self.n_rows:
-            raise ValueError("row count does not match row data")
-        full = (1 << self.n_cols) - 1
-        for i, row in enumerate(self.row_bits):
-            if row & ~full:
-                raise ValueError(f"row {i} has bits beyond column {self.n_cols - 1}")
-
-    @classmethod
-    def from_lists(cls, entries: Sequence[Sequence[int]]) -> "Gf2Matrix":
-        """Build from a list of 0/1 rows."""
-        n_rows = len(entries)
-        n_cols = len(entries[0]) if n_rows else 0
-        rows = []
-        for r in entries:
-            if len(r) != n_cols:
-                raise ValueError("ragged rows")
-            bits = 0
-            for j, e in enumerate(r):
-                if e not in (0, 1):
-                    raise ValueError(f"entry {e!r} is not a bit")
-                bits |= e << j
-            rows.append(bits)
-        return cls(n_rows, n_cols, tuple(rows))
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "Gf2Matrix":
-        return cls(n_rows, n_cols, (0,) * n_rows)
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
-            raise IndexError(f"entry ({i}, {j}) out of range")
-        return (self.row_bits[i] >> j) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(row >> j) & 1 for j in range(self.n_cols)] for row in self.row_bits]
-
-    def transpose(self) -> "Gf2Matrix":
-        cols = []
-        for j in range(self.n_cols):
-            bits = 0
-            for i, row in enumerate(self.row_bits):
-                bits |= ((row >> j) & 1) << i
-            cols.append(bits)
-        return Gf2Matrix(self.n_cols, self.n_rows, tuple(cols))
-
-    def rank(self) -> int:
-        return rank2(self)
+    Zero exactly when ``row`` lies in the span of the basis rows.
+    """
+    while row:
+        p = pivots.get(row & -row)
+        if p is None:
+            return row
+        row ^= p
+    return 0
 
 
-def rank2(m: Gf2Matrix) -> int:
-    """Rank of a binary matrix with arithmetic mod 2."""
-    return gf2_rank_rows(m.row_bits)
+def gf2_basis(rows: Iterable[int]) -> dict[int, int]:
+    """A GF(2) basis of the span of bit-packed rows (bit j = column j).
+
+    Each basis row is stored under its lowest set bit, which no other basis
+    row has as its lowest bit; reducing against the dict only ever clears
+    that bit and sets higher ones, so :func:`gf2_reduce` terminates.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        row = gf2_reduce(pivots, row)
+        if row:
+            pivots[row & -row] = row
+    return pivots
+
+
+def cut_rank_masks(adj: Sequence[int], amask: int, bmask: int) -> int:
+    """GF(2) rank of the adjacency block between vertex masks A and B.
+
+    Dropping the all-zero columns outside B does not change the rank, so
+    the rows are taken directly as ``adj[a] & bmask`` for a in the smaller
+    side; no matrix is materialized.
+    """
+    if amask.bit_count() > bmask.bit_count():
+        amask, bmask = bmask, amask
+    pivots: dict[int, int] = {}
+    rank = 0
+    rest = amask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = adj[low.bit_length() - 1] & bmask
+        while row:
+            lowbit = row & -row
+            p = pivots.get(lowbit)
+            if p is None:
+                pivots[lowbit] = row
+                rank += 1
+                break
+            row ^= p
+    return rank
+
+
+def gf2_dual_basis(vectors: Sequence[int]) -> list[int]:
+    """Rows d_i with d_i . v_j = 1 (mod 2) exactly when i == j: Gauss-Jordan
+    elimination of the v_j leaves rows with distinct pivot columns, each
+    cleared in every other row, and records which v_j each row combines; the
+    pivot column of a row that combines v_i belongs to d_i."""
+    pivots: list[list[int]] = []  # [pivot bit, reduced row, combination]
+    for k, vec in enumerate(vectors):
+        combo = 1 << k
+        for bit, row, rc in pivots:
+            if vec & bit:
+                vec, combo = vec ^ row, combo ^ rc
+        if not vec:
+            raise ValueError(f"rows are linearly dependent at row {k}")
+        bit = vec & -vec
+        for piv in pivots:
+            if piv[1] & bit:
+                piv[1] ^= vec
+                piv[2] ^= combo
+        pivots.append([bit, vec, combo])
+    ds = [0] * len(pivots)
+    for bit, _, combo in pivots:
+        while combo:
+            low = combo & -combo
+            ds[low.bit_length() - 1] |= bit
+            combo ^= low
+    return ds
 
 
 def _sorted_vertices(g: Graph, subset: Iterable[int]) -> list[int]:
@@ -87,24 +104,6 @@ def _sorted_vertices(g: Graph, subset: Iterable[int]) -> list[int]:
         bad = vs[0] if vs[0] < 0 else vs[-1]
         raise ValueError(f"vertex {bad} out of range for n={g.n}")
     return vs
-
-
-def cut_submatrix(g: Graph, subset: Iterable[int]) -> Gf2Matrix:
-    """Adjacency block between A = subset and B = complement.
-
-    Rows follow ascending order of A, columns ascending order of B.
-    """
-    a_sorted = _sorted_vertices(g, subset)
-    a_set = set(a_sorted)
-    b_sorted = [v for v in range(g.n) if v not in a_set]
-    rows = []
-    for a in a_sorted:
-        bits = 0
-        row = g.adj[a]
-        for j, b in enumerate(b_sorted):
-            bits |= ((row >> b) & 1) << j
-        rows.append(bits)
-    return Gf2Matrix(len(a_sorted), len(b_sorted), tuple(rows))
 
 
 def cut_rank(g: Graph, subset: Iterable[int]) -> int:

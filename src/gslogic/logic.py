@@ -28,7 +28,8 @@ Surface grammar (ASCII, shell-friendly):
              | "Even" "(" IDENT ")" | ident "=" ident | "(" formula ")"
 
 Quantifier scope extends as far right as possible; a quantified formula used
-as an operand of & | ! must be parenthesized.
+as an operand of & | ! must be parenthesized. A formula nested deeper than
+``MAX_NESTING`` levels is refused at the position where it passes the bound.
 """
 
 from __future__ import annotations
@@ -61,14 +62,22 @@ __all__ = [
     "named_formula",
     "NAMED_FORMULA_SOURCES",
     "DEFAULT_COST_LIMIT",
+    "MAX_NESTING",
 ]
 
 DEFAULT_COST_LIMIT = 2**30
+
+# Deepest formula the parser accepts: the AST nodes on a root-to-atom path,
+# atom included, plus the parentheses around them (a chain of k operands
+# counts k). Every stage then stays well inside the default recursion limit.
+MAX_NESTING = 100
 
 _KEYWORDS = {"exists", "forall", "in", "edge", "Even"}
 
 
 def is_set_name(name: str) -> bool:
+    if not name:
+        raise ValueError("variable '' has an empty name")
     return name[0].isupper()
 
 
@@ -170,6 +179,8 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        # parentheses, negations and quantifiers open around the current token
+        self.depth = 0
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -198,57 +209,78 @@ class _Parser:
             raise FormulaParseError(f"{role} must start lowercase, got {tok.text!r}", tok.pos)
         return tok.text
 
+    def _check_nesting(self, tok: _Token, nesting: int) -> None:
+        if nesting > MAX_NESTING:
+            raise FormulaParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.pos)
+
+    def _inside(
+        self, tok: _Token, parse: Callable[[], tuple[Formula, int]]
+    ) -> tuple[Formula, int]:
+        """Parse one level below ``tok``, which opens it; the level and at
+        least an atom inside it must fit in the bound."""
+        self._check_nesting(tok, self.depth + 2)
+        self.depth += 1
+        f, height = parse()
+        self.depth -= 1
+        return f, height + 1
+
     def parse(self) -> Formula:
-        f = self._formula()
+        f, _ = self._formula()
         tok = self._peek()
         if tok is not None:
             raise FormulaParseError(f"unexpected trailing {tok.text!r}", tok.pos)
         return f
 
-    def _formula(self) -> Formula:
+    # each method below returns a formula and its height (see MAX_NESTING)
+    def _formula(self) -> tuple[Formula, int]:
         tok = self._peek()
         if tok is not None and tok.kind == "kw" and tok.text in ("exists", "forall"):
             self._next()
             var = self._expect_ident(None, "quantified variable")
             self._expect_sym(".")
-            body = self._formula()
-            return (Exists if tok.text == "exists" else Forall)(var, body)
+            body, height = self._inside(tok, self._formula)
+            return (Exists if tok.text == "exists" else Forall)(var, body), height
         return self._or()
 
-    def _or(self) -> Formula:
-        left = self._and()
+    def _or(self) -> tuple[Formula, int]:
+        left, height = self._and()
         while True:
             tok = self._peek()
             if tok is None or tok.kind != "sym" or tok.text != "|":
-                return left
+                return left, height
             self._next()
-            left = Or(left, self._and())
+            right, right_height = self._and()
+            left, height = Or(left, right), 1 + max(height, right_height)
+            self._check_nesting(tok, self.depth + height)
 
-    def _and(self) -> Formula:
-        left = self._not()
+    def _and(self) -> tuple[Formula, int]:
+        left, height = self._not()
         while True:
             tok = self._peek()
             if tok is None or tok.kind != "sym" or tok.text != "&":
-                return left
+                return left, height
             self._next()
-            left = And(left, self._not())
+            right, right_height = self._not()
+            left, height = And(left, right), 1 + max(height, right_height)
+            self._check_nesting(tok, self.depth + height)
 
-    def _not(self) -> Formula:
+    def _not(self) -> tuple[Formula, int]:
         tok = self._peek()
         if tok is not None and tok.kind == "sym" and tok.text == "!":
             self._next()
-            return Not(self._not())
-        return self._atom()
+            body, height = self._inside(tok, self._not)
+            return Not(body), height
+        if tok is not None and tok.kind == "sym" and tok.text == "(":
+            self._next()
+            inner = self._inside(tok, self._formula)
+            self._expect_sym(")")
+            return inner
+        return self._atom(), 1
 
     def _atom(self) -> Formula:
         tok = self._peek()
         if tok is None:
             raise FormulaParseError("unexpected end of input", len(self.text))
-        if tok.kind == "sym" and tok.text == "(":
-            self._next()
-            inner = self._formula()
-            self._expect_sym(")")
-            return inner
         if tok.kind == "kw" and tok.text == "edge":
             self._next()
             self._expect_sym("(")

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from . import _kernels
-from ._kernels import gf2_basis, gf2_reduce
 from .errors import SizeLimitError
-from .gf2 import cut_rank_masks
+from .gf2 import cut_rank_masks, gf2_basis, gf2_reduce
 from .graphs import Graph
 
 __all__ = [

@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import SizeLimitError
+from .gf2 import gf2_dual_basis
 from .graphs import Graph
 
 __all__ = [
@@ -203,7 +204,12 @@ class StabilizerTableau:
         xs = [g.x_bits for g in generators]
         zs = [g.z_bits for g in generators]
         ts = [_phase_t(g.x_bits, g.z_bits, g.sign) for g in generators]
-        self._set_rows(n, xs, zs, ts, *_destabilizer_rows(n, xs, zs))
+        # with v = z | x << n for a generator, the symplectic product of a
+        # destabilizer d = dx | dz << n with it is the dot product of d and v,
+        # so the destabilizers are the dual basis of the generators' v
+        ds = gf2_dual_basis([z | (x << n) for x, z in zip(xs, zs)])
+        full = (1 << n) - 1
+        self._set_rows(n, xs, zs, ts, [d & full for d in ds], [d >> n for d in ds])
         self.check_invariants()
 
     @classmethod
@@ -371,42 +377,6 @@ class StabilizerTableau:
             t_new = (t_new + 2) % 4
         ts[k0] = t_new
         return outcome, 0.5
-
-
-def _destabilizer_rows(
-    n: int, xs: list[int], zs: list[int]
-) -> tuple[list[int], list[int]]:
-    """Rows (dx_i, dz_i) with <d_i, S_j> = delta_ij for the generators
-    S_j = (xs[j], zs[j]), by one Gauss-Jordan elimination.
-
-    In the swapped layout v_j = z_j | x_j << n the symplectic product
-    <d, S_j> is the plain dot product of d = dx | dz << n with v_j. Reduce
-    the v_j to rows with distinct pivot columns, each pivot column cleared
-    in every other row, recording which v_j each row combines; then the
-    pivot column c of a row that combines v_i belongs to d_i.
-    """
-    pivots: list[list[int]] = []  # [pivot bit, reduced row, combination]
-    for k in range(len(xs)):
-        vec = zs[k] | (xs[k] << n)
-        combo = 1 << k
-        for bit, row, rc in pivots:
-            if vec & bit:
-                vec ^= row
-                combo ^= rc
-        if not vec:
-            raise ValueError("generators are linearly dependent")
-        bit = vec & -vec
-        for piv in pivots:
-            if piv[1] & bit:
-                piv[1] ^= vec
-                piv[2] ^= combo
-        pivots.append([bit, vec, combo])
-    ds = [0] * len(xs)
-    for bit, _, combo in pivots:
-        for i in _bits(combo):
-            ds[i] |= bit
-    full = (1 << n) - 1
-    return [d & full for d in ds], [d >> n for d in ds]
 
 
 def graph_state_tableau(g: Graph) -> StabilizerTableau:

@@ -4,7 +4,7 @@ independent reference implementations used as test oracles."""
 import itertools
 import random
 
-from gslogic import Graph, cut_submatrix, generate, rank2
+from gslogic import Graph, generate
 from gslogic.logic import (
     And,
     Edge,
@@ -62,17 +62,43 @@ def all_graphs(n: int):
         yield Graph.from_edges(n, edges)
 
 
+def reference_cut_rank(g: Graph, side) -> int:
+    """GF(2) rank of the adjacency block between ``side`` and the rest.
+
+    The rows come from `g.edges()`: row a, for a in side, has bit b set for
+    each edge (a, b) that crosses the cut. They are reduced against an xor
+    basis kept sorted by leading bit, the method of `bench/oracles.py`, where
+    `gslogic.gf2` pivots on the lowest bit through a dict; nothing here is
+    shared with the package.
+    """
+    side = set(side)
+    rows = dict.fromkeys(side, 0)
+    for u, v in g.edges():
+        if (u in side) != (v in side):
+            a, b = (u, v) if u in side else (v, u)
+            rows[a] |= 1 << b
+    basis: list[int] = []  # decreasing leading bit
+    for row in rows.values():
+        for b in basis:
+            # b's leading bit is set in row exactly when xor lowers row
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
 def exhaustive_rankwidth(g: Graph) -> int:
     """Rank-width by walking all (2n-5)!! subcubic trees (n >= 2).
 
     Leaf k = 2..n-1 is inserted into every edge of each tree on leaves
     0..k-1. Each edge is kept as its far side (the leaves away from leaf 0),
-    and the cut-ranks come from `rank2(cut_submatrix(...))`, so nothing here
-    is shared with the subset DP of `exact_rankwidth`.
+    and the cut-ranks come from `reference_cut_rank`, so nothing here is
+    shared with the subset DP of `exact_rankwidth`.
     """
     n = g.n
     cut_ranks = [
-        rank2(cut_submatrix(g, [v for v in range(n) if (mask >> v) & 1]))
+        reference_cut_rank(g, [v for v in range(n) if (mask >> v) & 1])
         for mask in range(1 << n)
     ]
 
@@ -100,13 +126,13 @@ def reference_greedy_order(g: Graph) -> list[int]:
 
     Each step appends the unplaced vertex whose prefix has the smallest
     cut-rank, ties to the smallest index. Every prefix cut-rank is taken
-    afresh from `rank2(cut_submatrix(...))`, so none of the incremental
-    basis updates of `greedy_decomposition` is used here.
+    afresh from `reference_cut_rank`, so none of the incremental basis
+    updates of `greedy_decomposition` is used here.
     """
     order: list[int] = []
     unplaced = list(range(g.n))
     while unplaced:
-        best = min(unplaced, key=lambda v: rank2(cut_submatrix(g, order + [v])))
+        best = min(unplaced, key=lambda v: reference_cut_rank(g, order + [v]))
         order.append(best)
         unplaced.remove(best)
     return order

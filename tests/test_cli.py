@@ -175,6 +175,9 @@ def test_check_usage_errors():
     res = run_cli("check", "edge(x, y", "path:3")
     assert res.returncode == 2
     assert "position" in res.stderr
+    res = run_cli("check", "exists x. " + "(" * 250 + "x = x" + ")" * 250, "path:2")
+    assert res.returncode == 2
+    assert "position" in res.stderr
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
@@ -194,6 +197,14 @@ def test_cli_import_leaves_numpy_out():
     assert res.returncode == 0
     modules = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()}
     assert "gslogic.dense" in modules
+
+
+def test_package_exports_resolve():
+    # the dense names resolve through the package's module __getattr__
+    assert all(getattr(gslogic, name) is not None for name in gslogic.__all__)
+    namespace: dict = {}
+    exec("from gslogic import *", namespace)
+    assert set(gslogic.__all__) <= set(namespace)
 
 
 def test_check_text_output_lists_graphs():

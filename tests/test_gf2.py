@@ -1,12 +1,17 @@
-"""Bit-packed GF(2) matrices, rank, and cut-rank."""
+"""GF(2) bases, rank, dual basis and cut-rank on bit-packed int rows.
+
+Ranks are checked against `naive_rank`, an elimination on 0/1 lists, dual
+bases by their dot products with the rows, and cut-ranks against
+`conftest.reference_cut_rank`; none of these shares code with `gslogic.gf2`.
+"""
 
 import random
 
 import pytest
 
-from conftest import random_graph, small_corpus
-from gslogic import Gf2Matrix, cut_rank, cut_rank_masks, cut_submatrix, generate, rank2
-from gslogic._kernels import gf2_basis, gf2_reduce
+from conftest import random_graph, reference_cut_rank, small_corpus
+from gslogic import Graph, cut_rank, cut_rank_masks, generate
+from gslogic.gf2 import gf2_basis, gf2_dual_basis, gf2_reduce
 
 
 def naive_rank(entries: list[list[int]]) -> int:
@@ -29,58 +34,48 @@ def naive_rank(entries: list[list[int]]) -> int:
     return rank
 
 
-def test_from_lists_round_trip():
-    entries = [[1, 0, 1], [0, 1, 1]]
-    m = Gf2Matrix.from_lists(entries)
-    assert m.to_lists() == entries
-    assert m.entry(0, 2) == 1 and m.entry(1, 0) == 0
+def rows_of(entries: list[list[int]]) -> list[int]:
+    """Pack 0/1 lists into int rows, bit j = column j."""
+    return [sum(bit << j for j, bit in enumerate(row)) for row in entries]
 
 
-def test_from_lists_rejects_non_bits():
-    with pytest.raises(ValueError, match="not a bit"):
-        Gf2Matrix.from_lists([[0, 2]])
-    with pytest.raises(ValueError, match="ragged"):
-        Gf2Matrix.from_lists([[0, 1], [1]])
-
-
-def test_constructor_rejects_wide_rows():
-    with pytest.raises(ValueError):
-        Gf2Matrix(1, 2, (0b100,))
-
-
-def test_entry_bounds():
-    m = Gf2Matrix.zeros(2, 3)
-    with pytest.raises(IndexError):
-        m.entry(2, 0)
+def basis_rank(rows) -> int:
+    return len(gf2_basis(rows))
 
 
 def test_zeros_rank():
-    assert Gf2Matrix.zeros(4, 7).rank() == 0
-    assert Gf2Matrix.zeros(0, 0).rank() == 0
+    assert basis_rank([0] * 4) == 0
+    assert basis_rank([]) == 0
 
 
 def test_identity_rank():
-    m = Gf2Matrix(5, 5, tuple(1 << i for i in range(5)))
-    assert rank2(m) == 5
+    assert basis_rank([1 << i for i in range(5)]) == 5
 
 
 def test_hand_ranks():
-    assert Gf2Matrix.from_lists([[1, 1], [1, 1]]).rank() == 1
-    assert Gf2Matrix.from_lists([[1, 0], [0, 1]]).rank() == 2
+    assert basis_rank(rows_of([[1, 1], [1, 1]])) == 1
+    assert basis_rank(rows_of([[1, 0], [0, 1]])) == 2
     # rows sum to zero mod 2, so the three rows span a plane
-    assert Gf2Matrix.from_lists([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).rank() == 2
+    assert basis_rank(rows_of([[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 2
+
+
+def transpose(rows: list[int], n_cols: int) -> list[int]:
+    """Columns of packed rows as packed rows, bit i = row i."""
+    return [
+        sum(((row >> j) & 1) << i for i, row in enumerate(rows))
+        for j in range(n_cols)
+    ]
 
 
 def test_transpose_involution_and_rank():
+    # row rank equals column rank
     rng = random.Random(1)
     for _ in range(20):
-        rows = rng.randrange(1, 9)
-        cols = rng.randrange(1, 9)
-        m = Gf2Matrix.from_lists(
-            [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
-        )
-        assert m.transpose().transpose() == m
-        assert m.transpose().rank() == m.rank()
+        n_rows = rng.randrange(1, 9)
+        n_cols = rng.randrange(1, 9)
+        rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
+        assert transpose(transpose(rows, n_cols), n_rows) == rows
+        assert basis_rank(transpose(rows, n_cols)) == basis_rank(rows)
 
 
 @pytest.mark.parametrize("n_cols", [1, 7, 31, 63, 64, 65, 80])
@@ -92,8 +87,7 @@ def test_rank_matches_naive_elimination(n_cols):
         entries = [
             [rng.randrange(2) for _ in range(n_cols)] for _ in range(n_rows)
         ]
-        m = Gf2Matrix.from_lists(entries)
-        assert rank2(m) == naive_rank(entries)
+        assert basis_rank(rows_of(entries)) == naive_rank(entries)
 
 
 def test_basis_span_test_matches_naive_rank():
@@ -111,11 +105,31 @@ def test_basis_span_test_matches_naive_rank():
         assert (gf2_reduce(basis, x) == 0) == in_span
 
 
-def test_cut_submatrix_shape_and_content():
-    g = generate("path", 3)
-    m = cut_submatrix(g, [0, 1])
-    assert (m.n_rows, m.n_cols) == (2, 1)
-    assert m.to_lists() == [[0], [1]]
+def test_dual_basis_pairs_with_its_rows():
+    rng = random.Random(12)
+    for _ in range(100):
+        n_cols = rng.randrange(1, 12)
+        rows = [rng.getrandbits(n_cols) for _ in range(rng.randrange(1, n_cols + 1))]
+        lists = [[(r >> j) & 1 for j in range(n_cols)] for r in rows]
+        if naive_rank(lists) < len(rows):
+            with pytest.raises(ValueError, match="dependent"):
+                gf2_dual_basis(rows)
+            continue
+        dual = gf2_dual_basis(rows)
+        assert [[(d & v).bit_count() % 2 for v in rows] for d in dual] == [
+            [int(i == j) for j in range(len(rows))] for i in range(len(rows))
+        ]
+
+
+def test_reference_cut_rank_hand_values():
+    assert reference_cut_rank(generate("path", 3), [0, 1]) == 1
+    complete = generate("complete", 5)
+    for mask in range(1, (1 << 5) - 1):
+        assert reference_cut_rank(complete, [v for v in range(5) if (mask >> v) & 1]) == 1
+    # grid:3 is labelled row-major, so its middle column is 1, 4, 7
+    assert reference_cut_rank(generate("grid", 3), [1, 4, 7]) == 3
+    assert reference_cut_rank(Graph.from_edges(5, []), [0, 2]) == 0
+    assert reference_cut_rank(generate("cycle", 4), []) == 0
 
 
 def test_cut_rank_agrees_with_submatrix_rank():
@@ -123,7 +137,7 @@ def test_cut_rank_agrees_with_submatrix_rank():
     for g in small_corpus():
         for _ in range(12):
             subset = [v for v in range(g.n) if rng.random() < 0.5]
-            assert cut_rank(g, subset) == cut_submatrix(g, subset).rank()
+            assert cut_rank(g, subset) == reference_cut_rank(g, subset)
 
 
 def test_cut_rank_symmetry_and_bound():
@@ -169,4 +183,13 @@ def test_cut_rank_masks_matches_subset_form():
     full = (1 << 6) - 1
     for amask in range(1 << 6):
         subset = [v for v in range(6) if (amask >> v) & 1]
-        assert cut_rank_masks(g.adj, amask, full ^ amask) == cut_rank(g, subset)
+        assert cut_rank_masks(g.adj, amask, full ^ amask) == reference_cut_rank(g, subset)
+    # rows wider than one machine word; sparse, so that most cut-ranks fall
+    # below min(|A|, |B|)
+    rng = random.Random(70)
+    g = random_graph(70, rng, p=0.05)
+    full = (1 << 70) - 1
+    for _ in range(50):
+        amask = rng.getrandbits(70)
+        subset = [v for v in range(70) if (amask >> v) & 1]
+        assert cut_rank_masks(g.adj, amask, full ^ amask) == reference_cut_rank(g, subset)

@@ -21,6 +21,7 @@ from gslogic import (
     theory_member_witness,
 )
 from gslogic.logic import (
+    MAX_NESTING,
     NAMED_FORMULA_SOURCES,
     And,
     Edge,
@@ -134,6 +135,28 @@ def test_parse_errors_and_positions():
         parse_formula("exists x. x")
     with pytest.raises(FormulaParseError, match="expected ','"):
         parse_formula("edge(x y)")
+    # too deep to parse, print or evaluate within Python's recursion limit
+    with pytest.raises(FormulaParseError, match="nests deeper") as info:
+        parse_formula("exists x. " + "(" * 250 + "x = x" + ")" * 250)
+    assert info.value.position == len("exists x. ") + MAX_NESTING - 2
+    with pytest.raises(FormulaParseError, match="nests deeper") as info:
+        parse_formula(" & ".join(["x = x"] * 1500))
+    assert info.value.position == len("x = x & " * MAX_NESTING) - 2
+    with pytest.raises(FormulaParseError, match="nests deeper") as info:
+        parse_formula("!" * 1200 + "x = x")
+    assert info.value.position == MAX_NESTING - 1
+
+
+def test_formula_at_the_nesting_bound():
+    # quantifier, 24 negations, 24 parentheses and a chain of k operands
+    def nested(k):
+        chain = " & ".join(["x = x"] * k)
+        return "exists x. " + "!(" * 24 + chain + ")" * 24
+    f = parse_formula(nested(MAX_NESTING - 49))
+    assert parse_formula(pretty(f)) == f
+    assert evaluate(generate("path", 2), f) is True
+    with pytest.raises(FormulaParseError, match="nests deeper"):
+        parse_formula(nested(MAX_NESTING - 48))
 
 
 def test_positions_are_offsets():
@@ -228,6 +251,8 @@ def test_evaluate_rejects_open_formulas():
         Exists("X", Eq("X", "X")),
         Exists("x", In("x", "x")),
         Exists("x", Even("x")),
+        Exists("", Eq("", "")),
+        Exists("", Forall("x", Eq("x", "x"))),
     ],
     ids=pretty,
 )

@@ -10,6 +10,7 @@ from conftest import (
     all_graphs,
     exhaustive_rankwidth,
     random_graph,
+    reference_cut_rank,
     reference_greedy_order,
     small_corpus,
 )
@@ -20,13 +21,11 @@ from gslogic import (
     SubcubicTree,
     count_subcubic_trees,
     cut_rank,
-    cut_submatrix,
     decomposition_width,
     enumerate_subcubic_trees,
     exact_rankwidth,
     generate,
     greedy_decomposition,
-    rank2,
     relabel,
     tree_edge_bipartition,
 )
@@ -332,7 +331,7 @@ def assert_greedy_matches_reference(g):
     sides = [[v] for v in range(g.n)] + [order[:k] for k in range(2, g.n - 1)]
     decomp = greedy_decomposition(g)
     assert decomp.tree == _caterpillar(order), g.name
-    assert decomp.width == max(rank2(cut_submatrix(g, side)) for side in sides), g.name
+    assert decomp.width == max(reference_cut_rank(g, side) for side in sides), g.name
 
 
 def test_greedy_matches_reference_on_all_small_graphs():
