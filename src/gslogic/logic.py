@@ -10,12 +10,19 @@ formula that puts a name of the wrong sort in an atom raises ValueError.
 Evaluation on a finite graph is exhaustive enumeration with
 short-circuiting. Each call to ``evaluate`` compiles the formula once into
 closures, with every bound variable resolved to a fixed slot of a list
-environment, so evaluation does no name lookups. That one compile walk also
-finds the free variables, charges the cost and sizes the environment. Set
-variables range over all 2^n subsets, so the compiler charges each node its
-worst-case enumeration as it compiles it, and a formula whose total could
-exceed the limit (2^30 environments by default) is refused before any
-enumeration.
+environment, so evaluation does no name lookups. A vertex quantifier whose
+body has no quantifier does not loop: its body compiles to one bit-mask
+expression giving the vertices at which the body holds (``v in X`` is the
+mask of X, ``edge(v, y)`` the row of y, ``v = y`` the bit of y, ``!`` the
+complement within all n vertices, ``&`` and ``|`` bitwise), and ``exists``
+tests it for nonzero, ``forall`` for all n bits. Every other quantifier
+loops over its domain and stops at the first witness or counterexample.
+That one compile walk also finds the free variables, charges the cost and
+sizes the environment. Set variables range over all 2^n subsets, so the
+compiler charges each node its worst-case work as it compiles it (a looping
+vertex quantifier max(n, 1) times its body, a set quantifier 2^n times, a
+masked vertex quantifier its body once), and a formula whose total could
+exceed the limit (2^30 by default) is refused before any enumeration.
 
 Surface grammar (ASCII, shell-friendly):
 
@@ -70,6 +77,8 @@ DEFAULT_COST_LIMIT = 2**30
 # Deepest formula the parser accepts: the AST nodes on a root-to-atom path,
 # atom included, plus the parentheses around them (a chain of k operands
 # counts k). Every stage then stays well inside the default recursion limit.
+# The compile and print walks refuse a hand-built AST with more nodes than
+# this on a root-to-atom path; no parsed formula has that many.
 MAX_NESTING = 100
 
 _KEYWORDS = {"exists", "forall", "in", "edge", "Even"}
@@ -323,19 +332,26 @@ def parse_formula(text: str) -> Formula:
 _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = 1, 2, 3, 4
 
 
-def _pp(f: Formula, min_level: int) -> str:
+def _check_depth(depth: int) -> None:
+    if depth > MAX_NESTING:
+        raise ValueError(f"formula nests deeper than {MAX_NESTING} levels")
+
+
+def _pp(f: Formula, min_level: int, depth: int) -> str:
+    _check_depth(depth)
+    depth += 1
     if isinstance(f, (Exists, Forall)):
         kw = "exists" if isinstance(f, Exists) else "forall"
-        s = f"{kw} {f.var}. {_pp(f.body, 0)}"
+        s = f"{kw} {f.var}. {_pp(f.body, 0, depth)}"
         level = 0
     elif isinstance(f, Or):
-        s = f"{_pp(f.left, _LEVEL_OR)} | {_pp(f.right, _LEVEL_AND)}"
+        s = f"{_pp(f.left, _LEVEL_OR, depth)} | {_pp(f.right, _LEVEL_AND, depth)}"
         level = _LEVEL_OR
     elif isinstance(f, And):
-        s = f"{_pp(f.left, _LEVEL_AND)} & {_pp(f.right, _LEVEL_NOT)}"
+        s = f"{_pp(f.left, _LEVEL_AND, depth)} & {_pp(f.right, _LEVEL_NOT, depth)}"
         level = _LEVEL_AND
     elif isinstance(f, Not):
-        s = f"!{_pp(f.body, _LEVEL_NOT)}"
+        s = f"!{_pp(f.body, _LEVEL_NOT, depth)}"
         level = _LEVEL_NOT
     elif isinstance(f, Edge):
         s, level = f"edge({f.x}, {f.y})", _LEVEL_ATOM
@@ -352,7 +368,7 @@ def _pp(f: Formula, min_level: int) -> str:
 
 def pretty(f: Formula) -> str:
     """Surface syntax that reparses to the identical AST."""
-    return _pp(f, 0)
+    return _pp(f, 0, 1)
 
 
 def free_variables(f: Formula) -> tuple[set[str], set[str]]:
@@ -379,29 +395,53 @@ def _slot(slots: dict[str, int], free: set[str], name: str, is_set: bool) -> int
 
 
 def _compile(
-    f: Formula, slots: dict[str, int], free: set[str], adj: tuple[int, ...], n: int
-) -> tuple[Callable[[list[int]], bool], int, int]:
-    """A closure ``env -> bool`` deciding f on the graph (adj, n), with its
-    cost and the environment size it needs.
+    f: Formula,
+    slots: dict[str, int],
+    free: set[str],
+    adj: tuple[int, ...],
+    n: int,
+    v: int = -1,
+    depth: int = 1,
+) -> tuple[Callable[[list[int]], bool], Callable[[list[int]], int] | None, int, int]:
+    """Compile f on the graph (adj, n) into ``(run, mask, cost, size)``.
 
-    ``slots`` maps each variable in scope to its index in the list ``env``,
-    which holds a vertex index or, for a set variable, a vertex bit mask.
-    Every name an atom uses is resolved by ``_slot``, which checks its case
-    against its place and adds the unbound ones to ``free``.
-    The cost charges each node its worst-case enumeration: a quantifier
-    runs its body once per vertex (at least once) or once per vertex set.
-    The size is the highest slot used plus one.
+    ``run`` is a closure ``env -> bool`` deciding f. ``slots`` maps each
+    variable in scope to its index in the list ``env``, which holds a vertex
+    index or, for a set variable, a vertex bit mask. Every name an atom uses
+    is resolved by ``_slot``, which checks its case against its place and
+    adds the unbound ones to ``free``.
+
+    ``v`` is the slot of the innermost binder if that is a vertex
+    quantifier, else -1. When v >= 0 and f has no quantifier, ``mask`` is a
+    closure ``env -> int`` giving the bit mask of the vertices at which f
+    holds when they are put in slot v; it never reads ``env[v]``. Otherwise
+    ``mask`` is None.
+
+    The cost charges each node its worst-case work: a quantifier that loops
+    runs its body once per vertex (at least once) or once per vertex set, a
+    masked one runs its body's mask once. The size is the highest slot used
+    plus one. An AST deeper than ``MAX_NESTING`` raises ValueError.
     """
+    _check_depth(depth)
+    depth += 1
+    full = (1 << n) - 1
     if isinstance(f, (Exists, Forall)):
+        is_set = is_set_name(f.var)
         # one above the highest slot in scope: len(slots) is not, once a
         # name has been rebound, and would hand out a slot still in use
         slot = max(slots.values(), default=-1) + 1
-        body, body_cost, size = _compile(f.body, {**slots, f.var: slot}, free, adj, n)
-        if is_set_name(f.var):
+        body, body_mask, body_cost, size = _compile(
+            f.body, {**slots, f.var: slot}, free, adj, n, -1 if is_set else slot, depth
+        )
+        size = max(size, slot + 1)
+        if body_mask is not None:
+            if isinstance(f, Exists):
+                return (lambda env: body_mask(env) != 0), None, 1 + body_cost, size
+            return (lambda env: body_mask(env) == full), None, 1 + body_cost, size
+        if is_set:
             domain, cost = range(1 << n), 1 + (1 << n) * body_cost
         else:
             domain, cost = range(n), 1 + max(n, 1) * body_cost
-        size = max(size, slot + 1)
         if isinstance(f, Exists):
             def exists(env):
                 for value in domain:
@@ -409,7 +449,7 @@ def _compile(
                     if body(env):
                         return True
                 return False
-            return exists, cost, size
+            return exists, None, cost, size
 
         def forall(env):
             for value in domain:
@@ -417,41 +457,80 @@ def _compile(
                 if not body(env):
                     return False
             return True
-        return forall, cost, size
+        return forall, None, cost, size
     if isinstance(f, Not):
-        inner, cost, size = _compile(f.body, slots, free, adj, n)
-        return (lambda env: not inner(env)), 1 + cost, size
+        inner, inner_mask, cost, size = _compile(f.body, slots, free, adj, n, v, depth)
+        mask = None if inner_mask is None else (lambda env: full ^ inner_mask(env))
+        return (lambda env: not inner(env)), mask, 1 + cost, size
     if isinstance(f, (And, Or)):
-        left, left_cost, left_size = _compile(f.left, slots, free, adj, n)
-        right, right_cost, right_size = _compile(f.right, slots, free, adj, n)
+        left, left_mask, left_cost, left_size = _compile(f.left, slots, free, adj, n, v, depth)
+        right, right_mask, right_cost, right_size = _compile(
+            f.right, slots, free, adj, n, v, depth
+        )
         cost, size = 1 + left_cost + right_cost, max(left_size, right_size)
+        mask = None
         if isinstance(f, And):
-            return (lambda env: left(env) and right(env)), cost, size
-        return (lambda env: left(env) or right(env)), cost, size
+            if left_mask is not None and right_mask is not None:
+                mask = lambda env: (m := left_mask(env)) and m & right_mask(env)
+            return (lambda env: left(env) and right(env)), mask, cost, size
+        if left_mask is not None and right_mask is not None:
+            mask = lambda env: (
+                full if (m := left_mask(env)) == full else m | right_mask(env)
+            )
+        return (lambda env: left(env) or right(env)), mask, cost, size
     if isinstance(f, Edge):
         x, y = _slot(slots, free, f.x, False), _slot(slots, free, f.y, False)
-        return (lambda env: (adj[env[x]] >> env[y]) & 1 == 1), 1, max(x, y) + 1
+        run = lambda env: (adj[env[x]] >> env[y]) & 1 == 1
+        if x == v and y == v:
+            mask = lambda env: 0
+        elif v in (x, y):
+            other = y if x == v else x
+            mask = lambda env: adj[env[other]]
+        else:
+            mask = _constant_mask(run, full, v)
+        return run, mask, 1, max(x, y) + 1
     if isinstance(f, In):
         x, s = _slot(slots, free, f.x, False), _slot(slots, free, f.set_var, True)
-        return (lambda env: (env[s] >> env[x]) & 1 == 1), 1, max(x, s) + 1
+        run = lambda env: (env[s] >> env[x]) & 1 == 1
+        mask = (lambda env: env[s]) if x == v else _constant_mask(run, full, v)
+        return run, mask, 1, max(x, s) + 1
     if isinstance(f, Even):
         s = _slot(slots, free, f.set_var, True)
-        return (lambda env: env[s].bit_count() % 2 == 0), 1, s + 1
+        run = lambda env: env[s].bit_count() % 2 == 0
+        return run, _constant_mask(run, full, v), 1, s + 1
     if isinstance(f, Eq):
         x, y = _slot(slots, free, f.x, False), _slot(slots, free, f.y, False)
-        return (lambda env: env[x] == env[y]), 1, max(x, y) + 1
+        run = lambda env: env[x] == env[y]
+        if x == v and y == v:
+            mask = lambda env: full
+        elif v in (x, y):
+            other = y if x == v else x
+            mask = lambda env: 1 << env[other]
+        else:
+            mask = _constant_mask(run, full, v)
+        return run, mask, 1, max(x, y) + 1
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def _constant_mask(
+    run: Callable[[list[int]], bool], full: int, v: int
+) -> Callable[[list[int]], int] | None:
+    """The mask of an atom that does not mention slot v: all vertices or
+    none. None when there is no vertex binder to mask over."""
+    if v < 0:
+        return None
+    return lambda env: full if run(env) else 0
 
 
 def evaluate(g: Graph, f: Formula, max_cost: int = DEFAULT_COST_LIMIT) -> bool:
     """Truth of a closed formula on a graph by exhaustive enumeration.
 
-    Raises ValueError for open formulas and for a name whose case does not
-    fit its place in an atom, and SizeLimitError when the worst-case number
-    of enumerated environments exceeds ``max_cost``.
+    Raises ValueError for open formulas, for a name whose case does not fit
+    its place in an atom and for an AST nested deeper than ``MAX_NESTING``,
+    and SizeLimitError when the worst-case cost exceeds ``max_cost``.
     """
     free: set[str] = set()
-    run, cost, env_size = _compile(f, {}, free, g.adj, g.n)
+    run, _, cost, env_size = _compile(f, {}, free, g.adj, g.n)
     if free:
         raise ValueError(f"formula has unbound variables: {', '.join(sorted(free))}")
     if cost > max_cost:

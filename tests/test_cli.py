@@ -144,6 +144,15 @@ def test_check_named_single_graph():
     assert payload["witness_index"] == 0
 
 
+def test_check_cost_follows_the_masked_work():
+    # masked vertex quantifiers put path:10 at cost 132,121,601, below 2^30
+    res = run_cli("check", "--named", "two_colorable", "path:10", "--format", "json")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["verdicts"] == [True]
+    res = run_cli("check", "--named", "two_colorable", "complete:40")
+    assert res.returncode == 3
+
+
 def test_check_formula_on_edgeless_graph(tmp_path):
     f = tmp_path / "empty.edges"
     f.write_text("3 0\n")

@@ -1,5 +1,6 @@
 """Formula parsing, printing, and exhaustive model checking."""
 
+import itertools
 import random
 
 import pytest
@@ -159,6 +160,18 @@ def test_formula_at_the_nesting_bound():
         parse_formula(nested(MAX_NESTING - 48))
 
 
+def test_deep_hand_built_formula_is_refused():
+    # the parser bounds nesting; a hand-built AST is bounded by the walks
+    chain = Eq("x", "x")
+    for _ in range(1999):
+        chain = And(chain, Eq("x", "x"))
+    f = Exists("x", chain)
+    for walk in (lambda: evaluate(generate("path", 2), f), lambda: free_variables(f),
+                 lambda: pretty(f)):
+        with pytest.raises(ValueError, match=f"deeper than {MAX_NESTING} levels"):
+            walk()
+
+
 def test_positions_are_offsets():
     try:
         parse_formula("exists x. x in y")
@@ -171,7 +184,7 @@ def test_positions_are_offsets():
 # ----------------------------------------------------------------- printing
 
 
-def _random_body(rng: random.Random, depth: int):
+def _random_body(rng: random.Random, depth: int, quantifiers: bool = True):
     if depth == 0 or rng.random() < 0.35:
         pick = rng.randrange(4)
         if pick == 0:
@@ -181,23 +194,29 @@ def _random_body(rng: random.Random, depth: int):
         if pick == 2:
             return In(rng.choice("xy"), rng.choice("ST"))
         return Even(rng.choice("ST"))
-    pick = rng.randrange(7)
+    pick = rng.randrange(7 if quantifiers else 3)
     if pick == 0:
-        return Not(_random_body(rng, depth - 1))
+        return Not(_random_body(rng, depth - 1, quantifiers))
     if pick == 1:
-        return And(_random_body(rng, depth - 1), _random_body(rng, depth - 1))
+        return And(_random_body(rng, depth - 1, quantifiers),
+                   _random_body(rng, depth - 1, quantifiers))
     if pick == 2:
-        return Or(_random_body(rng, depth - 1), _random_body(rng, depth - 1))
+        return Or(_random_body(rng, depth - 1, quantifiers),
+                  _random_body(rng, depth - 1, quantifiers))
     maker = Exists if pick in (3, 5) else Forall
     var = rng.choice("xy") if pick < 5 else rng.choice("ST")
     return maker(var, _random_body(rng, depth - 1))
 
 
+def _closed(body, prefix):
+    """``body`` under a quantifier prefix, outermost first, e.g. "ExFyESFT"."""
+    for i in range(len(prefix) - 2, -1, -2):
+        body = (Exists if prefix[i] == "E" else Forall)(prefix[i + 1], body)
+    return body
+
+
 def _random_closed(rng: random.Random, depth: int = 3):
-    return Exists(
-        "x",
-        Forall("y", Exists("S", Forall("T", _random_body(rng, depth)))),
-    )
+    return _closed(_random_body(rng, depth), "ExFyESFT")
 
 
 def test_pretty_round_trips_named_formulas():
@@ -344,6 +363,10 @@ def test_quantifier_duality_on_random_formulas():
             )
 
 
+# graphs whose vertex masks have 0, 1 and 2 bits: full is 0 on the empty graph
+TINY_GRAPHS = [Graph(0, ()), generate("path", 1), Graph.from_edges(2, []), generate("path", 2)]
+
+
 def test_evaluate_matches_reference_on_random_formulas():
     # the bodies rebind x, y, S and T inside the closed prefix, so this also
     # checks that a shadowing binding never overwrites one still in use
@@ -351,7 +374,50 @@ def test_evaluate_matches_reference_on_random_formulas():
     graphs = [random_graph(4, rng) for _ in range(5)]
     for i in range(300):
         f = _random_closed(rng)
-        g = graphs[i % len(graphs)]
+        for g in [graphs[i % len(graphs)], *TINY_GRAPHS]:
+            assert evaluate(g, f) == reference_evaluate(g, f), (g.n, pretty(f))
+
+
+MASK_CASES = [
+    # edge(x, x) is the empty mask, x = x the full one
+    ("exists x. edge(x, x)", False),
+    ("forall x. !edge(x, x)", True),
+    ("forall x. x = x", True),
+    ("exists x. !(x = x)", False),
+    # atoms that do not mention the masked y are all vertices or none
+    ("forall x. exists y. x = x & (edge(y, x) | !edge(x, x))", True),
+    ("forall x. exists y. !(x = x) | y = x", True),
+    ("exists X. forall y. Even(X) & !(y in X)", True),
+    ("forall X. exists y. !Even(X) | y in X", None),
+    ("exists x. forall y. edge(x, y) | x = y", None),
+    # a masked quantifier rebinds an outer name: inner x is a fresh slot
+    ("forall x. exists y. (exists x. edge(x, y) & !(x = y)) | x = y", None),
+    ("forall x. forall y. x = y | ((exists x. x = y) & !(forall x. !(x = y)))", True),
+    ("forall x. exists x. x = x", True),
+    # a set quantifier inside a vertex quantifier, shaped like even_degrees
+    ("exists x. forall X. !(x in X) | Even(X) | (exists y. y in X & edge(x, y))", None),
+]
+
+
+@pytest.mark.parametrize("source, expected", MASK_CASES)
+def test_mask_rules_match_reference(source, expected):
+    f = parse_formula(source)
+    rng = random.Random(13)
+    graphs = TINY_GRAPHS + [generate("path", 3), generate("cycle", 4), generate("complete", 3)]
+    graphs += [random_graph(n, rng) for n in (5, 6, 7)]
+    for g in graphs:
+        got = evaluate(g, f)
+        assert got == reference_evaluate(g, f), g
+        if expected is not None and g.n > 0:
+            assert got == expected, g
+
+
+def test_masked_bodies_match_reference_on_wider_graphs():
+    # quantifier-free bodies under a masked forall y, with masks of 7-8 bits
+    rng = random.Random(14)
+    for i in range(100):
+        g = random_graph(7 + i % 2, rng)
+        f = _closed(_random_body(rng, 3, quantifiers=False), "ESFTExFy")
         assert evaluate(g, f) == reference_evaluate(g, f), pretty(f)
 
 
@@ -361,6 +427,39 @@ def test_shadowing_inner_binding_wins():
         "forall x. forall y. !(x = y) | ((exists x. !(x = y)) & x = y)"
     )
     assert evaluate(generate("path", 3), f)
+
+
+# the two user formulas of the benchmark's logic workload
+EVEN_DEGREES = (
+    "forall x. exists X. Even(X) & (forall y. (y in X & edge(x, y))"
+    " | (!(y in X) & !edge(x, y)))"
+)
+PERFECT_CODE = (
+    "exists X. forall x. (exists y. y in X & (y = x | edge(x, y)))"
+    " & (forall y. forall z. !(y in X & z in X & (y = x | edge(x, y))"
+    " & (z = x | edge(x, z))) | y = z)"
+)
+
+
+def even_degrees_oracle(g: Graph) -> bool:
+    return all(len(neighbors(g, v)) % 2 == 0 for v in range(g.n))
+
+
+def perfect_code_oracle(g: Graph) -> bool:
+    balls = [neighbors(g, v) | {v} for v in range(g.n)]
+    return any(
+        all(len(ball.intersection(code)) == 1 for ball in balls)
+        for k in range(g.n + 1)
+        for code in itertools.combinations(range(g.n), k)
+    )
+
+
+def test_workload_user_formulas_match_oracles_exhaustively():
+    even_degrees, perfect_code = parse_formula(EVEN_DEGREES), parse_formula(PERFECT_CODE)
+    for n in range(6):
+        for g in all_graphs(n):
+            assert evaluate(g, even_degrees) == even_degrees_oracle(g), g
+            assert evaluate(g, perfect_code) == perfect_code_oracle(g), g
 
 
 def test_theory_member_and_witness():
@@ -387,14 +486,19 @@ def test_cost_refusal():
         evaluate(generate("path", 3), named_formula("path2"), max_cost=10)
 
 
-# worst-case costs on path:n for n = 0, 1, 3, 10: a vertex quantifier
-# charges max(n, 1) times its body, a set quantifier 2^n times, a
-# connective its operands, and every node 1
+# worst-case costs on path:n for n = 0, 1, 3, 10: every node charges 1, a
+# connective adds its operands, a vertex quantifier whose body has no
+# quantifier adds its body once (one mask), any other vertex quantifier
+# max(n, 1) = m times its body and a set quantifier 2^n = N times. By hand:
+#   connected      1 + N * (8 + 7m)   (masks: exists x 2, forall y 7, forall z 2)
+#   even_order     1 + 4N             (mask: forall y 2)
+#   path2          1 + m * (1 + 4m)   (mask: exists z 4)
+#   two_colorable  1 + N * (1 + N * (6 + 12m))   (masks: forall z 4, forall w 12)
 NAMED_COSTS = {
-    "connected": (16, 31, 553, 651265),
-    "even_order": (5, 9, 49, 13313),
-    "path2": (6, 6, 94, 3111),
-    "two_colorable": (20, 75, 7305, 1198523393),
+    "connected": (16, 31, 233, 79873),
+    "even_order": (5, 9, 33, 4097),
+    "path2": (6, 6, 40, 411),
+    "two_colorable": (20, 75, 2697, 132121601),
 }
 
 
