@@ -43,7 +43,6 @@ from .logic import (
     theory_member_witness,
 )
 from .rankwidth import (
-    DEFAULT_EXACT_CAP,
     RankDecomposition,
     SubcubicTree,
     count_subcubic_trees,
@@ -95,7 +94,6 @@ __all__ = [
     "cut_rank",
     "cut_rank_masks",
     # rank-width
-    "DEFAULT_EXACT_CAP",
     "SubcubicTree",
     "RankDecomposition",
     "count_subcubic_trees",

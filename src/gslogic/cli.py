@@ -22,7 +22,6 @@ from .gf2 import cut_rank
 from .graphs import GENERATOR_KINDS, Graph, generate, parse_edge_list, serialize
 from .logic import evaluate, named_formula, parse_formula, pretty
 from .rankwidth import (
-    DEFAULT_EXACT_CAP,
     EXACT_VERTEX_LIMIT,
     count_subcubic_trees,
     enumerate_subcubic_trees,
@@ -94,7 +93,7 @@ def _cmd_rankwidth(args) -> int:
         decomp = greedy_decomposition(g)
         width, method = decomp.width, "greedy"
     else:
-        width, decomp = exact_rankwidth(g, cap=args.exact_cap)
+        width, decomp = exact_rankwidth(g)
         method = "exact"
     decomp_dict = None if decomp is None else decomp.tree.to_json_dict()
     if args.format == "json":
@@ -232,19 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_gen)
 
-    # no abbreviations, so a stray --exact is refused, not read as --exact-cap
-    p = sub.add_parser("rankwidth", parents=[common], allow_abbrev=False,
+    p = sub.add_parser("rankwidth", parents=[common],
                        help="rank-width of a graph with a decomposition tree")
     p.add_argument("graph", help="graph source")
     p.add_argument("--greedy", action="store_true",
                    help="fast upper bound from a greedy vertex order instead "
-                        "of the exact subset DP with an optimal tree")
-    p.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP,
-                   dest="exact_cap", metavar="N",
-                   help="largest vertex count the exact rank-width search "
-                        f"accepts (default: {DEFAULT_EXACT_CAP}; a graph "
-                        f"with an edge is refused above {EXACT_VERTEX_LIMIT} "
-                        "whatever N)")
+                        "of the exact subset DP with an optimal tree, which "
+                        f"refuses a graph with an edge above {EXACT_VERTEX_LIMIT} "
+                        "vertices")
     p.set_defaults(func=_cmd_rankwidth)
 
     p = sub.add_parser("cutrank", parents=[common],

@@ -77,8 +77,8 @@ DEFAULT_COST_LIMIT = 2**30
 # Deepest formula the parser accepts: the AST nodes on a root-to-atom path,
 # atom included, plus the parentheses around them (a chain of k operands
 # counts k). Every stage then stays well inside the default recursion limit.
-# The compile and print walks refuse a hand-built AST with more nodes than
-# this on a root-to-atom path; no parsed formula has that many.
+# Building an AST node with more nodes than this on a root-to-atom path
+# raises ValueError; no parsed formula has that many.
 MAX_NESTING = 100
 
 _KEYWORDS = {"exists", "forall", "in", "edge", "Even"}
@@ -91,7 +91,22 @@ def is_set_name(name: str) -> bool:
 
 
 class Formula:
-    """Base class of AST nodes; subclasses are frozen dataclasses."""
+    """Base class of AST nodes; subclasses are frozen dataclasses.
+
+    Building a node sets ``height``, the number of nodes on its longest
+    path down to an atom, atom included, and raises ValueError when that
+    passes ``MAX_NESTING``; so every walk of an AST, the generated
+    ``repr`` and ``hash`` included, stays within the recursion limit.
+    """
+
+    height: int
+
+    def __post_init__(self) -> None:
+        children = (c for c in vars(self).values() if isinstance(c, Formula))
+        height = 1 + max((c.height for c in children), default=0)
+        if height > MAX_NESTING:
+            raise ValueError(f"formula nests deeper than {MAX_NESTING} levels")
+        object.__setattr__(self, "height", height)
 
     def __str__(self) -> str:
         return pretty(self)
@@ -259,8 +274,9 @@ class _Parser:
                 return left, height
             self._next()
             right, right_height = self._and()
-            left, height = Or(left, right), 1 + max(height, right_height)
+            height = 1 + max(height, right_height)
             self._check_nesting(tok, self.depth + height)
+            left = Or(left, right)
 
     def _and(self) -> tuple[Formula, int]:
         left, height = self._not()
@@ -270,8 +286,9 @@ class _Parser:
                 return left, height
             self._next()
             right, right_height = self._not()
-            left, height = And(left, right), 1 + max(height, right_height)
+            height = 1 + max(height, right_height)
             self._check_nesting(tok, self.depth + height)
+            left = And(left, right)
 
     def _not(self) -> tuple[Formula, int]:
         tok = self._peek()
@@ -332,26 +349,19 @@ def parse_formula(text: str) -> Formula:
 _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = 1, 2, 3, 4
 
 
-def _check_depth(depth: int) -> None:
-    if depth > MAX_NESTING:
-        raise ValueError(f"formula nests deeper than {MAX_NESTING} levels")
-
-
-def _pp(f: Formula, min_level: int, depth: int) -> str:
-    _check_depth(depth)
-    depth += 1
+def _pp(f: Formula, min_level: int) -> str:
     if isinstance(f, (Exists, Forall)):
         kw = "exists" if isinstance(f, Exists) else "forall"
-        s = f"{kw} {f.var}. {_pp(f.body, 0, depth)}"
+        s = f"{kw} {f.var}. {_pp(f.body, 0)}"
         level = 0
     elif isinstance(f, Or):
-        s = f"{_pp(f.left, _LEVEL_OR, depth)} | {_pp(f.right, _LEVEL_AND, depth)}"
+        s = f"{_pp(f.left, _LEVEL_OR)} | {_pp(f.right, _LEVEL_AND)}"
         level = _LEVEL_OR
     elif isinstance(f, And):
-        s = f"{_pp(f.left, _LEVEL_AND, depth)} & {_pp(f.right, _LEVEL_NOT, depth)}"
+        s = f"{_pp(f.left, _LEVEL_AND)} & {_pp(f.right, _LEVEL_NOT)}"
         level = _LEVEL_AND
     elif isinstance(f, Not):
-        s = f"!{_pp(f.body, _LEVEL_NOT, depth)}"
+        s = f"!{_pp(f.body, _LEVEL_NOT)}"
         level = _LEVEL_NOT
     elif isinstance(f, Edge):
         s, level = f"edge({f.x}, {f.y})", _LEVEL_ATOM
@@ -368,7 +378,7 @@ def _pp(f: Formula, min_level: int, depth: int) -> str:
 
 def pretty(f: Formula) -> str:
     """Surface syntax that reparses to the identical AST."""
-    return _pp(f, 0, 1)
+    return _pp(f, 0)
 
 
 def free_variables(f: Formula) -> tuple[set[str], set[str]]:
@@ -401,7 +411,6 @@ def _compile(
     adj: tuple[int, ...],
     n: int,
     v: int = -1,
-    depth: int = 1,
 ) -> tuple[Callable[[list[int]], bool], Callable[[list[int]], int] | None, int, int]:
     """Compile f on the graph (adj, n) into ``(run, mask, cost, size)``.
 
@@ -420,10 +429,8 @@ def _compile(
     The cost charges each node its worst-case work: a quantifier that loops
     runs its body once per vertex (at least once) or once per vertex set, a
     masked one runs its body's mask once. The size is the highest slot used
-    plus one. An AST deeper than ``MAX_NESTING`` raises ValueError.
+    plus one.
     """
-    _check_depth(depth)
-    depth += 1
     full = (1 << n) - 1
     if isinstance(f, (Exists, Forall)):
         is_set = is_set_name(f.var)
@@ -431,7 +438,7 @@ def _compile(
         # name has been rebound, and would hand out a slot still in use
         slot = max(slots.values(), default=-1) + 1
         body, body_mask, body_cost, size = _compile(
-            f.body, {**slots, f.var: slot}, free, adj, n, -1 if is_set else slot, depth
+            f.body, {**slots, f.var: slot}, free, adj, n, -1 if is_set else slot
         )
         size = max(size, slot + 1)
         if body_mask is not None:
@@ -459,13 +466,13 @@ def _compile(
             return True
         return forall, None, cost, size
     if isinstance(f, Not):
-        inner, inner_mask, cost, size = _compile(f.body, slots, free, adj, n, v, depth)
+        inner, inner_mask, cost, size = _compile(f.body, slots, free, adj, n, v)
         mask = None if inner_mask is None else (lambda env: full ^ inner_mask(env))
         return (lambda env: not inner(env)), mask, 1 + cost, size
     if isinstance(f, (And, Or)):
-        left, left_mask, left_cost, left_size = _compile(f.left, slots, free, adj, n, v, depth)
+        left, left_mask, left_cost, left_size = _compile(f.left, slots, free, adj, n, v)
         right, right_mask, right_cost, right_size = _compile(
-            f.right, slots, free, adj, n, v, depth
+            f.right, slots, free, adj, n, v
         )
         cost, size = 1 + left_cost + right_cost, max(left_size, right_size)
         mask = None
@@ -525,9 +532,9 @@ def _constant_mask(
 def evaluate(g: Graph, f: Formula, max_cost: int = DEFAULT_COST_LIMIT) -> bool:
     """Truth of a closed formula on a graph by exhaustive enumeration.
 
-    Raises ValueError for open formulas, for a name whose case does not fit
-    its place in an atom and for an AST nested deeper than ``MAX_NESTING``,
-    and SizeLimitError when the worst-case cost exceeds ``max_cost``.
+    Raises ValueError for open formulas and for a name whose case does not
+    fit its place in an atom, and SizeLimitError when the worst-case cost
+    exceeds ``max_cost``.
     """
     free: set[str] = set()
     run, _, cost, env_size = _compile(f, {}, free, g.adj, g.n)

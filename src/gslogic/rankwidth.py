@@ -30,7 +30,6 @@ from .graphs import Graph
 __all__ = [
     "SubcubicTree",
     "RankDecomposition",
-    "DEFAULT_EXACT_CAP",
     "tree_from_choices",
     "enumerate_subcubic_trees",
     "count_subcubic_trees",
@@ -40,29 +39,21 @@ __all__ = [
     "greedy_decomposition",
 ]
 
-DEFAULT_EXACT_CAP = 12
-
-# Hard limit of the exact search, whatever the cap: its DP table takes
-# 2^(n-1) bytes, 512 KiB at this limit.
+# Largest graph with an edge that the exact search accepts: its DP table
+# takes 2^(n-1) bytes, 512 KiB at this limit.
 EXACT_VERTEX_LIMIT = 20
-
-
-def _identity_labels(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
 
 
 @dataclass(frozen=True)
 class SubcubicTree:
     """Tree with all degrees 1 or 3 and leaves labeled by graph vertices.
 
-    ``n`` is the leaf count; tree vertices are 0..2n-3 with leaves 0..n-1.
-    ``labels[leaf]`` is the graph vertex carried by that leaf (identity for
-    every tree this package constructs).
+    ``n`` is the leaf count; tree vertices are 0..2n-3 with leaves 0..n-1,
+    and leaf v carries graph vertex v.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    labels: tuple[int, ...] = field(default=())
     # set by __post_init__: the parent of each tree vertex, rooted at 0, and
     # the child-side leaf mask of each edge, keyed by (min, max) endpoint
     _parent: list[int] = field(init=False, repr=False, compare=False)
@@ -71,10 +62,6 @@ class SubcubicTree:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"subcubic tree needs at least 2 leaves, got {self.n}")
-        if not self.labels:
-            object.__setattr__(self, "labels", _identity_labels(self.n))
-        if sorted(self.labels) != list(range(self.n)):
-            raise ValueError("leaf labels are not a bijection onto 0..n-1")
         v_count = 2 * self.n - 2
         if len(self.edges) != v_count - 1:
             raise ValueError(f"expected {v_count - 1} edges, got {len(self.edges)}")
@@ -109,7 +96,7 @@ class SubcubicTree:
         below = [0] * v_count
         for u in reversed(order):
             if u < self.n:
-                below[u] |= 1 << self.labels[u]
+                below[u] |= 1 << u
             below[parent[u]] |= below[u]
         masks = {}
         for u, v in self.edges:
@@ -118,7 +105,7 @@ class SubcubicTree:
         object.__setattr__(self, "_masks", masks)
 
     def leaf_masks(self) -> list[int]:
-        """For each edge, the labels on one side of its cut, as a bitmask.
+        """For each edge, the leaves on one side of its cut, as a bitmask.
 
         Side convention: the component not containing tree vertex 0. The
         masks are read from the traversal made when the tree was built.
@@ -129,19 +116,27 @@ class SubcubicTree:
         return {
             "n": self.n,
             "edges": [list(e) for e in self.edges],
-            "leaf_labels": {str(leaf): label for leaf, label in enumerate(self.labels)},
+            "leaf_labels": {str(leaf): leaf for leaf in range(self.n)},
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SubcubicTree":
+        """The tree of a JSON document; ``leaf_labels`` maps each leaf to a
+        graph vertex, and leaf i becomes leaf ``leaf_labels[i]``."""
         n = data["n"]
-        edges = tuple((u, v) for u, v in data["edges"])
-        labels = [0] * n
-        for key, label in data["leaf_labels"].items():
+        leaf_labels = data["leaf_labels"]
+        labels = [-1] * n
+        for key, label in leaf_labels.items():
             if not (str(key).isdecimal() and int(key) < n):
                 raise ValueError(f"leaf key {key!r} is not a leaf in 0..{n - 1}")
             labels[int(key)] = label
-        return cls(n, edges, tuple(labels))
+        if len(leaf_labels) != n or set(labels) != set(range(n)):
+            raise ValueError("leaf labels are not a bijection onto 0..n-1")
+
+        def vertex(u: int) -> int:
+            return labels[u] if 0 <= u < n else u
+
+        return cls(n, tuple((vertex(u), vertex(v)) for u, v in data["edges"]))
 
 
 @dataclass(frozen=True)
@@ -218,7 +213,7 @@ def count_subcubic_trees(n: int) -> int:
 
 
 def tree_edge_bipartition(tree: SubcubicTree, edge: tuple[int, int]) -> tuple[set[int], set[int]]:
-    """Leaf labels of the two components of the tree with ``edge`` deleted.
+    """Leaves of the two components of the tree with ``edge`` deleted.
 
     The first set is the side containing the smaller endpoint of the edge.
     Both are read from the traversal made when the tree was built.
@@ -245,10 +240,7 @@ def decomposition_width(g: Graph, tree: SubcubicTree) -> int:
     return width
 
 
-def exact_rankwidth(
-    g: Graph,
-    cap: int = DEFAULT_EXACT_CAP,
-) -> tuple[int, RankDecomposition | None]:
+def exact_rankwidth(g: Graph) -> tuple[int, RankDecomposition | None]:
     """Exact rank-width with a witnessing decomposition.
 
     The width comes from the subset DP and the witness is the optimal tree
@@ -258,24 +250,18 @@ def exact_rankwidth(
     has width 0, witnessed by the tree of all-zero insertion choices, at
     any size.
 
-    Raises SizeLimitError when ``g.n`` exceeds ``cap``, and for a graph
-    with an edge when ``g.n`` exceeds EXACT_VERTEX_LIMIT, whatever the cap
-    (its table grows as 2^n); use :func:`greedy_decomposition` for an
-    upper bound instead.
+    Raises SizeLimitError for a graph with an edge and more than
+    EXACT_VERTEX_LIMIT vertices, since the DP table grows as 2^n; use
+    :func:`greedy_decomposition` for an upper bound instead.
     """
-    if g.n > cap:
-        raise SizeLimitError(
-            f"exact rank-width search limited to {cap} vertices, got {g.n}; "
-            f"raise the cap or use greedy_decomposition"
-        )
     if g.n < 2:
         return 0, None
     if not any(g.adj):
         width, tree = 0, tree_from_choices(g.n, (0,) * (g.n - 2))
     elif g.n > EXACT_VERTEX_LIMIT:
         raise SizeLimitError(
-            f"exact rank-width is limited to {EXACT_VERTEX_LIMIT} vertices "
-            f"whatever the cap: its DP table for {g.n} vertices would have "
+            f"exact rank-width is limited to {EXACT_VERTEX_LIMIT} vertices: "
+            f"its DP table for {g.n} vertices would have "
             f"2^{g.n - 1} = {1 << (g.n - 1):,} entries; use greedy_decomposition"
         )
     else:

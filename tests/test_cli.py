@@ -83,20 +83,29 @@ def test_rankwidth_text_mentions_width():
     assert "width: 1" in res.stdout
 
 
-def test_rankwidth_refuses_large_graph():
+def test_rankwidth_refuses_large_graph(capsys):
     res = run_cli("rankwidth", "grid:5")
     assert res.returncode == 3
-    assert "error:" in res.stderr
+    assert res.stderr.startswith("error:") and "DP table for 25 vertices" in res.stderr
+    assert gslogic.cli.main(["rankwidth", "path:21", "--format", "json"]) == 3
+    assert "DP table for 21 vertices" in capsys.readouterr().err
 
 
-def test_rankwidth_cap_flag():
-    res = run_cli("rankwidth", "path:6", "--exact-cap", "5")
-    assert res.returncode == 3
-    res2 = run_cli("rankwidth", "path:5", "--exact-cap", "5", "--format", "json")
-    assert res2.returncode == 0
-    res3 = run_cli("rankwidth", "path:30", "--exact-cap", "30")
-    assert res3.returncode == 3
-    assert "DP table" in res3.stderr
+def test_rankwidth_answers_up_to_twenty_vertices(capsys):
+    assert gslogic.cli.main(["rankwidth", "cycle:13", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["width"] == 2 and payload["method"] == "exact"
+    assert payload["decomposition"]["n"] == 13
+
+
+def test_rankwidth_cap_flag(capsys):
+    # the exact search has one size limit and no flag to move it
+    for argv in (["gen", "path", "3"], ["rankwidth", "path:3"],
+                 ["cutrank", "path:3", "--side", "0"], ["check", "--named", "path2", "path:3"],
+                 ["simulate", "path:3", "--pattern", "0:Z"], ["trees-count", "5"]):
+        for flag in (["--exact-cap", "12"], ["--exact-cap=30"]):
+            assert gslogic.cli.main(argv + flag) == 2, argv + flag
+            assert "unrecognized arguments: --exact-cap" in capsys.readouterr().err
 
 
 def test_rankwidth_greedy_on_long_path():
@@ -266,9 +275,9 @@ def test_simulate_bad_patterns():
 
 def test_options_only_on_the_subcommands_that_read_them():
     assert gslogic.cli.main(["rankwidth", "path:3", "--seed", "3"]) == 2
-    assert gslogic.cli.main(["check", "--named", "path2", "path:3", "--exact-cap", "0"]) == 2
+    assert gslogic.cli.main(["check", "--named", "path2", "path:3", "--greedy"]) == 2
     assert gslogic.cli.main(["simulate", "path:3", "--pattern", "0:Z", "--seed", "3"]) == 0
-    assert gslogic.cli.main(["rankwidth", "path:3", "--exact-cap", "3"]) == 0
+    assert gslogic.cli.main(["rankwidth", "path:3", "--greedy"]) == 0
 
 
 def test_non_ascii_digits_are_bad_entries(capsys):

@@ -161,15 +161,36 @@ def test_formula_at_the_nesting_bound():
 
 
 def test_deep_hand_built_formula_is_refused():
-    # the parser bounds nesting; a hand-built AST is bounded by the walks
+    # the parser bounds nesting; a hand-built AST is bounded when it is built
     chain = Eq("x", "x")
-    for _ in range(1999):
+    for _ in range(MAX_NESTING - 2):
         chain = And(chain, Eq("x", "x"))
     f = Exists("x", chain)
-    for walk in (lambda: evaluate(generate("path", 2), f), lambda: free_variables(f),
-                 lambda: pretty(f)):
+    assert f.height == MAX_NESTING
+    assert evaluate(generate("path", 2), f) is True
+    for build in (lambda: Exists("x", f), lambda: Not(f), lambda: And(f, Eq("x", "x")),
+                  lambda: Or(Eq("x", "x"), f)):
         with pytest.raises(ValueError, match=f"deeper than {MAX_NESTING} levels"):
-            walk()
+            build()
+    with pytest.raises(ValueError, match=f"deeper than {MAX_NESTING} levels"):
+        for _ in range(2000):
+            chain = And(chain, Eq("x", "x"))
+
+
+def test_parsed_formula_at_the_height_bound_prints_hashes_and_evaluates():
+    # a quantifier over a chain of MAX_NESTING - 1 operands: MAX_NESTING
+    # nodes on its deepest path and no parentheses
+    text = "exists x. " + " & ".join(["x = x"] * (MAX_NESTING - 1))
+    f = parse_formula(text)
+    assert f.height == MAX_NESTING
+    assert pretty(f) == text
+    assert parse_formula(pretty(f)) == f
+    assert hash(f) == hash(parse_formula(text))
+    assert repr(f).startswith("Exists(var='x', body=And(left=And(")
+    assert repr(f).count("Eq(x='x', y='x')") == MAX_NESTING - 1
+    assert evaluate(generate("path", 2), f) is True
+    with pytest.raises(FormulaParseError, match="nests deeper"):
+        parse_formula(text + " & x = x")
 
 
 def test_positions_are_offsets():

@@ -118,8 +118,11 @@ def test_tree_validation_rejects_bad_shapes():
         SubcubicTree(3, ((0, 3), (3, 0), (2, 3)))
     with pytest.raises(ValueError, match="bad tree edge"):
         SubcubicTree(3, ((0, 0), (1, 3), (2, 3)))
-    with pytest.raises(ValueError, match="labels"):
-        SubcubicTree(3, ((0, 3), (1, 3), (2, 3)), labels=(0, 0, 2))
+    star = {"n": 3, "edges": [[0, 3], [1, 3], [2, 3]]}
+    for leaf_labels in ({"0": 0, "1": 0, "2": 2}, {"0": 0, "1": 1},
+                        {"0": 0, "1": 1, "2": 2, "00": 1}, {"0": 0, "1": 1, "2": "2"}):
+        with pytest.raises(ValueError, match="bijection"):
+            SubcubicTree.from_json_dict(dict(star, leaf_labels=leaf_labels))
 
 
 def test_tree_validation_rejects_disconnected():
@@ -152,8 +155,8 @@ def test_bipartition_matches_leaf_masks():
 
 
 def _leaves_reached(tree, start, cut):
-    """Labels of the leaves a BFS from ``start`` reaches without crossing
-    the tree edge ``cut``; independent of the tree's stored traversal."""
+    """The leaves a BFS from ``start`` reaches without crossing the tree
+    edge ``cut``; independent of the tree's stored traversal."""
     adj = {}
     for u, v in tree.edges:
         adj.setdefault(u, []).append(v)
@@ -165,20 +168,27 @@ def _leaves_reached(tree, start, cut):
             if {u, w} != set(cut) and w not in seen:
                 seen.add(w)
                 frontier.append(w)
-    return {tree.labels[v] for v in seen if v < tree.n}
+    return {v for v in seen if v < tree.n}
 
 
 def test_bipartition_first_side_holds_smaller_endpoint():
     for n in range(2, 7):
         for plain in enumerate_subcubic_trees(n):
-            reversed_labels = SubcubicTree(n, plain.edges, tuple(reversed(range(n))))
-            for tree in (plain, reversed_labels):
+            flip = {str(leaf): n - 1 - leaf for leaf in range(n)}
+            flipped = SubcubicTree.from_json_dict(
+                {"n": n, "edges": plain.edges, "leaf_labels": flip})
+            for tree in (plain, flipped):
                 for u, v in tree.edges:
                     want = _leaves_reached(tree, min(u, v), (u, v))
                     for edge in ((u, v), (v, u)):
                         first, second = tree_edge_bipartition(tree, edge)
                         assert first == want
                         assert second == set(range(n)) - want
+            # leaf i of the document is leaf n - 1 - i of the flipped tree
+            for edge, flipped_edge in zip(plain.edges, flipped.edges):
+                sides = {frozenset(n - 1 - v for v in side)
+                         for side in tree_edge_bipartition(plain, edge)}
+                assert sides == set(map(frozenset, tree_edge_bipartition(flipped, flipped_edge)))
 
 
 def test_decomposition_json_round_trip():
@@ -272,15 +282,66 @@ def test_width_and_witness_on_all_small_graphs():
             assert decomposition_width(g, decomp.tree) == width
 
 
-def test_grid4_exact_width_with_raised_cap():
-    g = generate("grid", 4)
-    width, decomp = exact_rankwidth(g, cap=16)
-    assert width == 3
-    assert decomposition_width(g, decomp.tree) == 3
+@pytest.mark.parametrize("spec, width", [
+    ("cycle:13", 2),
+    # distance-hereditary, 15 vertices
+    ("binary_tree:3", 1),
+    # rank-width k - 1 on the k x k grid (Jelinek 2010)
+    ("grid:4", 3),
+])
+def test_exact_closed_forms_past_twelve_vertices(spec, width):
+    kind, size = spec.split(":")
+    g = generate(kind, int(size))
+    got, decomp = exact_rankwidth(g)
+    assert got == width
+    assert decomposition_width(g, decomp.tree) == width
+
+
+def _add_vertex(g, kind, u):
+    """G plus a vertex v = g.n that is a pendant at u, a true twin of u or
+    a false twin of u."""
+    v = g.n
+    if kind == "pendant":
+        new = [(u, v)]
+    else:
+        new = [(w, v) for w in range(g.n) if g.has_edge(u, w)]
+        if kind == "true_twin":
+            new.append((u, v))
+    return Graph.from_edges(v + 1, g.edges() + new)
+
+
+@pytest.mark.parametrize("kind", ["pendant", "true_twin", "false_twin"])
+def test_pendants_and_twins_keep_the_width(kind):
+    # rw(G + v) = max(rw(G), 1) when G has an edge: in a tree for G, a
+    # cherry (u, v) in place of leaf u keeps every cut's rank, and the new
+    # cuts have rank at most 1
+    rng = random.Random(kind)
+    for n in (9, 11):
+        g = random_graph(n, rng, p=rng.uniform(0.2, 0.8))
+        assert g.edge_count > 0
+        want = max(exact_rankwidth(g)[0], 1)
+        while g.n < 14:
+            g = _add_vertex(g, kind, rng.randrange(g.n))
+            width, decomp = exact_rankwidth(g)
+            assert width == want, (kind, n, g.n)
+            assert decomposition_width(g, decomp.tree) == width
+
+
+def test_disjoint_union_has_the_larger_width():
+    # a tree for each part joined by one new edge: the joint cuts have rank 0
+    rng = random.Random(12)
+    for n1, n2 in ((1, 13), (2, 12), (5, 9), (7, 7), (8, 8)):
+        g1 = random_graph(n1, rng, p=rng.uniform(0.2, 0.8))
+        g2 = random_graph(n2, rng, p=rng.uniform(0.2, 0.8))
+        union = Graph.from_edges(
+            n1 + n2, g1.edges() + [(u + n1, v + n1) for u, v in g2.edges()])
+        width, decomp = exact_rankwidth(union)
+        assert width == max(exact_rankwidth(g1)[0], exact_rankwidth(g2)[0]), (n1, n2)
+        assert decomposition_width(union, decomp.tree) == width
 
 
 def test_edgeless_graph_has_width_zero_at_any_size():
-    width, decomp = exact_rankwidth(Graph.from_edges(65, []), cap=65)
+    width, decomp = exact_rankwidth(Graph.from_edges(65, []))
     assert width == 0 and decomp.width == 0
     assert decomp.tree == tree_from_choices(65, [0] * 63)
 
@@ -298,16 +359,13 @@ def test_rankwidth_invariant_under_relabeling():
         assert exact_rankwidth(relabel(g, perm))[0] == exact_rankwidth(g)[0]
 
 
-def test_exact_refuses_above_cap():
-    with pytest.raises(SizeLimitError, match="12"):
-        exact_rankwidth(generate("grid", 4))
-    with pytest.raises(SizeLimitError, match="5"):
-        exact_rankwidth(generate("path", 6), cap=5)
-
-
-def test_exact_refuses_above_dp_limit_whatever_the_cap():
+def test_exact_refuses_above_dp_limit():
+    with pytest.raises(SizeLimitError, match="2\\^20 = 1,048,576 entries"):
+        exact_rankwidth(generate("path", 21))
+    with pytest.raises(SizeLimitError, match="DP table for 25 vertices"):
+        exact_rankwidth(generate("grid", 5))
     with pytest.raises(SizeLimitError, match="2\\^29 = 536,870,912 entries"):
-        exact_rankwidth(generate("path", 30), cap=30)
+        exact_rankwidth(generate("path", 30))
 
 
 def test_greedy_is_valid_upper_bound():
