@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .errors import SizeLimitError
+from .fragment import decide, recognize
 from .gf2 import cut_rank
 from .graphs import GENERATOR_KINDS, Graph, generate, parse_edge_list, serialize
 from .logic import evaluate, named_formula, parse_formula, pretty
@@ -153,7 +154,14 @@ def _cmd_check(args) -> int:
         sources = args.args[1:]
         shown = pretty(formula)
     graphs = [(src, load_graph(src)) for src in sources]
-    verdicts = [evaluate(g, formula) for _, g in graphs]
+    # the formula's shape alone picks the method
+    fragment = recognize(formula)
+    if fragment is None:
+        method = "exhaustive"
+        verdicts = [evaluate(g, formula) for _, g in graphs]
+    else:
+        method = "decomposition"
+        verdicts = [decide(g, fragment) for _, g in graphs]
     holds = all(verdicts)
     witness = verdicts.index(False) if not holds else None
     if args.format == "json":
@@ -161,12 +169,13 @@ def _cmd_check(args) -> int:
                     "named": args.named,
                     "graphs": [src for src, _ in graphs],
                     "verdicts": verdicts,
+                    "methods": [method] * len(graphs),
                     "holds": holds,
                     "witness_index": witness})
     else:
         print(f"formula: {shown}")
         for i, ((src, g), verdict) in enumerate(zip(graphs, verdicts)):
-            print(f"graph[{i}] {src} (n={g.n}): {'true' if verdict else 'false'}")
+            print(f"graph[{i}] {src} (n={g.n}): {'true' if verdict else 'false'} ({method})")
         if holds:
             print("family: true")
         else:
@@ -250,7 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cutrank)
 
     p = sub.add_parser("check", parents=[common],
-                       help="evaluate a counting-logic formula on graphs")
+                       help="evaluate a counting-logic formula on graphs",
+                       description="Decide a C2MS formula on each graph. A "
+                                   "formula of the form [!] exists X1..Xk. psi, "
+                                   "psi a Boolean combination of Even(Xi), "
+                                   "one-vertex and two-vertex quantifier pieces "
+                                   "(see the README), is decided by a DP along "
+                                   "the vertex order (method \"decomposition\"; "
+                                   "exit 3 past its state limit); any other by "
+                                   "exhaustive enumeration (method "
+                                   "\"exhaustive\"; exit 3 past its cost limit).")
     p.add_argument("--named", default=None, metavar="NAME",
                    help="use a library formula instead of a formula argument")
     p.add_argument("args", nargs="+", metavar="ARG",

@@ -24,6 +24,12 @@ vertex quantifier max(n, 1) times its body, a set quantifier 2^n times, a
 masked vertex quantifier its body once), and a formula whose total could
 exceed the limit (2^30 by default) is refused before any enumeration.
 
+``evaluate`` is always exhaustive. ``gslogic.fragment`` decides the
+formulas of the form [!] exists X1..Xk. psi, psi a Boolean combination of
+``Even`` atoms and one- and two-vertex quantifier pieces, by a dynamic
+program along the vertex order whose cost is set by its state count, not
+by 2^n; ``gslogic check`` uses it for every formula it recognizes.
+
 Surface grammar (ASCII, shell-friendly):
 
     formula := quant | or

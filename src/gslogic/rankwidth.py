@@ -19,6 +19,7 @@ vertices in creation order) and `enumerate_subcubic_trees` walks.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -203,12 +204,25 @@ def enumerate_subcubic_trees(n: int) -> Iterator[SubcubicTree]:
 
 
 def count_subcubic_trees(n: int) -> int:
-    """(2n-5)!! by the insertion recurrence; independent of the enumerator."""
+    """(2n-5)!! by the insertion recurrence; independent of the enumerator.
+
+    Raises SizeLimitError as soon as the product has more decimal digits
+    than ``sys.get_int_max_str_digits()`` lets an int be printed with, so
+    a refusal costs no more than the largest printable count.
+    """
     if n < 2:
         raise ValueError(f"subcubic trees need at least 2 leaves, got {n}")
+    # 0, or an interpreter older than the limit, means no limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_big = 10**digits if digits else None
     count = 1
     for k in range(3, n + 1):
         count *= 2 * k - 5
+        if too_big is not None and count >= too_big:
+            raise SizeLimitError(
+                f"the tree count for {n} leaves passes {digits} decimal digits "
+                f"at {k} leaves; sys.get_int_max_str_digits() allows no more"
+            )
     return count
 
 

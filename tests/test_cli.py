@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import gslogic.cli
 from gslogic import parse_edge_list
+from test_logic import EVEN_DEGREES
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run_cli(*args, stdin: str | None = None):
@@ -153,13 +158,18 @@ def test_check_named_single_graph():
     assert payload["witness_index"] == 0
 
 
-def test_check_cost_follows_the_masked_work():
+def test_check_cost_follows_the_masked_work(capsys):
     # masked vertex quantifiers put path:10 at cost 132,121,601, below 2^30
     res = run_cli("check", "--named", "two_colorable", "path:10", "--format", "json")
     assert res.returncode == 0
     assert json.loads(res.stdout)["verdicts"] == [True]
-    res = run_cli("check", "--named", "two_colorable", "complete:40")
-    assert res.returncode == 3
+    # the vertex-order DP answers a fragment formula past the cost limit
+    argv = ["check", "--named", "two_colorable", "complete:40", "--format", "json"]
+    assert gslogic.cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"] == [False]
+    # a formula outside the fragment is still refused by its worst-case cost
+    assert gslogic.cli.main(["check", EVEN_DEGREES, "complete:40"]) == 3
+    assert "evaluation cost" in capsys.readouterr().err
 
 
 def test_check_formula_on_edgeless_graph(tmp_path):
@@ -202,7 +212,11 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     def broken(graph, formula):
         raise KeyError("unbound variable")
 
+    # path2 is checked exhaustively, connected by the vertex-order DP
     monkeypatch.setattr(gslogic.cli, "evaluate", broken)
+    with pytest.raises(KeyError):
+        gslogic.cli.main(["check", "--named", "path2", "path:3"])
+    monkeypatch.setattr(gslogic.cli, "decide", broken)
     with pytest.raises(KeyError):
         gslogic.cli.main(["check", "--named", "connected", "path:3"])
 
@@ -302,6 +316,20 @@ def test_trees_count_enumerate_refusal():
     assert run_cli("trees-count", "12").returncode == 0
 
 
+def test_trees_count_refuses_a_count_too_long_to_print(capsys):
+    # (2n - 5)!! for n = 1000 has 2,861 digits, for n = 2000 more than the
+    # 4,300 that an int may be printed with by default
+    assert gslogic.cli.main(["trees-count", "1000", "--format", "json"]) == 0
+    count = 1
+    for k in range(3, 1001):
+        count *= 2 * k - 5
+    assert json.loads(capsys.readouterr().out)["count"] == count
+    for argv in (["2000"], ["2000", "--format", "json"], ["100000000"]):
+        assert gslogic.cli.main(["trees-count", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "decimal digits" in err
+
+
 def test_trees_count_needs_two_leaves():
     assert run_cli("trees-count", "1").returncode == 2
 
@@ -335,3 +363,27 @@ def test_generator_spec_sources(source, n):
     res = run_cli("cutrank", source, "--side", "0", "--format", "json")
     payload = json.loads(res.stdout)
     assert payload["n"] == n
+
+
+def test_bench_tracer_wraps_both_check_methods(capsys):
+    # bench/tracing.py patches functions by name on gslogic.cli; a rename
+    # there would break traced benchmark runs
+    spec = importlib.util.spec_from_file_location("tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = gslogic.cli.evaluate
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        for argv in (["check", "--named", "two_colorable", "cycle:6"],
+                     ["check", "--named", "path2", "path:3", "path:2"]):
+            assert gslogic.cli.main(argv + ["--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["holds"] is True
+    finally:
+        tracer.uninstall()
+    assert gslogic.cli.evaluate is original
+    assert tracer.calls["logic.evaluate"] == 2  # path2 only
+    assert tracer.calls["logic.parse"] == 2
+    assert tracer.calls["cli.load_graph"] == 3
+    assert tracer.calls["graphs.generate"] == 3
