@@ -11,7 +11,7 @@ Three interlocking toolkits around simple undirected graphs:
   GF(2) basis of the current cut, with no fresh cut-rank per candidate.
 - A parser and exhaustive model checker for monadic second-order logic
   extended with an even-cardinality set predicate, and, in ``fragment``,
-  a dynamic program along the vertex order that decides a fragment of it
+  a dynamic program along a breadth-first order that decides a fragment of it
   (two-colourability, connectivity, parity) without enumerating sets.
 - A stabilizer simulator for graph states under Pauli measurements, plus
   a dense state-vector oracle for cross-validation on small registers.

@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "psi a Boolean combination of Even(Xi), "
                                    "one-vertex and two-vertex quantifier pieces "
                                    "(see the README), is decided by a DP along "
-                                   "the vertex order (method \"decomposition\"; "
+                                   "a breadth-first order of the graph (method "
+                                   "\"decomposition\"; "
                                    "exit 3 past its state limit); any other by "
                                    "exhaustive enumeration (method "
                                    "\"exhaustive\"; exit 3 past its cost limit).")

@@ -1,4 +1,4 @@
-"""C2MS formulas decided by a dynamic program along the vertex order.
+"""C2MS formulas decided by a dynamic program along a breadth-first order.
 
 The fragment is f = [!] exists X1. ... exists Xk. psi, where a set
 quantifier ``forall X. phi`` is read as ``!exists X. !phi``, and psi is a
@@ -15,37 +15,43 @@ alpha or beta, for more set quantifiers than the 2^k labels of one vertex
 leave room for under ``MAX_STATES`` (k > 12), and for a formula with a
 name it cannot resolve (an open formula or a name of the wrong sort),
 which ``gslogic.logic.evaluate`` then refuses with its own ValueError.
+Alpha and beta are compiled by ``gslogic.logic``'s own compiler, run on a
+three-vertex graph that stands for x and the three ways y can sit next to
+x: x itself, a neighbour, a non-neighbour.
 
-``decide`` places the vertices 0, 1, ..., n-1 one at a time, each under a
-label: the bits of the sets X1..Xk it belongs to. Placed vertex a meets
-every later vertex only through its outside row ``adj[a] & future``, so
-the placed part is summed up by the set of (outside row, label) classes
-present in it, the cut classes of the vertex order seen as a caterpillar
-decomposition, plus one bit per piece: a counterexample bit for a forall
-piece, a witness bit for an exists piece, a parity bit for ``Even``.
-Placing v checks the pair pieces on (v, v) and, in both orders, on v and
-every stored class, whose row holds bit v exactly when the class is
-adjacent to v; then v leaves the rows and equal states merge. A state
-whose bit already falsifies a top-level conjunct of psi is dropped. The
-number of states per step, not 2^n, sets the cost, and passing
-``MAX_STATES`` raises SizeLimitError after that work.
+``decide`` places the vertices one at a time in a breadth-first order of
+the graph, each component from its lowest unplaced vertex, and each
+vertex under a label: the bits of the sets X1..Xk it belongs to. Placed
+vertex a meets every unplaced vertex only through its outside row
+``adj[a] & future``, so the placed part is summed up by the set of
+(outside row, label) classes present in it, the cut classes of the order
+seen as a caterpillar decomposition, plus one bit per piece: a
+counterexample bit for a forall piece, a witness bit for an exists piece,
+a parity bit for ``Even``. Placing v checks the pair pieces on (v, v) and,
+in both orders, on v and every stored class, whose row holds bit v exactly
+when the class is adjacent to v; then v leaves the rows and equal states
+merge. A state whose bit already falsifies a top-level conjunct of psi is
+dropped. The number of states per step, not 2^n, sets the cost, and
+passing ``MAX_STATES`` raises SizeLimitError after that work.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import SizeLimitError
 from .graphs import Graph
-from .logic import And, Edge, Eq, Even, Exists, Forall, Formula, In, Not, Or, is_set_name
+from .logic import And, Edge, Eq, Even, Exists, Forall, Formula, In, Not, Or, _compile, is_set_name
 
 __all__ = ["Fragment", "recognize", "decide", "MAX_STATES"]
 
-# Most states one step of ``decide`` may hold. The library formulas hold at
-# most 4 on the generated lattices, trees, cycles and paths in their own
-# vertex order; the test formula "some vertex set is independent" passes
-# 4096 on G(60, 1/2) after about 0.6 s.
+# Most states one step of ``decide`` may hold. In breadth-first order the
+# library formulas hold at most 3 on the generated lattices, trees, cycles
+# and paths, in their own numbering and in every shuffled one tried; the
+# test formula "some vertex set is independent" passes 4096 on G(60, 1/2)
+# after about 0.7 s.
 MAX_STATES = 1 << 12
 
 # A quantifier-free body over (label of x, label of y, edge(x, y), x = y).
@@ -125,12 +131,19 @@ def recognize(f: Formula) -> Fragment | None:
             specs.append(spec)
         return pieces[node]
 
-    def compile_psi(node: Formula) -> Callable[[int], bool] | None:
+    prune = 0
+
+    def compile_psi(node: Formula, neg: bool, top: bool) -> Callable[[int], bool] | None:
+        """psi's node under ``neg`` negations; ``top`` when it is a
+        conjunct of psi, where a piece false once its bit is set (a forall
+        piece, or an exists piece under a negation) prunes."""
+        nonlocal prune
         if isinstance(node, Not):
-            body = compile_psi(node.body)
+            body = compile_psi(node.body, not neg, top)
             return None if body is None else (lambda bits: not body(bits))
         if isinstance(node, (And, Or)):
-            left, right = compile_psi(node.left), compile_psi(node.right)
+            top = top and isinstance(node, And) != neg
+            left, right = compile_psi(node.left, neg, top), compile_psi(node.right, neg, top)
             if left is None or right is None:
                 return None
             if isinstance(node, And):
@@ -139,29 +152,16 @@ def recognize(f: Formula) -> Fragment | None:
         i = piece(node)
         if i is None:
             return None
-        flip = specs[i].flip
-        return lambda bits: bool((bits >> i) & 1) != flip
+        spec = specs[i]
+        if top and spec.parity < 0 and spec.flip != neg:
+            prune |= 1 << i
+        return lambda bits: bool((bits >> i) & 1) != spec.flip
 
     if inner:
         f = Not(f)
-    psi = compile_psi(f)
+    psi = compile_psi(f, False, True)
     if psi is None:
         return None
-
-    # a piece that is a top-level conjunct of psi and is false once its bit
-    # is set (a forall piece, or an exists piece under a negation)
-    prune = 0
-    stack = [(f, False)]
-    while stack:
-        node, neg = stack.pop()
-        if isinstance(node, Not):
-            stack.append((node.body, not neg))
-        elif isinstance(node, And) and not neg or isinstance(node, Or) and neg:
-            stack += [(node.left, neg), (node.right, neg)]
-        elif node in pieces:
-            spec = specs[pieces[node]]
-            if spec.parity < 0 and spec.flip != neg:
-                prune |= 1 << pieces[node]
     return Fragment(negated, k, tuple(specs), psi, prune)
 
 
@@ -185,50 +185,52 @@ def _piece(node: Formula, sets: dict[str, int]) -> _Piece | None:
         body = body.body
     else:
         names, body, negate = (node.var,), node.body, False
-    test = _body(body, names, sets)
-    if test is None:
-        return None
     # the bit records a witness of exists, a counterexample of forall
-    miss = negate != is_forall
-    hit = lambda lx, ly, e, eq: test(lx, ly, e, eq) != miss
+    hit = _body(Not(body) if negate != is_forall else body, names, sets)
+    if hit is None:
+        return None
     return _Piece(flip=is_forall, pair=len(names) == 2, hit=hit)
+
+
+def _quantifier_free(f: Formula) -> bool:
+    """Whether f is built from ``edge``, ``=`` and ``in`` by connectives."""
+    if isinstance(f, Not):
+        return _quantifier_free(f.body)
+    if isinstance(f, (And, Or)):
+        return _quantifier_free(f.left) and _quantifier_free(f.right)
+    return isinstance(f, (Edge, Eq, In))
 
 
 def _body(f: Formula, names: tuple[str, ...], sets: dict[str, int]) -> _Body | None:
     """Compile a quantifier-free body over the vertex ``names`` (x, then
-    y) and the set variables ``sets``; None if it is anything else."""
-    if isinstance(f, Not):
-        inner = _body(f.body, names, sets)
-        return None if inner is None else (lambda lx, ly, e, eq: not inner(lx, ly, e, eq))
-    if isinstance(f, (And, Or)):
-        left, right = _body(f.left, names, sets), _body(f.right, names, sets)
-        if left is None or right is None:
-            return None
-        if isinstance(f, And):
-            return lambda lx, ly, e, eq: left(lx, ly, e, eq) and right(lx, ly, e, eq)
-        return lambda lx, ly, e, eq: left(lx, ly, e, eq) or right(lx, ly, e, eq)
-    if isinstance(f, In):
-        if f.x not in names or f.set_var not in sets:
-            return None
-        bit = sets[f.set_var]
-        if f.x == names[0]:
-            return lambda lx, ly, e, eq: (lx >> bit) & 1 == 1
-        return lambda lx, ly, e, eq: (ly >> bit) & 1 == 1
-    if isinstance(f, (Edge, Eq)):
-        if f.x not in names or f.y not in names:
-            return None
-        if f.x == f.y:
-            same = isinstance(f, Eq)
-            return lambda lx, ly, e, eq: same
-        if isinstance(f, Edge):
-            return lambda lx, ly, e, eq: e
-        return lambda lx, ly, e, eq: eq
-    return None
+    y) and the set variables ``sets``; None if it is anything else.
+
+    The body runs on the graph 0 - 1, 2: x is vertex 0, and y is vertex 0
+    when x = y, 1 when adjacent to x and 2 when not; set Xi holds the
+    vertices whose label has bit i."""
+    if not _quantifier_free(f):
+        return None
+    slots = {name: i for i, name in enumerate(names)}
+    slots.update((name, 2 + i) for i, name in enumerate(sets))
+    free: set[str] = set()
+    try:
+        run = _compile(f, slots, free, (0b010, 0b001, 0), 3)[0]
+    except ValueError:  # a name of the wrong sort, or an empty one
+        return None
+    if free:
+        return None
+
+    # decide asks the same few (label, label, position) triples again and again
+    @cache
+    def test(lx: int, ly: int, e: bool, eq: bool) -> bool:
+        y = 0 if eq else 1 if e else 2
+        return run([0, y, *((lx >> b & 1) | (ly >> b & 1) << y for b in sets.values())])
+    return test
 
 
 def decide(g: Graph, fragment: Fragment) -> bool:
-    """Truth of a recognized formula on g, by the cut-class DP along the
-    vertex order. Raises SizeLimitError when a step holds more than
+    """Truth of a recognized formula on g, by the cut-class DP along a
+    breadth-first order. Raises SizeLimitError when a step holds more than
     ``MAX_STATES`` states."""
     k, pieces, prune = fragment.k, fragment.pieces, fragment.prune
     labels = range(1 << k)
@@ -243,54 +245,60 @@ def decide(g: Graph, fragment: Fragment) -> bool:
                 seen[label] |= 1 << i
     allowed = [label for label in labels if not seen[label] & prune]
     pairs = [(i, p.hit) for i, p in enumerate(pieces) if p.pair]
+    # bits set by placing a vertex labelled b next to the placed classes,
+    # keyed by (their codes label << 1 | adjacent, b)
     cross: dict[tuple[frozenset[int], int], int] = {}
-
-    def meet(touches: frozenset[int], b: int) -> int:
-        """Bits set by placing a vertex labelled b next to the placed
-        classes, given as codes label << 1 | adjacent."""
-        out = 0
-        for t in touches:
-            a, e = t >> 1, t & 1 == 1
-            for i, hit in pairs:
-                if hit(a, b, e, False) or hit(b, a, e, False):
-                    out |= 1 << i
-        return out
-
-    # doomed[b][e]: a vertex labelled b falsifies psi as soon as any later
-    # vertex is adjacent to it (e = 1) or not (e = 0), whatever its label
-    doomed = {
-        b: [all(meet(frozenset({b << 1 | e}), a) & prune for a in allowed) for e in (0, 1)]
-        for b in allowed
-    }
     n, adj = g.n, g.adj
+    future = (1 << n) - 1
     states: set[tuple[frozenset[int], int]] = {(frozenset(), 0)}
-    for v in range(n):
+    for step, v in enumerate(_breadth_first(g), 1):
         shift = k + v
         clear = ~(1 << shift)
-        later = ((1 << n) - 1) & -(2 << v)
-        row = adj[v] & later
-        usable = [
-            b for b in allowed
-            if not (row and doomed[b][1] or later & ~row and doomed[b][0])
-        ]
-        row <<= k
+        future ^= 1 << v
+        row = (adj[v] & future) << k
         placed: set[tuple[frozenset[int], int]] = set()
         for classes, bits in states:
             rest = frozenset(c & clear for c in classes)
             touches = frozenset((c & label_mask) << 1 | (c >> shift) & 1 for c in classes)
-            for label in usable:
-                key = (touches, label)
+            for b in allowed:
+                key = (touches, b)
                 if key not in cross:
-                    cross[key] = meet(touches, label)
-                new = (bits | seen[label] | cross[key]) ^ toggle[label]
+                    cross[key] = 0
+                    for t in touches:
+                        a, e = t >> 1, t & 1 == 1
+                        for i, hit in pairs:
+                            if hit(a, b, e, False) or hit(b, a, e, False):
+                                cross[key] |= 1 << i
+                new = (bits | seen[b] | cross[key]) ^ toggle[b]
                 if new & prune:
                     continue
-                placed.add((rest | {row | label}, new) if pairs else (rest, new))
+                placed.add((rest | {row | b}, new) if pairs else (rest, new))
                 if len(placed) > MAX_STATES:
                     raise SizeLimitError(
-                        f"the vertex-order DP holds more than {MAX_STATES} states "
-                        f"at vertex {v} of {n}; use a smaller graph or formula"
+                        f"the breadth-first DP holds more than {MAX_STATES} states "
+                        f"at vertex {step} of {n} in its order; use a smaller graph "
+                        f"or formula"
                     )
         states = placed
     verdict = any(fragment.psi(bits) for bits in {bits for _, bits in states})
     return verdict != fragment.negated
+
+
+def _breadth_first(g: Graph) -> list[int]:
+    """The vertices in breadth-first order, each component from its lowest
+    unplaced vertex and each vertex's new neighbours in increasing order."""
+    order: list[int] = []
+    unseen = (1 << g.n) - 1
+    i = 0  # order[i] is the next vertex whose neighbours are queued
+    while unseen:
+        if i == len(order):  # the next component starts at its lowest vertex
+            fresh = unseen & -unseen
+        else:
+            fresh = g.adj[order[i]] & unseen
+            i += 1
+        unseen ^= fresh
+        while fresh:
+            low = fresh & -fresh
+            order.append(low.bit_length() - 1)
+            fresh ^= low
+    return order

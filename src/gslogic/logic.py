@@ -27,8 +27,10 @@ exceed the limit (2^30 by default) is refused before any enumeration.
 ``evaluate`` is always exhaustive. ``gslogic.fragment`` decides the
 formulas of the form [!] exists X1..Xk. psi, psi a Boolean combination of
 ``Even`` atoms and one- and two-vertex quantifier pieces, by a dynamic
-program along the vertex order whose cost is set by its state count, not
-by 2^n; ``gslogic check`` uses it for every formula it recognizes.
+program along a breadth-first order of the graph whose cost is set by its
+state count, not by 2^n, and compiles the quantifier-free bodies of those
+pieces with ``_compile``; ``gslogic check`` uses it for every formula it
+recognizes.
 
 Surface grammar (ASCII, shell-friendly):
 
@@ -535,39 +537,37 @@ def _constant_mask(
     return lambda env: full if run(env) else 0
 
 
-def evaluate(g: Graph, f: Formula, max_cost: int = DEFAULT_COST_LIMIT) -> bool:
+def evaluate(g: Graph, f: Formula) -> bool:
     """Truth of a closed formula on a graph by exhaustive enumeration.
 
     Raises ValueError for open formulas and for a name whose case does not
     fit its place in an atom, and SizeLimitError when the worst-case cost
-    exceeds ``max_cost``.
+    exceeds ``DEFAULT_COST_LIMIT``, read at the call.
     """
     free: set[str] = set()
     run, _, cost, env_size = _compile(f, {}, free, g.adj, g.n)
     if free:
         raise ValueError(f"formula has unbound variables: {', '.join(sorted(free))}")
-    if cost > max_cost:
+    if cost > DEFAULT_COST_LIMIT:
         raise SizeLimitError(
-            f"evaluation cost {cost} exceeds the limit {max_cost}; "
+            f"evaluation cost {cost} exceeds the limit {DEFAULT_COST_LIMIT}; "
             f"reduce the graph or the quantifier nesting"
         )
     return run([0] * env_size)
 
 
-def theory_member_witness(
-    family: GraphFamily, f: Formula, max_cost: int = DEFAULT_COST_LIMIT
-) -> tuple[bool, int | None]:
+def theory_member_witness(family: GraphFamily, f: Formula) -> tuple[bool, int | None]:
     """Whether the formula holds on every member; on failure also the index
     of the first member falsifying it. Vacuously true for empty families."""
     for i, g in enumerate(family):
-        if not evaluate(g, f, max_cost):
+        if not evaluate(g, f):
             return False, i
     return True, None
 
 
-def theory_member(family: GraphFamily, f: Formula, max_cost: int = DEFAULT_COST_LIMIT) -> bool:
+def theory_member(family: GraphFamily, f: Formula) -> bool:
     """Whether the formula belongs to the theory of the finite family."""
-    holds, _ = theory_member_witness(family, f, max_cost)
+    holds, _ = theory_member_witness(family, f)
     return holds
 
 

@@ -127,6 +127,46 @@ def test_verdict_does_not_depend_on_the_vertex_order():
                 assert _decide(relabel(g, perm), f) == want, (g.n, name, seed)
 
 
+def _shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, perm)
+
+
+@pytest.mark.parametrize(
+    "source", ["grid:16", "hexagonal:10", "triangular:10", "binary_tree:6", "cycle:101", "path:200"]
+)
+def test_a_small_state_cap_answers_on_shuffled_numberings(monkeypatch, source):
+    # the order comes from the graph, so a relabelling costs no extra states
+    monkeypatch.setattr(gslogic.fragment, "MAX_STATES", 8)
+    kind, size = source.split(":")
+    g = generate(kind, int(size))
+    for name in ("two_colorable", "connected", "even_order"):
+        f = named_formula(name)
+        want = _decide(g, f)
+        for seed in range(5):
+            assert _decide(_shuffled(g, seed), f) == want, (source, name, seed)
+
+
+def _mixed_union(g, h, seed):
+    """The disjoint union of g and h, its vertex ids shuffled across both."""
+    edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
+    return _shuffled(Graph.from_edges(g.n + h.n, edges), seed)
+
+
+def test_components_interleaved_in_the_numbering():
+    g = _mixed_union(_shuffled(generate("grid", 8), 1), generate("path", 50), 2)
+    assert not _decide(g, named_formula("connected"))
+    assert _decide(g, named_formula("two_colorable"))
+    assert _decide(g, named_formula("even_order")) == (g.n % 2 == 0)
+    small = [("grid", 2, "path", 3), ("cycle", 3, "path", 2), ("path", 1, "cycle", 5),
+             ("path", 2, "triangular", 2)]
+    for seed, (a, i, b, j) in enumerate(small):
+        g = _mixed_union(generate(a, i), generate(b, j), seed)
+        for name, f in FRAGMENT_FORMULAS.items():
+            assert _decide(g, f) == evaluate(g, f), (a, i, b, j, name)
+
+
 RECOGNIZED = [
     "exists X. exists Y. (forall z. z in X | z in Y) & !Even(Y)",
     "forall X. Even(X)",

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import gslogic.logic
 from conftest import all_graphs, random_graph, reference_evaluate, reference_free_variables
 from gslogic import (
     FormulaParseError,
@@ -499,12 +500,13 @@ def test_theory_member_empty_family_is_vacuous():
     assert theory_member(GraphFamily.of([]), named_formula("connected"))
 
 
-def test_cost_refusal():
+def test_cost_refusal(monkeypatch):
     f = named_formula("two_colorable")
     with pytest.raises(SizeLimitError, match="cost"):
         evaluate(generate("complete", 40), f)
+    monkeypatch.setattr(gslogic.logic, "DEFAULT_COST_LIMIT", 10)
     with pytest.raises(SizeLimitError):
-        evaluate(generate("path", 3), named_formula("path2"), max_cost=10)
+        evaluate(generate("path", 3), named_formula("path2"))
 
 
 # worst-case costs on path:n for n = 0, 1, 3, 10: every node charges 1, a
@@ -524,11 +526,12 @@ NAMED_COSTS = {
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_COSTS))
-def test_refusal_names_the_worst_case_cost(name):
+def test_refusal_names_the_worst_case_cost(name, monkeypatch):
+    monkeypatch.setattr(gslogic.logic, "DEFAULT_COST_LIMIT", 0)
     graphs = (Graph(0, ()), generate("path", 1), generate("path", 3), generate("path", 10))
     for g, cost in zip(graphs, NAMED_COSTS[name]):
         with pytest.raises(SizeLimitError, match=f"evaluation cost {cost} exceeds the limit 0;"):
-            evaluate(g, named_formula(name), max_cost=0)
+            evaluate(g, named_formula(name))
 
 
 def test_named_formula_library():
