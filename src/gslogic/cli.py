@@ -55,13 +55,14 @@ def parse_pattern(text: str) -> list[tuple[int, str]]:
     if not text:
         return []
     out = []
-    for part in text.split(","):
+    for pos, part in enumerate(text.split(","), start=1):
         qubit_str, sep, basis = part.strip().partition(":")
         qubit_str = qubit_str.strip()
         basis = basis.strip()
         if not sep or not qubit_str.isdecimal() or basis not in ("X", "Y", "Z"):
             raise ValueError(
-                f"bad pattern entry {part.strip()!r}; expected QUBIT:BASIS like 0:Z"
+                f"bad pattern entry {part.strip()!r} (entry {pos}); "
+                "expected QUBIT:BASIS like 0:Z"
             )
         out.append((int(qubit_str), basis))
     return out

@@ -82,14 +82,12 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
         out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            v = u + 1
+        for u, row in enumerate(self.adj):
+            row >>= u + 1
             while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
+                low = row & -row
+                out.append((u, u + low.bit_length()))
+                row ^= low
         return out
 
     @property
@@ -226,11 +224,16 @@ def triangular(k: int) -> Graph:
     (r, c)-(r+1, c+1).
     """
     _require_positive("triangular", k)
-    g = grid(k)
-    edges = g.edges()
-    for r in range(k - 1):
-        for c in range(k - 1):
-            edges.append((r * k + c, (r + 1) * k + c + 1))
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            v = r * k + c
+            if c + 1 < k:
+                edges.append((v, v + 1))
+            if r + 1 < k:
+                edges.append((v, v + k))
+                if c + 1 < k:
+                    edges.append((v, v + k + 1))
     return Graph.from_edges(k * k, edges, f"triangular({k})")
 
 

@@ -287,6 +287,15 @@ def test_simulate_bad_patterns():
     assert run_cli("simulate", "path:3", "--pattern", "7:Z").returncode == 2
 
 
+def test_pattern_errors_name_the_entry(capsys):
+    assert gslogic.cli.main(["simulate", "path:3", "--pattern", "0:Z,,1:X"]) == 2
+    assert "bad pattern entry '' (entry 2)" in capsys.readouterr().err
+    assert gslogic.cli.main(["simulate", "path:3", "--pattern", "0:Z,1:X,0:Y"]) == 2
+    assert "pattern entry 3: qubit 0 measured twice" in capsys.readouterr().err
+    assert gslogic.cli.main(["simulate", "path:3", "--pattern", "1:X,7:Z"]) == 2
+    assert "pattern entry 2: qubit 7 out of range" in capsys.readouterr().err
+
+
 def test_options_only_on_the_subcommands_that_read_them():
     assert gslogic.cli.main(["rankwidth", "path:3", "--seed", "3"]) == 2
     assert gslogic.cli.main(["check", "--named", "path2", "path:3", "--greedy"]) == 2

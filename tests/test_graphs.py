@@ -140,6 +140,30 @@ def test_triangular_generator():
     assert g3.edge_count == 12 + 4
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_triangular_is_grid_plus_diagonals(k):
+    # the lattice from coordinates: right, down and down-right neighbours
+    want = set()
+    for r in range(k):
+        for c in range(k):
+            for dr, dc in ((0, 1), (1, 0), (1, 1)):
+                if r + dr < k and c + dc < k:
+                    want.add((r * k + c, (r + dr) * k + c + dc))
+    g = generate("triangular", k)
+    assert g.n == k * k
+    assert g.edges() == sorted(want)
+    diagonals = {(e[0], e[0] + k + 1) for e in want if e[1] == e[0] + k + 1}
+    assert set(g.edges()) == set(generate("grid", k).edges()) | diagonals
+
+
+def test_edges_match_adjacency_scan():
+    rng = random.Random(31)
+    for n in (0, 1, 5, 17, 40, 70):
+        g = random_graph(n, rng, 0.3)
+        want = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+        assert g.edges() == want
+
+
 def test_hexagonal_generator():
     g = generate("hexagonal", 2)
     assert (g.n, g.edge_count) == (4, 3)

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_graph, small_corpus
+from conftest import random_graph, reference_cut_rank, small_corpus
 from gslogic import (
     DenseState,
     Graph,
@@ -277,6 +277,12 @@ def test_simulate_pattern_rejects_bad_patterns():
         simulate_pattern(g, [(3, "Z")])
     with pytest.raises(ValueError, match="basis"):
         simulate_pattern(g, [(0, "Q")])
+    with pytest.raises(ValueError, match="entry 3: qubit 1 measured twice"):
+        simulate_pattern(g, [(1, "Z"), (0, "X"), (1, "Y")])
+    with pytest.raises(ValueError, match="entry 2: qubit -1 out of range"):
+        simulate_pattern(g, [(0, "Z"), (-1, "X")])
+    with pytest.raises(ValueError, match="entry 2: basis"):
+        simulate_pattern(g, [(0, "Z"), (1, "W")])
 
 
 def test_simulate_pattern_empty_cases():
@@ -299,6 +305,33 @@ def test_star_graph_z_measurements_correlate_with_center_x():
         outcome, prob = t.measure(PauliOperator.single(n, 0, "X"), rng=rng)
         assert prob == 1.0
         assert outcome == product
+
+
+def test_mixed_multi_and_single_qubit_measurements_match_dense_oracle():
+    # measurements of several-qubit Paulis take the general update, and
+    # single-qubit ones decouple their qubit; interleaved, each must keep
+    # the state the dense projection gives
+    rng = random.Random(18)
+    for _ in range(40):
+        n = rng.randrange(2, 6)
+        g = random_graph(n, rng)
+        t = graph_state_tableau(g)
+        state = dense_state_vector(g)
+        for _ in range(2 * n):
+            if rng.random() < 0.5:
+                p = PauliOperator.single(n, rng.randrange(n), rng.choice("XYZ"))
+            else:
+                x, z = rng.getrandbits(n), rng.getrandbits(n)
+                if not x | z:
+                    continue
+                p = PauliOperator(n, x, z, rng.choice((1, -1)))
+            outcome, prob = t.measure(p, rng=rng)
+            assert abs(prob - (1 + outcome * expectation(state, p)) / 2) < 1e-9
+            raw = state.vector + outcome * apply_pauli(state, p).vector
+            state = DenseState(n, raw / np.linalg.norm(raw))
+            t.check_invariants()
+            for gen in t.generators():
+                assert stabilizer_residual(state, gen) < 1e-9
 
 
 # ------------------------------------------------- tableaux not from a graph
@@ -423,3 +456,76 @@ def test_carve_rule_on_large_lattice(kind):
             product *= z_outcome[b]
         assert rec["outcome"] == product
     assert len(z_outcome) >= 200
+
+
+@pytest.mark.parametrize("kind", ["grid", "triangular", "hexagonal"])
+def test_random_single_qubit_measurement_decouples_its_qubit(kind):
+    # after a random outcome of P on qubit q, generator k0 is +-P on q, its
+    # destabilizer acts on q alone and anticommutes with P, and no other
+    # row of either list touches q; checked on the rows, not the columns
+    g = generate(kind, 32)
+    n = g.n
+    t = graph_state_tableau(g)
+    rng = random.Random(20040311)
+    order = list(range(n))
+    rng.shuffle(order)
+    randoms = 0
+    for q in order:
+        p = PauliOperator.single(n, q, rng.choice("XYZ"))
+        outcome, prob = t.measure(p, rng=rng)
+        if prob == 1.0:
+            continue
+        randoms += 1
+        bit = 1 << q
+        gens = [k for k in range(n) if (t.xs[k] | t.zs[k]) & bit]
+        assert len(gens) == 1
+        k0 = gens[0]
+        assert (t.xs[k0], t.zs[k0]) == (p.x_bits, p.z_bits)
+        assert t.expectation(p) == outcome
+        assert t.dxs[k0] | t.dzs[k0] == bit
+        assert not paulis_commute(PauliOperator(n, t.dxs[k0], t.dzs[k0]), p)
+        assert [i for i in range(n) if (t.dxs[i] | t.dzs[i]) & bit] == [k0]
+    assert randoms > n // 2
+    t.check_invariants()
+
+
+def _gf2_rank(rows):
+    """Rank over GF(2) by elimination on the highest set bit."""
+    pivots = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def test_entanglement_after_z_measurements_is_cut_rank_of_deleted_graph():
+    # Z on the vertices of S leaves the graph state of G - S (up to local
+    # Paulis) and S in product states, so the entanglement across any cut A
+    # is the cut-rank of G - S on A minus S; for a stabilizer state it is
+    # the rank of the generators restricted to A, minus |A|
+    g = generate("grid", 32)
+    n = g.n
+    rng = random.Random(62311)
+    removed = {v for v in range(n) if rng.random() < 0.3}
+    t = graph_state_tableau(g)
+    for v in sorted(removed, key=lambda _: rng.random()):
+        t.measure(PauliOperator.single(n, v, "Z"), rng=rng)
+    kept = [(u, v) for u, v in g.edges() if u not in removed and v not in removed]
+    minor = Graph.from_edges(n, kept)
+    gens = t.generators()
+    cuts = [
+        {v for v in range(n) if rng.random() < 0.5},
+        set(range(n // 2)),
+        {v for v in range(n) if v % 32 < 8},
+        set(rng.sample(range(n), 40)),
+    ]
+    for side in cuts:
+        mask = sum(1 << v for v in side)
+        rows = [(p.x_bits & mask) | ((p.z_bits & mask) << n) for p in gens]
+        entanglement = _gf2_rank(rows) - len(side)
+        assert entanglement == reference_cut_rank(minor, side - removed)
+        assert entanglement > 0
