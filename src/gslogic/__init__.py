@@ -13,19 +13,22 @@ Three interlocking toolkits around simple undirected graphs:
   extended with an even-cardinality set predicate, and, in ``fragment``,
   a dynamic program along a breadth-first order that decides a fragment of it
   (two-colourability, connectivity, parity) without enumerating sets.
+  ``theory_member`` checks a formula on a sequence of graphs by the same
+  method rule as ``gslogic check``.
 - A stabilizer simulator for graph states under Pauli measurements, plus
-  a dense state-vector oracle for cross-validation on small registers.
+  a dense state-vector oracle for cross-validation on small registers. Its
+  names live in ``gslogic.dense`` only, which loads numpy on first use.
 
 The kernels are pure Python (``kernel_backend()`` reports "pure").
 """
 
 from . import dense
 from .errors import FormulaParseError, GraphParseError, SizeLimitError
+from .fragment import theory_member, theory_member_witness
 from .gf2 import cut_rank, cut_rank_masks
 from .graphs import (
     GENERATOR_KINDS,
     Graph,
-    GraphFamily,
     generate,
     neighbors,
     parse_edge_list,
@@ -41,8 +44,6 @@ from .logic import (
     named_formula,
     parse_formula,
     pretty,
-    theory_member,
-    theory_member_witness,
 )
 from .rankwidth import (
     RankDecomposition,
@@ -57,7 +58,6 @@ from .rankwidth import (
 from .stabilizer import (
     PauliOperator,
     StabilizerTableau,
-    expectation_pauli,
     graph_state_tableau,
     measure_pauli,
     multiply_paulis,
@@ -73,19 +73,11 @@ def kernel_backend() -> str:
     return "pure"
 
 
-def __getattr__(name: str):
-    # the dense oracle's names load numpy on first use; see gslogic.dense
-    if name in dense.__all__:
-        return getattr(dense, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "__version__",
     "kernel_backend",
     # graphs
     "Graph",
-    "GraphFamily",
     "GENERATOR_KINDS",
     "generate",
     "neighbors",
@@ -121,11 +113,8 @@ __all__ = [
     "paulis_commute",
     "multiply_paulis",
     "graph_state_tableau",
-    "expectation_pauli",
     "measure_pauli",
     "simulate_pattern",
-    # dense oracle
-    *dense.__all__,
     # errors
     "SizeLimitError",
     "GraphParseError",

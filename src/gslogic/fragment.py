@@ -33,19 +33,27 @@ when the class is adjacent to v; then v leaves the rows and equal states
 merge. A state whose bit already falsifies a top-level conjunct of psi is
 dropped. The number of states per step, not 2^n, sets the cost, and
 passing ``MAX_STATES`` raises SizeLimitError after that work.
+
+``theory_member`` and ``theory_member_witness`` decide whether a closed
+formula holds on every graph of a finite sequence, by the method rule of
+``gslogic check``: ``decide`` for a recognized formula, else
+``gslogic.logic.evaluate``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cache
 
 from .errors import SizeLimitError
 from .graphs import Graph
-from .logic import And, Edge, Eq, Even, Exists, Forall, Formula, In, Not, Or, _compile, is_set_name
+from .logic import (
+    And, Edge, Eq, Even, Exists, Forall, Formula, In, Not, Or,
+    _compile, evaluate, free_variables, is_set_name,
+)
 
-__all__ = ["Fragment", "recognize", "decide", "MAX_STATES"]
+__all__ = ["Fragment", "recognize", "decide", "theory_member", "theory_member_witness", "MAX_STATES"]
 
 # Most states one step of ``decide`` may hold. In breadth-first order the
 # library formulas hold at most 3 on the generated lattices, trees, cycles
@@ -302,3 +310,28 @@ def _breadth_first(g: Graph) -> list[int]:
             order.append(low.bit_length() - 1)
             fresh ^= low
     return order
+
+
+def theory_member_witness(graphs: Iterable[Graph], f: Formula) -> tuple[bool, int | None]:
+    """Whether the closed formula holds on every graph; on failure also the
+    index of the first graph falsifying it. Vacuously true for no graphs.
+
+    The method is the one ``gslogic check`` uses: ``decide`` when
+    ``recognize`` accepts f, ``evaluate`` when it does not. Raises
+    ValueError for an open formula, graphs or not.
+    """
+    free = set().union(*free_variables(f))
+    if free:
+        raise ValueError(f"formula has unbound variables: {', '.join(sorted(free))}")
+    fragment = recognize(f)
+    for i, g in enumerate(graphs):
+        if not (evaluate(g, f) if fragment is None else decide(g, fragment)):
+            return False, i
+    return True, None
+
+
+def theory_member(graphs: Iterable[Graph], f: Formula) -> bool:
+    """Whether the closed formula belongs to the theory of the finite list
+    of graphs; see ``theory_member_witness``."""
+    holds, _ = theory_member_witness(graphs, f)
+    return holds

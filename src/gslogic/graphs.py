@@ -8,13 +8,12 @@ operations reduce to bitwise arithmetic. Graphs are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GraphParseError
 
 __all__ = [
     "Graph",
-    "GraphFamily",
     "parse_edge_list",
     "serialize",
     "neighbors",
@@ -99,26 +98,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
-
-
-@dataclass(frozen=True)
-class GraphFamily:
-    """Finite ordered collection of graphs; members may differ in size."""
-
-    members: tuple[Graph, ...]
-
-    @classmethod
-    def of(cls, graphs: Iterable[Graph]) -> "GraphFamily":
-        return cls(tuple(graphs))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Graph]:
-        return iter(self.members)
-
-    def __getitem__(self, i: int) -> Graph:
-        return self.members[i]
 
 
 def neighbors(g: Graph, a: int) -> set[int]:

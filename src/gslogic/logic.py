@@ -29,8 +29,9 @@ formulas of the form [!] exists X1..Xk. psi, psi a Boolean combination of
 ``Even`` atoms and one- and two-vertex quantifier pieces, by a dynamic
 program along a breadth-first order of the graph whose cost is set by its
 state count, not by 2^n, and compiles the quantifier-free bodies of those
-pieces with ``_compile``; ``gslogic check`` uses it for every formula it
-recognizes.
+pieces with ``_compile``. Theory membership (``theory_member``) lives
+there too, so that it, like ``gslogic check``, uses that program for every
+formula it recognizes and ``evaluate`` for the rest.
 
 Surface grammar (ASCII, shell-friendly):
 
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FormulaParseError, SizeLimitError
-from .graphs import Graph, GraphFamily
+from .graphs import Graph
 
 __all__ = [
     "Formula",
@@ -72,8 +73,6 @@ __all__ = [
     "pretty",
     "free_variables",
     "evaluate",
-    "theory_member",
-    "theory_member_witness",
     "named_formula",
     "NAMED_FORMULA_SOURCES",
     "DEFAULT_COST_LIMIT",
@@ -554,21 +553,6 @@ def evaluate(g: Graph, f: Formula) -> bool:
             f"reduce the graph or the quantifier nesting"
         )
     return run([0] * env_size)
-
-
-def theory_member_witness(family: GraphFamily, f: Formula) -> tuple[bool, int | None]:
-    """Whether the formula holds on every member; on failure also the index
-    of the first member falsifying it. Vacuously true for empty families."""
-    for i, g in enumerate(family):
-        if not evaluate(g, f):
-            return False, i
-    return True, None
-
-
-def theory_member(family: GraphFamily, f: Formula) -> bool:
-    """Whether the formula belongs to the theory of the finite family."""
-    holds, _ = theory_member_witness(family, f)
-    return holds
 
 
 NAMED_FORMULA_SOURCES = {

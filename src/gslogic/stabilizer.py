@@ -55,7 +55,6 @@ __all__ = [
     "paulis_commute",
     "multiply_paulis",
     "graph_state_tableau",
-    "expectation_pauli",
     "measure_pauli",
     "simulate_pattern",
 ]
@@ -431,10 +430,6 @@ def graph_state_tableau(g: Graph) -> StabilizerTableau:
     return StabilizerTableau._from_rows(
         n, singles, list(g.adj), [0] * n, [0] * n, list(singles), cols
     )
-
-
-def expectation_pauli(tableau: StabilizerTableau, p: PauliOperator) -> int:
-    return tableau.expectation(p)
 
 
 def measure_pauli(

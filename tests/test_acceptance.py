@@ -16,12 +16,10 @@ import numpy as np
 
 from conftest import all_graphs, exhaustive_rankwidth, random_graph, small_corpus
 from gslogic import (
-    DenseState,
     Graph,
     PauliOperator,
     cut_rank,
     decomposition_width,
-    dense_state_vector,
     enumerate_subcubic_trees,
     evaluate,
     exact_rankwidth,
@@ -29,8 +27,8 @@ from gslogic import (
     graph_state_tableau,
     named_formula,
     simulate_pattern,
-    stabilizer_residual,
 )
+from gslogic.dense import DenseState, dense_state_vector, stabilizer_residual
 
 
 @contextmanager

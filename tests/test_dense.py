@@ -7,18 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from gslogic import (
+from gslogic import Graph, PauliOperator, SizeLimitError, generate, graph_state_tableau
+from gslogic.dense import (
     DenseState,
-    Graph,
-    PauliOperator,
-    SizeLimitError,
     apply_pauli,
     canonical_phase,
     dense_measure,
     dense_state_vector,
     expectation,
-    generate,
-    graph_state_tableau,
     project,
     same_up_to_phase,
     stabilizer_residual,

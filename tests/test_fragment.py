@@ -18,8 +18,9 @@ from gslogic import (
     parse_formula,
     pretty,
     relabel,
+    serialize,
 )
-from gslogic.fragment import decide, recognize
+from gslogic.fragment import decide, recognize, theory_member, theory_member_witness
 from gslogic.logic import NAMED_FORMULA_SOURCES, And, Edge, Eq, Even, Exists, Forall, In, Not, Or
 from test_logic import EVEN_DEGREES, PERFECT_CODE, TINY_GRAPHS, _closed, _random_body
 
@@ -292,3 +293,63 @@ def test_check_open_formula_is_a_usage_error_on_either_path(capsys):
     for text in ("exists X. forall x. x in Y", "exists X. forall x. forall y. edge(x, z)"):
         assert gslogic.cli.main(["check", text, "path:3"]) == 2
         assert "unbound variables" in capsys.readouterr().err
+
+
+def test_theory_member_decides_a_thousand_vertex_cycle():
+    # evaluate alone refuses this: its worst-case cost is about 5.5e73
+    assert not theory_member([generate("cycle", 1001)], named_formula("two_colorable"))
+
+
+def test_theory_member_witness_is_the_first_failure():
+    graphs = [generate("path", 3), generate("cycle", 5), generate("path", 4)]
+    assert theory_member_witness(graphs, named_formula("two_colorable")) == (False, 1)
+    # the exhaustive path stops there too: complete:40 would be refused
+    graphs = [generate("cycle", 5), generate("complete", 40)]
+    assert theory_member_witness(graphs, parse_formula(PERFECT_CODE)) == (False, 0)
+
+
+@pytest.mark.parametrize("name", ["connected", "even_order"])
+def test_theory_member_on_a_nine_hundred_vertex_grid(name):
+    assert theory_member([generate("grid", 30)], named_formula(name))
+
+
+@pytest.mark.parametrize("text", ["x = x", "exists X. Even(Y)"])
+def test_open_formula_is_refused_on_no_graphs(text):
+    for member in (theory_member, theory_member_witness):
+        with pytest.raises(ValueError, match="formula has unbound variables: "):
+            member([], parse_formula(text))
+
+
+# the generator lists of the logic workload in bench/workloads.py
+LOGIC_WORKLOAD_LISTS = [
+    ["cycle:8", "cycle:9"], ["grid:3"], ["hexagonal:3"], ["triangular:3"], ["path:9"],
+    ["binary_tree:2", "cycle:7"], ["complete:3", "path:9"], ["path:8", "cycle:8"],
+    ["cycle:6", "cycle:7", "cycle:8"], ["path:14"], ["cycle:12", "grid:3"],
+    ["complete:12"], ["cycle:13"], ["path:13"], ["binary_tree:2", "path:12"],
+    ["hexagonal:3", "cycle:11"], ["grid:3", "triangular:3", "path:10"],
+    ["cycle:9", "cycle:10"], ["path:10"], ["complete:6", "cycle:12"], ["cycle:11"],
+    ["path:11"], ["cycle:12"], ["path:12"], ["binary_tree:2", "path:9"],
+    ["cycle:11", "complete:9"], ["complete:11", "path:5"], ["cycle:14"],
+    ["path:14", "cycle:13"], ["complete:14"], ["cycle:12", "path:11"],
+    ["complete:3", "path:1"], ["path:1", "path:2"],
+]
+
+
+def test_theory_member_witness_agrees_with_check(tmp_path, capsys):
+    # the workload also draws random lists of 9-10 and 12-13 vertices
+    rng = random.Random(16)
+    lists = list(LOGIC_WORKLOAD_LISTS)
+    for i, sizes in enumerate([(9, 10), (12, 13)] * 2):
+        lists.append([])
+        for n in sizes:
+            path = tmp_path / f"g{i}_{n}.edges"
+            path.write_text(serialize(random_graph(n, rng)), encoding="utf-8")
+            lists[-1].append(str(path))
+    texts = {**NAMED_FORMULA_SOURCES, "perfect_code": PERFECT_CODE, "even_degrees": EVEN_DEGREES}
+    for text in texts.values():
+        f = parse_formula(text)
+        for sources in lists:
+            assert gslogic.cli.main(["check", text, *sources, "--format", "json"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            graphs = [gslogic.cli.load_graph(source) for source in sources]
+            assert theory_member_witness(graphs, f) == (out["holds"], out["witness_index"]), sources

@@ -8,7 +8,6 @@ from conftest import random_graph, small_corpus
 from gslogic import (
     GENERATOR_KINDS,
     Graph,
-    GraphFamily,
     GraphParseError,
     generate,
     neighbors,
@@ -214,10 +213,3 @@ def test_relabel_preserves_degree_multiset():
 def test_relabel_rejects_non_permutation():
     with pytest.raises(ValueError):
         relabel(generate("path", 3), [0, 0, 1])
-
-
-def test_family_container():
-    fam = GraphFamily.of(generate("path", k) for k in (2, 3, 4))
-    assert len(fam) == 3
-    assert fam[1].n == 3
-    assert [g.n for g in fam] == [2, 3, 4]

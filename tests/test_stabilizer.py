@@ -9,26 +9,27 @@ import pytest
 
 from conftest import random_graph, reference_cut_rank, small_corpus
 from gslogic import (
-    DenseState,
     Graph,
     PauliOperator,
     SizeLimitError,
     StabilizerTableau,
-    dense_measure,
-    dense_state_vector,
-    expectation,
-    expectation_pauli,
     generate,
     graph_state_tableau,
     measure_pauli,
     multiply_paulis,
     neighbors,
     paulis_commute,
-    project,
     simulate_pattern,
+)
+from gslogic.dense import (
+    DenseState,
+    apply_pauli,
+    dense_measure,
+    dense_state_vector,
+    expectation,
+    project,
     stabilizer_residual,
 )
-from gslogic.dense import apply_pauli
 
 # ------------------------------------------------------------- PauliOperator
 
@@ -146,28 +147,28 @@ def test_expectation_of_generators_and_products():
     t = graph_state_tableau(g)
     gens = t.generators()
     for k in gens:
-        assert expectation_pauli(t, k) == 1
+        assert t.expectation(k) == 1
     prod = multiply_paulis(gens[0], gens[2])
-    assert expectation_pauli(t, prod) == 1
+    assert t.expectation(prod) == 1
     flipped = PauliOperator(prod.n, prod.x_bits, prod.z_bits, -prod.sign)
-    assert expectation_pauli(t, flipped) == -1
+    assert t.expectation(flipped) == -1
 
 
 def test_expectation_zero_for_anticommuting():
     t = graph_state_tableau(generate("path", 3))
-    assert expectation_pauli(t, PauliOperator.single(3, 1, "Z")) == 0
+    assert t.expectation(PauliOperator.single(3, 1, "Z")) == 0
     # single vertex: the state is |+>, so X is determined and Z, Y are not
     t1 = graph_state_tableau(Graph.from_edges(1, []))
-    assert expectation_pauli(t1, PauliOperator.single(1, 0, "X")) == 1
-    assert expectation_pauli(t1, PauliOperator.single(1, 0, "Z")) == 0
-    assert expectation_pauli(t1, PauliOperator.single(1, 0, "Y")) == 0
+    assert t1.expectation(PauliOperator.single(1, 0, "X")) == 1
+    assert t1.expectation(PauliOperator.single(1, 0, "Z")) == 0
+    assert t1.expectation(PauliOperator.single(1, 0, "Y")) == 0
 
 
 def test_expectation_identity():
     t = graph_state_tableau(generate("path", 2))
-    assert expectation_pauli(t, PauliOperator.identity(2)) == 1
+    assert t.expectation(PauliOperator.identity(2)) == 1
     minus_i = PauliOperator(2, 0, 0, -1)
-    assert expectation_pauli(t, minus_i) == -1
+    assert t.expectation(minus_i) == -1
 
 
 def test_expectation_matches_dense_oracle():
@@ -181,7 +182,7 @@ def test_expectation_matches_dense_oracle():
             p = PauliOperator(
                 n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1))
             )
-            got = expectation_pauli(t, p)
+            got = t.expectation(p)
             want = expectation(state, p)
             assert abs(got - want) < 1e-9
 
