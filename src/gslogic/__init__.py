@@ -59,7 +59,6 @@ from .stabilizer import (
     PauliOperator,
     StabilizerTableau,
     graph_state_tableau,
-    measure_pauli,
     multiply_paulis,
     paulis_commute,
     simulate_pattern,
@@ -113,7 +112,6 @@ __all__ = [
     "paulis_commute",
     "multiply_paulis",
     "graph_state_tableau",
-    "measure_pauli",
     "simulate_pattern",
     # errors
     "SizeLimitError",

@@ -91,7 +91,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_rankwidth(args) -> int:
     g = load_graph(args.graph)
-    if args.greedy:
+    # a graph with fewer than two vertices has no tree to bound; the exact
+    # answer is width 0 with no decomposition
+    if args.greedy and g.n >= 2:
         decomp = greedy_decomposition(g)
         width, method = decomp.width, "greedy"
     else:

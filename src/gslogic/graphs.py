@@ -34,9 +34,11 @@ __all__ = [
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    ``adj[a]`` is the neighborhood of ``a`` as a bitmask. Symmetry and a zero
-    diagonal are enforced at construction; the optional name is a display
-    label and does not participate in equality.
+    ``adj[a]`` is the neighborhood of ``a`` as a bitmask. ``Graph(n, adj)``
+    checks the row count, the range of every row, symmetry and a zero
+    diagonal; ``from_edges`` checks each edge instead and builds rows that
+    hold the rest by construction, so it skips those checks. The optional
+    name is a display label and does not participate in equality.
     """
 
     n: int
@@ -67,7 +69,14 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], name: str | None = None) -> "Graph":
-        """Build a graph from an edge iterable; duplicates collapse."""
+        """Build a graph from an edge iterable; duplicates collapse.
+
+        Each edge is checked for range and self-loops as it is added. The
+        rows are then symmetric with a zero diagonal by construction, so
+        the graph is built without the checks of ``Graph(n, adj)``.
+        """
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -76,7 +85,11 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows), name)
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(rows))
+        object.__setattr__(g, "name", name)
+        return g
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""

@@ -17,12 +17,14 @@ mask of X, ``edge(v, y)`` the row of y, ``v = y`` the bit of y, ``!`` the
 complement within all n vertices, ``&`` and ``|`` bitwise), and ``exists``
 tests it for nonzero, ``forall`` for all n bits. Every other quantifier
 loops over its domain and stops at the first witness or counterexample.
-That one compile walk also finds the free variables, charges the cost and
-sizes the environment. Set variables range over all 2^n subsets, so the
-compiler charges each node its worst-case work as it compiles it (a looping
-vertex quantifier max(n, 1) times its body, a set quantifier 2^n times, a
-masked vertex quantifier its body once), and a formula whose total could
-exceed the limit (2^30 by default) is refused before any enumeration.
+That one compile walk also finds the free variables and charges the
+cost. The environment is a list as long as the formula's height, which
+exceeds the number of binders on any root-to-atom path. Set variables
+range over all 2^n subsets, so the compiler charges each node its
+worst-case work as it compiles it (a looping vertex quantifier max(n, 1)
+times its body, a set quantifier 2^n times, a masked vertex quantifier its
+body once), and a formula whose total could exceed the limit (2^30 by
+default) is refused before any enumeration.
 
 ``evaluate`` is always exhaustive. ``gslogic.fragment`` decides the
 formulas of the form [!] exists X1..Xk. psi, psi a Boolean combination of
@@ -418,8 +420,8 @@ def _compile(
     adj: tuple[int, ...],
     n: int,
     v: int = -1,
-) -> tuple[Callable[[list[int]], bool], Callable[[list[int]], int] | None, int, int]:
-    """Compile f on the graph (adj, n) into ``(run, mask, cost, size)``.
+) -> tuple[Callable[[list[int]], bool], Callable[[list[int]], int] | None, int]:
+    """Compile f on the graph (adj, n) into ``(run, mask, cost)``.
 
     ``run`` is a closure ``env -> bool`` deciding f. ``slots`` maps each
     variable in scope to its index in the list ``env``, which holds a vertex
@@ -435,8 +437,7 @@ def _compile(
 
     The cost charges each node its worst-case work: a quantifier that loops
     runs its body once per vertex (at least once) or once per vertex set, a
-    masked one runs its body's mask once. The size is the highest slot used
-    plus one.
+    masked one runs its body's mask once.
     """
     full = (1 << n) - 1
     if isinstance(f, (Exists, Forall)):
@@ -444,14 +445,13 @@ def _compile(
         # one above the highest slot in scope: len(slots) is not, once a
         # name has been rebound, and would hand out a slot still in use
         slot = max(slots.values(), default=-1) + 1
-        body, body_mask, body_cost, size = _compile(
+        body, body_mask, body_cost = _compile(
             f.body, {**slots, f.var: slot}, free, adj, n, -1 if is_set else slot
         )
-        size = max(size, slot + 1)
         if body_mask is not None:
             if isinstance(f, Exists):
-                return (lambda env: body_mask(env) != 0), None, 1 + body_cost, size
-            return (lambda env: body_mask(env) == full), None, 1 + body_cost, size
+                return (lambda env: body_mask(env) != 0), None, 1 + body_cost
+            return (lambda env: body_mask(env) == full), None, 1 + body_cost
         if is_set:
             domain, cost = range(1 << n), 1 + (1 << n) * body_cost
         else:
@@ -463,7 +463,7 @@ def _compile(
                     if body(env):
                         return True
                 return False
-            return exists, None, cost, size
+            return exists, None, cost
 
         def forall(env):
             for value in domain:
@@ -471,27 +471,25 @@ def _compile(
                 if not body(env):
                     return False
             return True
-        return forall, None, cost, size
+        return forall, None, cost
     if isinstance(f, Not):
-        inner, inner_mask, cost, size = _compile(f.body, slots, free, adj, n, v)
+        inner, inner_mask, cost = _compile(f.body, slots, free, adj, n, v)
         mask = None if inner_mask is None else (lambda env: full ^ inner_mask(env))
-        return (lambda env: not inner(env)), mask, 1 + cost, size
+        return (lambda env: not inner(env)), mask, 1 + cost
     if isinstance(f, (And, Or)):
-        left, left_mask, left_cost, left_size = _compile(f.left, slots, free, adj, n, v)
-        right, right_mask, right_cost, right_size = _compile(
-            f.right, slots, free, adj, n, v
-        )
-        cost, size = 1 + left_cost + right_cost, max(left_size, right_size)
+        left, left_mask, left_cost = _compile(f.left, slots, free, adj, n, v)
+        right, right_mask, right_cost = _compile(f.right, slots, free, adj, n, v)
+        cost = 1 + left_cost + right_cost
         mask = None
         if isinstance(f, And):
             if left_mask is not None and right_mask is not None:
                 mask = lambda env: (m := left_mask(env)) and m & right_mask(env)
-            return (lambda env: left(env) and right(env)), mask, cost, size
+            return (lambda env: left(env) and right(env)), mask, cost
         if left_mask is not None and right_mask is not None:
             mask = lambda env: (
                 full if (m := left_mask(env)) == full else m | right_mask(env)
             )
-        return (lambda env: left(env) or right(env)), mask, cost, size
+        return (lambda env: left(env) or right(env)), mask, cost
     if isinstance(f, Edge):
         x, y = _slot(slots, free, f.x, False), _slot(slots, free, f.y, False)
         run = lambda env: (adj[env[x]] >> env[y]) & 1 == 1
@@ -502,16 +500,16 @@ def _compile(
             mask = lambda env: adj[env[other]]
         else:
             mask = _constant_mask(run, full, v)
-        return run, mask, 1, max(x, y) + 1
+        return run, mask, 1
     if isinstance(f, In):
         x, s = _slot(slots, free, f.x, False), _slot(slots, free, f.set_var, True)
         run = lambda env: (env[s] >> env[x]) & 1 == 1
         mask = (lambda env: env[s]) if x == v else _constant_mask(run, full, v)
-        return run, mask, 1, max(x, s) + 1
+        return run, mask, 1
     if isinstance(f, Even):
         s = _slot(slots, free, f.set_var, True)
         run = lambda env: env[s].bit_count() % 2 == 0
-        return run, _constant_mask(run, full, v), 1, s + 1
+        return run, _constant_mask(run, full, v), 1
     if isinstance(f, Eq):
         x, y = _slot(slots, free, f.x, False), _slot(slots, free, f.y, False)
         run = lambda env: env[x] == env[y]
@@ -522,7 +520,7 @@ def _compile(
             mask = lambda env: 1 << env[other]
         else:
             mask = _constant_mask(run, full, v)
-        return run, mask, 1, max(x, y) + 1
+        return run, mask, 1
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -544,7 +542,7 @@ def evaluate(g: Graph, f: Formula) -> bool:
     exceeds ``DEFAULT_COST_LIMIT``, read at the call.
     """
     free: set[str] = set()
-    run, _, cost, env_size = _compile(f, {}, free, g.adj, g.n)
+    run, _, cost = _compile(f, {}, free, g.adj, g.n)
     if free:
         raise ValueError(f"formula has unbound variables: {', '.join(sorted(free))}")
     if cost > DEFAULT_COST_LIMIT:
@@ -552,7 +550,9 @@ def evaluate(g: Graph, f: Formula) -> bool:
             f"evaluation cost {cost} exceeds the limit {DEFAULT_COST_LIMIT}; "
             f"reduce the graph or the quantifier nesting"
         )
-    return run([0] * env_size)
+    # a binder's slot is below the number of binders above it, and every
+    # root-to-atom path has fewer binders than the root's height
+    return run([0] * f.height)
 
 
 NAMED_FORMULA_SOURCES = {

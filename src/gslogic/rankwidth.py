@@ -18,7 +18,6 @@ vertices in creation order) and `enumerate_subcubic_trees` walks.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -146,16 +145,6 @@ class RankDecomposition:
 
     tree: SubcubicTree
     width: int
-
-    def to_json(self) -> str:
-        payload = self.tree.to_json_dict()
-        payload["width"] = self.width
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RankDecomposition":
-        data = json.loads(text)
-        return cls(SubcubicTree.from_json_dict(data), data["width"])
 
 
 def tree_from_choices(n: int, choices: Sequence[int]) -> SubcubicTree:
@@ -318,8 +307,13 @@ def greedy_decomposition(g: Graph) -> RankDecomposition:
     its rows restricted to B - v plus u. Per step that is at most three
     reductions against at most r pivots for each candidate and one
     elimination of r + 1 rows, where a fresh cut-rank per candidate costs
-    an elimination of up to |A| rows. The width of the finished tree comes
-    from ``decomposition_width``.
+    an elimination of up to |A| rows.
+
+    The width is the largest r over the prefixes of the order, so no cut of
+    the finished tree is ranked afresh. Prefixes of 2..n-2 vertices are the
+    spine edges of the caterpillar and those of 1 and n-1 vertices its end
+    leaves. Every other leaf cut has rank at most 1, and when the graph has
+    an edge some prefix cut has rank at least 1.
     """
     if g.n < 2:
         raise ValueError(f"need at least 2 vertices, got {g.n}")
@@ -327,6 +321,7 @@ def greedy_decomposition(g: Graph) -> RankDecomposition:
     rest = (1 << g.n) - 1
     basis: dict[int, int] = {}
     order: list[int] = []
+    width = 0
     for _ in range(g.n):
         r = len(basis)
         best_v, best_rank, best_row = -1, g.n + 1, 0
@@ -346,5 +341,5 @@ def greedy_decomposition(g: Graph) -> RankDecomposition:
         order.append(best_v)
         rest ^= 1 << best_v
         basis = gf2_basis([p & rest for p in basis.values()] + [best_row])
-    tree = _caterpillar(order)
-    return RankDecomposition(tree, decomposition_width(g, tree))
+        width = max(width, len(basis))
+    return RankDecomposition(_caterpillar(order), width)

@@ -55,7 +55,6 @@ __all__ = [
     "paulis_commute",
     "multiply_paulis",
     "graph_state_tableau",
-    "measure_pauli",
     "simulate_pattern",
 ]
 
@@ -430,19 +429,6 @@ def graph_state_tableau(g: Graph) -> StabilizerTableau:
     return StabilizerTableau._from_rows(
         n, singles, list(g.adj), [0] * n, [0] * n, list(singles), cols
     )
-
-
-def measure_pauli(
-    tableau: StabilizerTableau,
-    p: PauliOperator,
-    forced_outcome: int | None = None,
-    rng_seed: int | None = None,
-) -> tuple[int, float, StabilizerTableau]:
-    """Non-mutating measurement: returns (outcome, probability, new tableau)."""
-    out = tableau.copy()
-    rng = random.Random(rng_seed) if rng_seed is not None else None
-    outcome, prob = out.measure(p, forced_outcome=forced_outcome, rng=rng)
-    return outcome, prob, out
 
 
 def simulate_pattern(

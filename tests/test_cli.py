@@ -133,6 +133,17 @@ def test_rankwidth_tiny_graph_has_null_decomposition():
     assert payload["width"] == 0 and payload["decomposition"] is None
 
 
+def test_rankwidth_greedy_answers_graphs_below_two_vertices(capsys, tmp_path):
+    # no tree bounds them; they get the exact answer, not a usage error
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 0\n", encoding="utf-8")
+    for source, n in (("path:1", 1), (str(empty), 0)):
+        assert gslogic.cli.main(["rankwidth", source, "--greedy", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == n and payload["width"] == 0
+        assert payload["decomposition"] is None and payload["method"] == "exact"
+
+
 def test_cutrank_values():
     res = run_cli("cutrank", "grid:3", "--side", "0,1,2", "--format", "json")
     assert res.returncode == 0

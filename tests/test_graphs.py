@@ -55,6 +55,38 @@ def test_constructor_validates_diagonal_and_width():
         Graph(1, (0b10,))
 
 
+def test_from_edges_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be non-negative, got -1"):
+        Graph.from_edges(-1, [])
+
+
+def test_built_graphs_skip_the_row_checks_that_the_constructor_runs(monkeypatch):
+    # generators and the parser build rows through from_edges, which holds
+    # them symmetric by construction; only Graph(n, adj) checks rows
+    calls = 0
+    real = Graph.__post_init__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        real(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    for kind in GENERATOR_KINDS:
+        generate(kind, 3)
+    g = parse_edge_list(serialize(generate("triangular", 4)))
+    assert calls == 0
+    Graph(g.n, g.adj)
+    assert calls == 1
+
+
+def test_generated_graphs_pass_the_constructor_checks():
+    for kind in GENERATOR_KINDS:
+        for size in range(3 if kind == "cycle" else 1, 7):
+            g = generate(kind, size)
+            assert Graph(g.n, g.adj) == g, (kind, size)
+
+
 def test_empty_graph():
     g = Graph.from_edges(0, [])
     assert g.n == 0 and g.edges() == []

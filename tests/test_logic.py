@@ -193,6 +193,15 @@ def test_parsed_formula_at_the_height_bound_prints_hashes_and_evaluates():
         parse_formula(text + " & x = x")
 
 
+def test_environment_holds_every_binder_at_the_height_bound():
+    # 98 vertex binders and a set binder need 99 slots; the set quantifier
+    # always loops and writes its slot, the last one
+    text = "".join(f"exists x{i}. " for i in range(98)) + "exists X. x97 in X"
+    f = parse_formula(text)
+    assert f.height == MAX_NESTING
+    assert evaluate(generate("path", 1), f) is True
+
+
 def test_positions_are_offsets():
     try:
         parse_formula("exists x. x in y")

@@ -16,7 +16,6 @@ from conftest import (
 )
 from gslogic import (
     Graph,
-    RankDecomposition,
     SizeLimitError,
     SubcubicTree,
     count_subcubic_trees,
@@ -193,19 +192,19 @@ def test_bipartition_first_side_holds_smaller_endpoint():
 
 def test_decomposition_json_round_trip():
     _, decomp = exact_rankwidth(generate("cycle", 5))
-    text = decomp.to_json()
+    text = json.dumps(decomp.tree.to_json_dict())
     payload = json.loads(text)
-    assert set(payload) == {"n", "edges", "leaf_labels", "width"}
+    assert set(payload) == {"n", "edges", "leaf_labels"}
     assert all(isinstance(k, str) for k in payload["leaf_labels"])
-    assert RankDecomposition.from_json(text) == decomp
+    assert SubcubicTree.from_json_dict(payload) == decomp.tree
 
 
 def test_tree_json_rejects_leaf_keys_out_of_range():
-    payload = json.loads(RankDecomposition(tree_from_choices(3, [0]), 1).to_json())
+    payload = json.loads(json.dumps(tree_from_choices(3, [0]).to_json_dict()))
     for key in ("-1", "3", "5", "x", "\u00b2"):
         bad = dict(payload, leaf_labels={"0": 0, "1": 1, key: 2})
         with pytest.raises(ValueError, match=re.escape(repr(key))):
-            RankDecomposition.from_json(json.dumps(bad))
+            SubcubicTree.from_json_dict(bad)
 
 
 def test_decomposition_width_validates_sizes():
@@ -428,8 +427,8 @@ def test_greedy_matches_reference_on_lattices():
         assert_greedy_matches_reference(g)
 
 
-def test_greedy_computes_cut_ranks_only_for_the_final_width(monkeypatch):
-    # the greedy order needs no cut-rank; the 2n - 3 edges of its tree do
+def test_greedy_computes_no_cut_rank(monkeypatch):
+    # the order and the width both come from the incremental prefix bases
     calls = 0
     real = gslogic.rankwidth.cut_rank_masks
 
@@ -441,7 +440,7 @@ def test_greedy_computes_cut_ranks_only_for_the_final_width(monkeypatch):
     monkeypatch.setattr(gslogic.rankwidth, "cut_rank_masks", counting)
     g = generate("grid", 12)
     greedy_decomposition(g)
-    assert 0 < calls <= 2 * g.n - 3
+    assert calls == 0
 
 
 @pytest.mark.parametrize(

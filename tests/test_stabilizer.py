@@ -15,7 +15,6 @@ from gslogic import (
     StabilizerTableau,
     generate,
     graph_state_tableau,
-    measure_pauli,
     multiply_paulis,
     neighbors,
     paulis_commute,
@@ -227,16 +226,6 @@ def test_measure_seeded_rng_reproducible():
         for q in range(5):
             seq.append(t.measure(PauliOperator.single(5, q, "Z"), rng=rng))
     assert seq_a == seq_b
-
-
-def test_measure_pauli_functional_wrapper():
-    t = graph_state_tableau(generate("path", 3))
-    before = [p.label() for p in t.generators()]
-    outcome, prob, t2 = measure_pauli(t, PauliOperator.single(3, 0, "Z"), rng_seed=5)
-    assert prob == 0.5 and outcome in (1, -1)
-    assert [p.label() for p in t.generators()] == before
-    assert t2 is not t
-    t2.check_invariants()
 
 
 def test_post_measurement_state_matches_dense_projection():
