@@ -9,6 +9,7 @@ Three interlocking toolkits around simple undirected graphs:
   table in at most n * 2^(n-2) split checks. A greedy upper bound covers
   larger graphs: it scores each candidate vertex by span tests against one
   GF(2) basis of the current cut, with no fresh cut-rank per candidate.
+  Both answer ``(width, tree)``, the tree a ``SubcubicTree`` witness.
 - A parser and exhaustive model checker for monadic second-order logic
   extended with an even-cardinality set predicate, and, in ``fragment``,
   a dynamic program along a breadth-first order that decides a fragment of it
@@ -46,7 +47,6 @@ from .logic import (
     pretty,
 )
 from .rankwidth import (
-    RankDecomposition,
     SubcubicTree,
     count_subcubic_trees,
     decomposition_width,
@@ -88,7 +88,6 @@ __all__ = [
     "cut_rank_masks",
     # rank-width
     "SubcubicTree",
-    "RankDecomposition",
     "count_subcubic_trees",
     "enumerate_subcubic_trees",
     "tree_edge_bipartition",

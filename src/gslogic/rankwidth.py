@@ -7,7 +7,8 @@ cut-rank over the bipartitions induced by deleting a tree edge. There are
 over the 2^(n-1) vertex sets on one side of a tree edge gives the width in
 O(3^n) steps with one 2^(n-1)-byte table, and an optimal tree is read from
 that table top down in at most n * 2^(n-2) split checks (see
-`gslogic._kernels`).
+`gslogic._kernels`). Both it and the `greedy_decomposition` bound answer
+``(width, tree)``: a width and a subcubic tree that witnesses it.
 
 Tree encoding: leaves are tree vertices 0..n-1, internal vertices n..2n-3.
 Every tree arises from the unique 2-leaf tree by inserting leaf k = 2..n-1
@@ -29,7 +30,6 @@ from .graphs import Graph
 
 __all__ = [
     "SubcubicTree",
-    "RankDecomposition",
     "tree_from_choices",
     "enumerate_subcubic_trees",
     "count_subcubic_trees",
@@ -113,38 +113,13 @@ class SubcubicTree:
         return list(self._masks.values())
 
     def to_json_dict(self) -> dict:
+        """The tree as a JSON document; leaf i carries graph vertex i, so
+        ``leaf_labels`` is the identity map."""
         return {
             "n": self.n,
             "edges": [list(e) for e in self.edges],
             "leaf_labels": {str(leaf): leaf for leaf in range(self.n)},
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SubcubicTree":
-        """The tree of a JSON document; ``leaf_labels`` maps each leaf to a
-        graph vertex, and leaf i becomes leaf ``leaf_labels[i]``."""
-        n = data["n"]
-        leaf_labels = data["leaf_labels"]
-        labels = [-1] * n
-        for key, label in leaf_labels.items():
-            if not (str(key).isdecimal() and int(key) < n):
-                raise ValueError(f"leaf key {key!r} is not a leaf in 0..{n - 1}")
-            labels[int(key)] = label
-        if len(leaf_labels) != n or set(labels) != set(range(n)):
-            raise ValueError("leaf labels are not a bijection onto 0..n-1")
-
-        def vertex(u: int) -> int:
-            return labels[u] if 0 <= u < n else u
-
-        return cls(n, tuple((vertex(u), vertex(v)) for u, v in data["edges"]))
-
-
-@dataclass(frozen=True)
-class RankDecomposition:
-    """A subcubic tree together with its width for a particular graph."""
-
-    tree: SubcubicTree
-    width: int
 
 
 def tree_from_choices(n: int, choices: Sequence[int]) -> SubcubicTree:
@@ -243,13 +218,13 @@ def decomposition_width(g: Graph, tree: SubcubicTree) -> int:
     return width
 
 
-def exact_rankwidth(g: Graph) -> tuple[int, RankDecomposition | None]:
-    """Exact rank-width with a witnessing decomposition.
+def exact_rankwidth(g: Graph) -> tuple[int, SubcubicTree | None]:
+    """Exact rank-width and an optimal subcubic tree: ``(width, tree)``.
 
-    The width comes from the subset DP and the witness is the optimal tree
-    read from its table, a deterministic function of the graph, so repeated
+    The width comes from the subset DP and the tree is the witness read
+    from its table, a deterministic function of the graph, so repeated
     runs agree. Graphs with fewer than two vertices have rank-width 0 and
-    no tree; ``None`` stands in for the witness there. An edgeless graph
+    no tree; ``None`` stands in for the tree there. An edgeless graph
     has width 0, witnessed by the tree of all-zero insertion choices, at
     any size.
 
@@ -270,7 +245,7 @@ def exact_rankwidth(g: Graph) -> tuple[int, RankDecomposition | None]:
     else:
         width, edges = _kernels.rankwidth_search(g.adj, g.n)
         tree = SubcubicTree(g.n, edges)
-    return width, RankDecomposition(tree, width)
+    return width, tree
 
 
 def _caterpillar(order: Sequence[int]) -> SubcubicTree:
@@ -287,10 +262,11 @@ def _caterpillar(order: Sequence[int]) -> SubcubicTree:
     return SubcubicTree(n, tuple(edges))
 
 
-def greedy_decomposition(g: Graph) -> RankDecomposition:
-    """Upper-bound decomposition from a greedy linear vertex order.
+def greedy_decomposition(g: Graph) -> tuple[int, SubcubicTree]:
+    """Upper bound on rank-width from a greedy linear vertex order.
 
-    Builds a caterpillar: each step appends the unplaced vertex whose prefix
+    Returns ``(width, tree)``, where the tree is a caterpillar of width
+    ``width``: each step appends the unplaced vertex whose prefix
     cut-rank is smallest (ties to the smallest index). Valid for any n >= 2;
     the width never beats the exact optimum.
 
@@ -342,4 +318,4 @@ def greedy_decomposition(g: Graph) -> RankDecomposition:
         rest ^= 1 << best_v
         basis = gf2_basis([p & rest for p in basis.values()] + [best_row])
         width = max(width, len(basis))
-    return RankDecomposition(_caterpillar(order), width)
+    return width, _caterpillar(order)

@@ -284,7 +284,8 @@ class StabilizerTableau:
     def _determined(self, p: PauliOperator) -> int:
         """Eigenvalue of an observable p that commutes with every generator.
         p is then the product of the generators whose destabilizers
-        anticommute with it, up to sign; the sign is read off that product."""
+        anticommute with it, up to sign; the sign is read off that product.
+        RuntimeError means the tableau broke its own invariants."""
         combo = _anticommuting(p.x_bits, p.z_bits, self.dxcol, self.dzcol)
         x = z = t = 0
         for k in _bits(combo):
@@ -292,9 +293,11 @@ class StabilizerTableau:
             x ^= self.xs[k]
             z ^= self.zs[k]
         if x != p.x_bits or z != p.z_bits:
-            raise ValueError("operator is outside the stabilizer span")
+            raise RuntimeError("operator is outside the stabilizer span")
         diff = (t - _phase_t(p.x_bits, p.z_bits, p.sign)) % 4
-        return _sign(diff, "inconsistent phase; tableau is corrupt")
+        if diff % 2:
+            raise RuntimeError("inconsistent phase; tableau is corrupt")
+        return 1 - diff
 
     def expectation(self, p: PauliOperator) -> int:
         """<psi| p |psi> for the stabilized state: always -1, 0, or +1."""

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gslogic.cli
+import gslogic.stabilizer
 from gslogic import parse_edge_list
 from test_logic import EVEN_DEGREES
 
@@ -80,6 +81,26 @@ def test_rankwidth_exact_json():
     assert set(decomp) == {"n", "edges", "leaf_labels"}
     assert decomp["n"] == 6
     assert len(decomp["edges"]) == 2 * 6 - 3
+
+
+def test_rankwidth_json_documents_do_not_move(capsys):
+    # the machine interface, byte for byte; bench/oracles.py reads the
+    # trees of these documents through their leaf_labels
+    pinned = {
+        ("cycle:5",):
+            '{"decomposition": {"edges": [[0, 5], [5, 1], [5, 6], [6, 2], [6, 7], '
+            '[7, 3], [7, 4]], "leaf_labels": {"0": 0, "1": 1, "2": 2, "3": 3, '
+            '"4": 4}, "n": 5}, "graph": "cycle:5", "m": 5, "method": "exact", '
+            '"n": 5, "width": 2}\n',
+        ("path:6", "--greedy"):
+            '{"decomposition": {"edges": [[0, 6], [1, 6], [6, 7], [2, 7], [7, 8], '
+            '[3, 8], [8, 9], [4, 9], [5, 9]], "leaf_labels": {"0": 0, "1": 1, '
+            '"2": 2, "3": 3, "4": 4, "5": 5}, "n": 6}, "graph": "path:6", "m": 5, '
+            '"method": "greedy", "n": 6, "width": 1}\n',
+    }
+    for args, document in pinned.items():
+        assert gslogic.cli.main(["rankwidth", *args, "--format", "json"]) == 0
+        assert capsys.readouterr().out == document, args
 
 
 def test_rankwidth_text_mentions_width():
@@ -232,6 +253,27 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
         gslogic.cli.main(["check", "--named", "connected", "path:3"])
 
 
+def test_corrupt_tableau_is_not_a_usage_error(monkeypatch):
+    # a tableau that broke its own invariants is a fault, not bad input
+    def odd_phase(tab):
+        tab.ts[0] = 1
+
+    def lost_destabilizer(tab):
+        tab.dxcol[0] = tab.dzcol[0] = 0
+
+    real = gslogic.stabilizer.graph_state_tableau
+    for corrupt, message in ((odd_phase, "inconsistent phase"),
+                             (lost_destabilizer, "outside the stabilizer span")):
+        def broken(g, corrupt=corrupt):
+            tab = real(g)
+            corrupt(tab)
+            return tab
+
+        monkeypatch.setattr(gslogic.stabilizer, "graph_state_tableau", broken)
+        with pytest.raises(RuntimeError, match=message):
+            gslogic.cli.main(["simulate", "path:1", "--pattern", "0:X"])
+
+
 def test_cli_import_leaves_numpy_out():
     # bench/run.py reads gslogic.dense from this -X importtime report
     code = "import sys, gslogic.cli; sys.exit('numpy' in sys.modules)"
@@ -249,6 +291,11 @@ def test_package_exports_resolve():
     namespace: dict = {}
     exec("from gslogic import *", namespace)
     assert set(gslogic.__all__) <= set(namespace)
+    for name in ("graphs", "gf2", "rankwidth", "logic", "fragment",
+                 "stabilizer", "cli", "dense"):
+        module = importlib.import_module(f"gslogic.{name}")
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert not missing, (name, missing)
 
 
 def test_check_text_output_lists_graphs():
@@ -326,15 +373,8 @@ def test_trees_count():
     res = run_cli("trees-count", "7", "--format", "json")
     payload = json.loads(res.stdout)
     assert payload == {"count": 945, "leaves": 7, "method": "formula"}
-    res2 = run_cli("trees-count", "6", "--enumerate", "--format", "json")
-    payload2 = json.loads(res2.stdout)
-    assert payload2["count"] == 105 and payload2["method"] == "enumeration"
-
-
-def test_trees_count_enumerate_refusal():
-    res = run_cli("trees-count", "12", "--enumerate")
-    assert res.returncode == 3
-    assert run_cli("trees-count", "12").returncode == 0
+    # the closed form is the one way to the count
+    assert gslogic.cli.main(["trees-count", "7", "--enumerate"]) == 2
 
 
 def test_trees_count_refuses_a_count_too_long_to_print(capsys):
