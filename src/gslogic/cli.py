@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Decide a C2MS formula on each graph. A "
                                    "formula of the form [!] exists X1..Xk. psi, "
                                    "psi a Boolean combination of Even(Xi), "
-                                   "one-vertex and two-vertex quantifier pieces "
+                                   "one-vertex, two-vertex and neighbourhood-"
+                                   "counting quantifier pieces "
                                    "(see the README), is decided by a DP along "
                                    "a breadth-first order of the graph (method "
                                    "\"decomposition\"; "

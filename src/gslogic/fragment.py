@@ -8,31 +8,48 @@ Boolean combination (``!``, ``&``, ``|``) of pieces:
 - ``forall x. alpha`` and ``exists x. alpha``, with alpha quantifier-free
   and mentioning no vertex but x;
 - ``forall x. forall y. beta`` and ``exists x. exists y. beta``, with beta
-  quantifier-free over ``edge``, ``=`` and membership of x and y.
+  quantifier-free over ``edge``, ``=`` and membership of x and y;
+- counting pieces ``forall x. gamma`` and ``exists x. gamma``, gamma a
+  Boolean combination of one-vertex atoms (alpha) and count atoms on the
+  number of y with beta(x, y), beta as above:
+  ``exists y. beta`` (at least one; ``forall y. beta`` is none with
+  !beta), "at most one" ``forall y. forall z. !(beta(x, y) & beta(x, z))
+  | y = z``, and "even" ``exists X. Even(X) & forall y. (y in X <->
+  beta(x, y))``, ``!Even(X)`` for odd.
 
 ``recognize`` returns None for any other formula, for ``Even`` inside
 alpha or beta, for more set quantifiers than the 2^k labels of one vertex
-leave room for under ``MAX_STATES`` (k > 12), and for a formula with a
-name it cannot resolve (an open formula or a name of the wrong sort),
-which ``gslogic.logic.evaluate`` then refuses with its own ValueError.
-Alpha and beta are compiled by ``gslogic.logic``'s own compiler, run on a
-three-vertex graph that stands for x and the three ways y can sit next to
-x: x itself, a neighbour, a non-neighbour.
+leave room for under ``MAX_STATES`` (k > 12), for a count atom whose beta
+names more than ``MAX_COUNT_SETS`` sets, and for a formula with a name it
+cannot resolve (an open formula or a name of the wrong sort), which
+``gslogic.logic.evaluate`` then refuses with its own ValueError. The
+pieces are read by ``gslogic._pieces``, count atoms by their truth
+tables, not by their syntax.
 
 ``decide`` places the vertices one at a time in a breadth-first order of
 the graph, each component from its lowest unplaced vertex, and each
 vertex under a label: the bits of the sets X1..Xk it belongs to. Placed
-vertex a meets every unplaced vertex only through its outside row
-``adj[a] & future``, so the placed part is summed up by the set of
-(outside row, label) classes present in it, the cut classes of the order
-seen as a caterpillar decomposition, plus one bit per piece: a
+vertex a meets every unplaced vertex only through its outside row, its
+neighbours among them, so the placed part is summed up by the set of
+(outside row, label, counts) classes present in it, the cut classes of
+the order seen as a caterpillar decomposition, plus one bit per piece: a
 counterexample bit for a forall piece, a witness bit for an exists piece,
-a parity bit for ``Even``. Placing v checks the pair pieces on (v, v) and,
-in both orders, on v and every stored class, whose row holds bit v exactly
-when the class is adjacent to v; then v leaves the rows and equal states
-merge. A state whose bit already falsifies a top-level conjunct of psi is
-dropped. The number of states per step, not 2^n, sets the cost, and
-passing ``MAX_STATES`` raises SizeLimitError after that work.
+a parity bit for ``Even``. A class's counts are its members' count atoms
+so far, capped at 2 or kept mod 2, and its multiplicity is capped at 2
+with its parity kept. Placing v checks the pair pieces on (v, v) and, in
+both orders, on v and the classes it meets: those adjacent to it, and
+the far ones (below). It raises the counts of those classes that beta
+relates to v, and sets v's counts from their multiplicities. A class
+whose gamma no later count can change sets its piece's bit at once, so
+an "at most one" count past 1 prunes. Then v leaves the rows and equal
+classes merge. A class whose row is 0 meets every later vertex as a
+non-neighbour; unless its label is far, that is, some pair piece or
+count beta can hold on it and a non-adjacent vertex, it is final: gamma
+is tested on its counts and the class is dropped. Only the classes v
+meets are rebuilt. A state whose bit already falsifies a top-level
+conjunct of psi is dropped. The number of states per step, not 2^n, sets
+the cost, and passing ``MAX_STATES`` raises SizeLimitError after that
+work.
 
 ``theory_member`` and ``theory_member_witness`` decide whether a closed
 formula holds on every graph of a finite sequence, by the method rule of
@@ -45,15 +62,17 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 
+from ._pieces import MAX_COUNT_SETS, Piece, piece, sort_ok, submasks
 from .errors import SizeLimitError
 from .graphs import Graph
-from .logic import (
-    And, Edge, Eq, Even, Exists, Forall, Formula, In, Not, Or,
-    _compile, evaluate, free_variables, is_set_name,
-)
+from .logic import And, Exists, Forall, Formula, Not, Or, evaluate, free_variables
 
-__all__ = ["Fragment", "recognize", "decide", "theory_member", "theory_member_witness", "MAX_STATES"]
+__all__ = [
+    "Fragment", "recognize", "decide", "theory_member", "theory_member_witness",
+    "MAX_STATES", "MAX_COUNT_SETS",
+]
 
 # Most states one step of ``decide`` may hold. In breadth-first order the
 # library formulas hold at most 3 on the generated lattices, trees, cycles
@@ -61,21 +80,6 @@ __all__ = ["Fragment", "recognize", "decide", "theory_member", "theory_member_wi
 # test formula "some vertex set is independent" passes 4096 on G(60, 1/2)
 # after about 0.7 s.
 MAX_STATES = 1 << 12
-
-# A quantifier-free body over (label of x, label of y, edge(x, y), x = y).
-_Body = Callable[[int, int, bool, bool], bool]
-
-
-@dataclass(frozen=True)
-class _Piece:
-    """One bit of a state: is some vertex (pair, when ``pair``) seen at
-    which ``hit`` holds, or, for ``Even``, the parity of set ``parity``.
-    The piece's truth is that bit xor ``flip``."""
-
-    flip: bool
-    pair: bool = False
-    hit: _Body | None = None
-    parity: int = -1
 
 
 @dataclass(frozen=True)
@@ -88,14 +92,9 @@ class Fragment:
 
     negated: bool
     k: int
-    pieces: tuple[_Piece, ...]
+    pieces: tuple[Piece, ...]
     psi: Callable[[int], bool]
     prune: int
-
-
-def _sort_ok(name: str, is_set: bool) -> bool:
-    """Whether a bound name has the sort wanted; an empty name has none."""
-    return bool(name) and is_set_name(name) == is_set
 
 
 def recognize(f: Formula) -> Fragment | None:
@@ -112,7 +111,7 @@ def recognize(f: Formula) -> Fragment | None:
         if isinstance(f, Not) and k:
             f, inner = f.body, not inner
             continue
-        if not isinstance(f, (Exists, Forall)) or not _sort_ok(f.var, True):
+        if not isinstance(f, (Exists, Forall)) or not sort_ok(f.var, True):
             break
         is_forall = isinstance(f, Forall)
         if not k:
@@ -128,11 +127,11 @@ def recognize(f: Formula) -> Fragment | None:
         return None
 
     pieces: dict[Formula, int] = {}
-    specs: list[_Piece] = []
+    specs: list[Piece] = []
 
-    def piece(node: Formula) -> int | None:
+    def index(node: Formula) -> int | None:
         if node not in pieces:
-            spec = _piece(node, sets)
+            spec = piece(node, sets)
             if spec is None:
                 return None
             pieces[node] = len(specs)
@@ -157,7 +156,7 @@ def recognize(f: Formula) -> Fragment | None:
             if isinstance(node, And):
                 return lambda bits: left(bits) and right(bits)
             return lambda bits: left(bits) or right(bits)
-        i = piece(node)
+        i = index(node)
         if i is None:
             return None
         spec = specs[i]
@@ -173,69 +172,6 @@ def recognize(f: Formula) -> Fragment | None:
     return Fragment(negated, k, tuple(specs), psi, prune)
 
 
-def _piece(node: Formula, sets: dict[str, int]) -> _Piece | None:
-    if isinstance(node, Even):
-        if node.set_var not in sets:
-            return None
-        return _Piece(flip=True, parity=sets[node.set_var])
-    if not isinstance(node, (Exists, Forall)) or not _sort_ok(node.var, False):
-        return None
-    is_forall = isinstance(node, Forall)
-    body, negate = node.body, False
-    while isinstance(body, Not):
-        body, negate = body.body, not negate
-    if isinstance(body, (Exists, Forall)):
-        # forall x. !exists y. beta is forall x. forall y. !beta
-        if not _sort_ok(body.var, False) or (isinstance(body, Forall) != negate) != is_forall:
-            return None
-        # forall x. forall x. beta is forall x. beta, also on no vertices
-        names = (node.var,) if body.var == node.var else (node.var, body.var)
-        body = body.body
-    else:
-        names, body, negate = (node.var,), node.body, False
-    # the bit records a witness of exists, a counterexample of forall
-    hit = _body(Not(body) if negate != is_forall else body, names, sets)
-    if hit is None:
-        return None
-    return _Piece(flip=is_forall, pair=len(names) == 2, hit=hit)
-
-
-def _quantifier_free(f: Formula) -> bool:
-    """Whether f is built from ``edge``, ``=`` and ``in`` by connectives."""
-    if isinstance(f, Not):
-        return _quantifier_free(f.body)
-    if isinstance(f, (And, Or)):
-        return _quantifier_free(f.left) and _quantifier_free(f.right)
-    return isinstance(f, (Edge, Eq, In))
-
-
-def _body(f: Formula, names: tuple[str, ...], sets: dict[str, int]) -> _Body | None:
-    """Compile a quantifier-free body over the vertex ``names`` (x, then
-    y) and the set variables ``sets``; None if it is anything else.
-
-    The body runs on the graph 0 - 1, 2: x is vertex 0, and y is vertex 0
-    when x = y, 1 when adjacent to x and 2 when not; set Xi holds the
-    vertices whose label has bit i."""
-    if not _quantifier_free(f):
-        return None
-    slots = {name: i for i, name in enumerate(names)}
-    slots.update((name, 2 + i) for i, name in enumerate(sets))
-    free: set[str] = set()
-    try:
-        run = _compile(f, slots, free, (0b010, 0b001, 0), 3)[0]
-    except ValueError:  # a name of the wrong sort, or an empty one
-        return None
-    if free:
-        return None
-
-    # decide asks the same few (label, label, position) triples again and again
-    @cache
-    def test(lx: int, ly: int, e: bool, eq: bool) -> bool:
-        y = 0 if eq else 1 if e else 2
-        return run([0, y, *((lx >> b & 1) | (ly >> b & 1) << y for b in sets.values())])
-    return test
-
-
 def decide(g: Graph, fragment: Fragment) -> bool:
     """Truth of a recognized formula on g, by the cut-class DP along a
     breadth-first order. Raises SizeLimitError when a step holds more than
@@ -249,25 +185,51 @@ def decide(g: Graph, fragment: Fragment) -> bool:
         for i, p in enumerate(pieces):
             if p.parity >= 0:
                 toggle[label] |= ((label >> p.parity) & 1) << i
-            elif p.hit(label, label, False, True):
+            elif p.hit is not None and p.hit(label, label, False, True):
                 seen[label] |= 1 << i
     allowed = [label for label in labels if not seen[label] & prune]
     pairs = [(i, p.hit) for i, p in enumerate(pieces) if p.pair]
+    counts = [c for p in pieces for c in p.counts]
+    far = _far([(p.hit, p.bits) for p in pieces if p.pair]
+               + [(c.beta, c.bits) for c in counts], labels)
+    any_far = any(far)
+    keep = bool(pairs or counts)  # whether the states hold classes
+    # A class code is row << low | label, with the counts of _counting
+    # between the two when the formula counts. In a row the vertex placed
+    # at step i of n is bit n - i: the vertex placed next is the highest
+    # bit of every row that holds it, and the classes adjacent to it are
+    # those with a code at least its bit.
+    low = k + 2 * len(counts) + 2 if counts else k
+    if counts:
+        place, final = _counting(k, low, pieces, prune, far)
     # bits set by placing a vertex labelled b next to the placed classes,
     # keyed by (their codes label << 1 | adjacent, b)
     cross: dict[tuple[frozenset[int], int], int] = {}
-    n, adj = g.n, g.adj
-    future = (1 << n) - 1
+    order = _breadth_first(g)
+    n = len(order)
+    rows = _outside_rows(g, order) if keep else [0] * n
     states: set[tuple[frozenset[int], int]] = {(frozenset(), 0)}
-    for step, v in enumerate(_breadth_first(g), 1):
-        shift = k + v
-        clear = ~(1 << shift)
-        future ^= 1 << v
-        row = (adj[v] & future) << k
+    for step, v in enumerate(order, 1):
+        own = n - step
+        row = rows[step - 1]
+        vbit = 1 << low + own
         placed: set[tuple[frozenset[int], int]] = set()
         for classes, bits in states:
-            rest = frozenset(c & clear for c in classes)
-            touches = frozenset((c & label_mask) << 1 | (c >> shift) & 1 for c in classes)
+            # the classes v meets: those whose row holds it, and the far
+            # ones, which it meets as a non-neighbour; no other class
+            # changes or sets a bit
+            touched = list(filter(vbit.__le__, classes))
+            remote = [c for c in classes if c < vbit and far[c & label_mask]] if any_far else []
+            rest = classes.difference(touched, remote) if touched or remote else classes
+            touches = frozenset([(c & label_mask) << 1 | 1 for c in touched]
+                                + [(c & label_mask) << 1 for c in remote])
+            if counts:
+                related = [(c, True) for c in touched] + [(c, False) for c in remote]
+            elif keep:
+                # v leaves the rows, and a class left with row 0 meets every
+                # later vertex as a non-neighbour: it matters only if far
+                base = rest.union([c ^ vbit for c in touched
+                                   if c >> low ^ 1 << own or far[c & label_mask]], remote)
             for b in allowed:
                 key = (touches, b)
                 if key not in cross:
@@ -280,7 +242,17 @@ def decide(g: Graph, fragment: Fragment) -> bool:
                 new = (bits | seen[b] | cross[key]) ^ toggle[b]
                 if new & prune:
                     continue
-                placed.add((rest | {row | b}, new) if pairs else (rest, new))
+                if counts:
+                    state = place(b, row, vbit, related, rest, new)
+                    if state is None:
+                        continue
+                elif not keep:
+                    state = (classes, new)
+                elif row or far[b]:
+                    state = (base.union((row << low | b,)), new)
+                else:
+                    state = (base, new)
+                placed.add(state)
                 if len(placed) > MAX_STATES:
                     raise SizeLimitError(
                         f"the breadth-first DP holds more than {MAX_STATES} states "
@@ -288,8 +260,153 @@ def decide(g: Graph, fragment: Fragment) -> bool:
                         f"or formula"
                     )
         states = placed
-    verdict = any(fragment.psi(bits) for bits in {bits for _, bits in states})
+    verdict = any(fragment.psi(bits | final(classes) if counts else bits)
+                  for classes, bits in states)
     return verdict != fragment.negated
+
+
+def _outside_rows(g: Graph, order: list[int]) -> list[int]:
+    """Per vertex of the order, its neighbours later in the order, the
+    i-th vertex of the order as bit n - 1 - i."""
+    n = len(order)
+    bit = [0] * n
+    for i, v in enumerate(order):
+        bit[v] = n - 1 - i
+    rows = []
+    for v in order:
+        row, rest = 0, g.adj[v]
+        while rest:
+            low = rest & -rest
+            u = bit[low.bit_length() - 1]
+            if u < bit[v]:
+                row |= 1 << u
+            rest ^= low
+        rows.append(row)
+    return rows
+
+
+def _far(bodies: list, labels: range) -> list[bool]:
+    """Per label, whether one of the bodies (with the label bits it reads)
+    holds on a vertex with it and a non-adjacent vertex, in either order.
+    A body that reads more than 6 sets is taken to hold on every pair."""
+    far = [False] * len(labels)
+    for hit, bits in bodies:
+        subs = submasks(bits)
+        if len(subs) > 64:
+            return [True] * len(labels)
+        apart = {a for a in subs
+                 if any(hit(a, b, False, False) or hit(b, a, False, False) for b in subs)}
+        if apart:
+            far = [f or a & bits in apart for a, f in zip(labels, far)]
+    return far
+
+
+def _counting(k: int, low: int, pieces: tuple[Piece, ...], prune: int, far: list[bool]):
+    """The step and the end of ``decide`` for a formula that counts.
+
+    A class code is then row << low | counts << k + 2 | multiplicity << k
+    | label, each count and the multiplicity 2 bits: a count capped at 2
+    or kept mod 2, the multiplicity capped at 2 with its parity kept (3 is
+    odd and at least 3). ``place(b, row, vbit, related, rest, bits)`` is
+    the state once a vertex labelled b with outside row ``row`` joins the
+    classes ``rest`` and the (class, adjacent) ``related`` ones, bit
+    ``vbit`` leaving their rows; None when it prunes. ``final(classes)``
+    is the bits the classes of a last state set.
+    """
+    label_mask = (1 << k) - 1
+    counters = [(i, p) for i, p in enumerate(pieces) if p.counts]
+    counts = [c for _, p in counters for c in p.counts]
+    count_mask = (1 << 2 * len(counts)) - 1
+
+    @cache
+    def plus(cs: int, more: int) -> int:
+        """The counts cs with ``more`` added, each capped at 2 or mod 2."""
+        out = 0
+        for j, count in enumerate(counts):
+            s = (cs >> 2 * j & 3) + (more >> 2 * j & 3)
+            out |= (min(s, 2) if count.capped else s & 1) << 2 * j
+        return out
+
+    def merge(m: int, more: int) -> int:
+        s = m + more
+        return s if s <= 2 else 2 | (s & 1)
+
+    @cache
+    def step_of(a: int, b: int, e: bool, eq: bool) -> int:
+        """Per count, 1 when its beta relates a vertex labelled a to one
+        labelled b."""
+        return sum(c.beta(a, b, e, eq) << 2 * j for j, c in enumerate(counts))
+
+    @cache
+    def meet(a: int, cs: int, b: int, e: bool) -> tuple[int, int]:
+        """The counts of a class labelled a with counts cs once a vertex
+        labelled b meets it, and the bits it sets by then."""
+        cs = plus(cs, step_of(a, b, e, False))
+        return cs, hits(a, cs, False)
+
+    @cache
+    def gain(counted: int, b: int, a: int, e: bool, m: int) -> int:
+        """The counts of a vertex labelled b once it meets a class labelled
+        a of multiplicity m."""
+        return plus(counted, step_of(b, a, e, False) * m)
+
+    @cache
+    def hits(a: int, cs: int, final: bool) -> int:
+        """The bits of the counting pieces that a vertex labelled a with
+        counts cs sets: at these counts when ``final``, else at every
+        counts later steps can give it (a capped count only grows)."""
+        out, j = 0, 0
+        for i, p in counters:
+            now = [cs >> 2 * (j + t) & 3 for t in range(len(p.counts))]
+            j += len(p.counts)
+            if final:
+                reach = [(c,) for c in now]
+            else:
+                reach = [range(c, 3) if count.capped else (0, 1)
+                         for c, count in zip(now, p.counts)]
+            if all(p.gamma(a, values) for values in product(*reach)):
+                out |= 1 << i
+        return out
+
+    def place(b: int, row: int, vbit: int, related, rest, bits: int):
+        counted = step_of(b, b, False, True)
+        moved: dict[int, int] = {}  # a class code without its multiplicity: it
+        for c, e in related:
+            a, m = c & label_mask, c >> k & 3
+            counted = gain(counted, b, a, e, m)
+            cs, settled = meet(a, c >> k + 2 & count_mask, b, e)
+            bits |= settled
+            if e:
+                c ^= vbit
+            if c >> low or far[a]:
+                key = c >> low << low | cs << k + 2 | a
+                moved[key] = merge(moved[key], m) if key in moved else m
+            else:
+                bits |= hits(a, cs, True)
+        bits |= hits(b, counted, False)
+        if row or far[b]:
+            key = row << low | counted << k + 2 | b
+            moved[key] = merge(moved[key], 1) if key in moved else 1
+        else:
+            bits |= hits(b, counted, True)
+        if bits & prune:
+            return None
+        gone, codes = [], []
+        for key, m in moved.items():
+            for old in (1, 2, 3):
+                if key | old << k in rest:
+                    gone.append(key | old << k)
+                    m = merge(m, old)
+                    break
+            codes.append(key | m << k)
+        return (rest.difference(gone) if gone else rest).union(codes), bits
+
+    def final(classes: frozenset[int]) -> int:
+        bits = 0
+        for c in classes:
+            bits |= hits(c & label_mask, c >> k + 2 & count_mask, True)
+        return bits
+    return place, final
 
 
 def _breadth_first(g: Graph) -> list[int]:

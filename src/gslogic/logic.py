@@ -28,10 +28,11 @@ default) is refused before any enumeration.
 
 ``evaluate`` is always exhaustive. ``gslogic.fragment`` decides the
 formulas of the form [!] exists X1..Xk. psi, psi a Boolean combination of
-``Even`` atoms and one- and two-vertex quantifier pieces, by a dynamic
-program along a breadth-first order of the graph whose cost is set by its
-state count, not by 2^n, and compiles the quantifier-free bodies of those
-pieces with ``_compile``. Theory membership (``theory_member``) lives
+``Even`` atoms, one- and two-vertex quantifier pieces and pieces that
+count a vertex's neighbourhood, by a dynamic program along a
+breadth-first order of the graph whose cost is set by its state count,
+not by 2^n, and compiles the quantifier-free bodies of those pieces with
+``_compile``. Theory membership (``theory_member``) lives
 there too, so that it, like ``gslogic check``, uses that program for every
 formula it recognizes and ``evaluate`` for the rest.
 

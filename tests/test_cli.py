@@ -199,8 +199,13 @@ def test_check_cost_follows_the_masked_work(capsys):
     argv = ["check", "--named", "two_colorable", "complete:40", "--format", "json"]
     assert gslogic.cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["verdicts"] == [False]
+    # so does a counting formula: complete:40 has odd degrees
+    argv = ["check", EVEN_DEGREES, "complete:40", "--format", "json"]
+    assert gslogic.cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdicts"] == [False] and out["methods"] == ["decomposition"]
     # a formula outside the fragment is still refused by its worst-case cost
-    assert gslogic.cli.main(["check", EVEN_DEGREES, "complete:40"]) == 3
+    assert gslogic.cli.main(["check", "exists X. forall Y. Even(X) | Even(Y)", "complete:40"]) == 3
     assert "evaluation cost" in capsys.readouterr().err
 
 

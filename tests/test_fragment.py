@@ -1,7 +1,10 @@
 """The vertex-order DP for fragment formulas, against exhaustive evaluation."""
 
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,8 @@ from gslogic.fragment import decide, recognize, theory_member, theory_member_wit
 from gslogic.logic import NAMED_FORMULA_SOURCES, And, Edge, Eq, Even, Exists, Forall, In, Not, Or
 from test_logic import EVEN_DEGREES, PERFECT_CODE, TINY_GRAPHS, _closed, _random_body
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
 # X is a clique with an odd number of vertices, at least two: the graph has
 # a triangle. Only the non-edges constrain beta, so a DP that forgets the
 # placed vertices without later neighbours gets it wrong.
@@ -37,6 +42,8 @@ FRAGMENT_FORMULAS = {
     "connected": named_formula("connected"),
     "even_order": named_formula("even_order"),
     "odd_clique": parse_formula(ODD_CLIQUE),
+    "perfect_code": parse_formula(PERFECT_CODE),
+    "even_degrees": parse_formula(EVEN_DEGREES),
 }
 
 
@@ -97,6 +104,120 @@ def test_decide_matches_evaluate_on_random_fragment_formulas():
             f = Not(f)
         for g in [graphs[i % len(graphs)], *TINY_GRAPHS]:
             assert _decide(g, f) == evaluate(g, f), (g, pretty(f))
+
+
+def _rename(f, old: str, new: str):
+    """The quantifier-free f with vertex name ``old`` replaced by ``new``."""
+    if isinstance(f, Not):
+        return Not(_rename(f.body, old, new))
+    if isinstance(f, (And, Or)):
+        return type(f)(_rename(f.left, old, new), _rename(f.right, old, new))
+    swap = lambda name: new if name == old else name
+    if isinstance(f, In):
+        return In(swap(f.x), f.set_var)
+    return type(f)(swap(f.x), swap(f.y))
+
+
+def _random_count(rng: random.Random):
+    """A count atom on x of a random shape, beta from _qf."""
+    beta = _qf(rng, "xy")
+    pick = rng.randrange(4)
+    if pick < 2:
+        return (Exists, Forall)[pick]("y", beta)
+    if pick == 2:
+        pair = Not(And(beta, _rename(beta, "y", "z")))
+        return Forall("y", Forall("z", Or(pair, Eq("y", "z"))))
+    pinned = Or(And(In("y", "U"), beta), And(Not(In("y", "U")), Not(beta)))
+    even = Even("U") if rng.random() < 0.5 else Not(Even("U"))
+    return Exists("U", And(even, Forall("y", pinned)))
+
+
+def _random_gamma(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.4:
+        return _random_count(rng) if rng.random() < 0.75 else _qf(rng, "x")
+    if rng.randrange(3) == 0:
+        return Not(_random_gamma(rng, depth - 1))
+    maker = rng.choice((And, Or))
+    return maker(_random_gamma(rng, depth - 1), _random_gamma(rng, depth - 1))
+
+
+def test_decide_matches_evaluate_on_random_counting_formulas():
+    rng = random.Random(19)
+    graphs = [random_graph(n, rng, p) for n, p in ((3, 0.5), (4, 0.5), (4, 0.3), (4, 0.7))]
+    for i in range(150):
+        psi = rng.choice((Exists, Forall))("x", _random_gamma(rng, 2))
+        if i % 2:
+            psi = rng.choice((And, Or))(psi, _random_piece(rng))
+        f = _closed(psi, rng.choice(("ESET", "FSFT", "ETES")))
+        if i % 3 == 0:
+            f = Not(f)
+        assert recognize(f) is not None, pretty(f)
+        for g in [graphs[i % len(graphs)], *TINY_GRAPHS]:
+            assert _decide(g, f) == evaluate(g, f), (g, pretty(f))
+
+
+def test_count_atoms_with_two_bodies_are_refused_unless_the_bodies_agree():
+    # "at most one" with y-half a and z-half b, "even" with a when y is in
+    # U and b when not: the recognizer must see whether they fit the shape
+    rng = random.Random(23)
+    graphs = [random_graph(n, rng, 0.5) for n in (3, 4, 4)]
+    refused = 0
+    for i in range(200):
+        a, b = _qf(rng, "xy"), _qf(rng, "xy")
+        if i % 2:
+            atom = Forall("y", Forall("z", Or(Not(And(a, _rename(b, "y", "z"))), Eq("y", "z"))))
+        else:
+            pinned = Or(And(In("y", "U"), a), And(Not(In("y", "U")), b))
+            atom = Exists("U", And(Even("U"), Forall("y", pinned)))
+        f = _closed(Forall("x", atom), "ESET")
+        if recognize(f) is None:
+            refused += 1
+            continue
+        for g in [graphs[i % len(graphs)], *TINY_GRAPHS]:
+            assert _decide(g, f) == evaluate(g, f), (g, pretty(f))
+    assert 20 < refused < 180
+
+
+@pytest.mark.parametrize("name", ["perfect_code", "even_degrees"])
+def test_counting_formulas_match_evaluate_on_the_logic_workload(name):
+    f = FRAGMENT_FORMULAS[name]
+    for source in sorted({source for sources in LOGIC_WORKLOAD_LISTS for source in sources}):
+        g = gslogic.cli.load_graph(source)
+        assert _decide(g, f) == evaluate(g, f), source
+
+
+def test_counting_closed_forms_past_a_thousand_vertices():
+    perfect_code, even_degrees = FRAGMENT_FORMULAS["perfect_code"], FRAGMENT_FORMULAS["even_degrees"]
+    # cycle:n has a perfect code exactly when 3 divides n; every path has one
+    for n in range(3, 31):
+        assert _decide(generate("cycle", n), perfect_code) == (n % 3 == 0), n
+        assert _decide(generate("path", n), perfect_code), n
+    assert _decide(generate("cycle", 999), perfect_code)
+    assert not _decide(generate("cycle", 1000), perfect_code)
+    assert _decide(generate("path", 1000), perfect_code)
+    assert _decide(generate("cycle", 1000), even_degrees)
+    assert not _decide(generate("grid", 32), even_degrees)
+    assert _decide(generate("complete", 41), even_degrees)
+    assert not _decide(generate("complete", 40), even_degrees)
+
+
+THREE_COLOURS = (
+    "exists X. exists Y. exists Z. (forall x. x in X | x in Y | x in Z)"
+    " & (forall x. forall y. !edge(x, y) | !((x in X & y in X) | (x in Y & y in Y)"
+    " | (x in Z & y in Z)))"
+)
+
+
+def test_three_colourability_drops_the_classes_no_later_vertex_sees():
+    # beta only constrains edges, so a class without unplaced neighbours
+    # is dropped; keeping them all passed MAX_STATES on grid:5
+    f = parse_formula(THREE_COLOURS)
+    for n in range(5):
+        for g in all_graphs(n):
+            assert _decide(g, f) == evaluate(g, f), g
+    for kind, size, holds in [("grid", 5, True), ("triangular", 12, True), ("cycle", 301, True),
+                              ("path", 300, True), ("complete", 4, False)]:
+        assert _decide(generate(kind, size), f) == holds, (kind, size)
 
 
 def test_closed_forms_at_a_thousand_vertices(tmp_path):
@@ -181,19 +302,24 @@ RECOGNIZED = [
     "exists X. forall x. forall x. x in X",
     "exists S. exists S. Even(S) & (forall x. x in S)",
     "exists X. (exists x. x in X & edge(x, x)) | !(forall x. forall y. x = y)",
+    # counting pieces
+    PERFECT_CODE,
+    EVEN_DEGREES,
+    "forall x. exists y. edge(x, y)",
+    "forall x. !(forall y. edge(x, y))",
+    "exists X. forall x. x in X | !(exists y. y in X & edge(x, y))",
+    "forall x. !(exists X. !Even(X) & (forall y. !(y in X) & edge(x, y) | !edge(x, y) & y in X))",
+    "exists x. exists y. exists z. !(edge(x, y) | x = y) & !(edge(x, z) | x = z) & !(y = z)",
+    "exists X. exists x. !(x in X) & (forall y. forall z. !(edge(x, y) & edge(x, z)) | y = z)",
 ]
 
 NOT_RECOGNIZED = [
     "exists x. exists y. exists z. edge(x, y) & edge(y, z)",
-    PERFECT_CODE,
-    EVEN_DEGREES,
     "exists X. forall Y. Even(X) | Even(Y)",
     "forall X. exists Y. Even(X) | Even(Y)",
     "exists X. !(exists Y. Even(X) | Even(Y))",
     "exists X. forall x. Even(X) | x in X",
     "exists X. forall x. forall y. Even(X) | edge(x, y)",
-    "forall x. exists y. edge(x, y)",
-    "forall x. !(forall y. edge(x, y))",
     "exists X. forall x. exists X. x in X",
     "exists X. exists x. exists y. exists z. edge(x, y) | z in X",
     "exists X. forall x. edge(x, y)",
@@ -201,6 +327,19 @@ NOT_RECOGNIZED = [
     "exists X. Even(Y)",
     "exists X. x in X",
     "exists x. exists X. x in X",
+    # "at most one" whose y-half and z-half differ
+    "exists X. forall x. forall y. forall z. !(y in X & edge(x, y) & z in X"
+    " & (z = x | edge(x, z))) | y = z",
+    # count bodies that relate y to a third vertex
+    "forall x. forall y. forall z. !(edge(x, y) & edge(x, z)) | edge(y, z)",
+    "forall x. exists y. edge(x, y) & (exists z. edge(y, z) & !(z = x))",
+    # an Even(X) whose X the body does not pin to the neighbours
+    "forall x. exists X. Even(X) & (forall y. !(y in X) | edge(x, y))",
+    "forall x. exists X. Even(X) & (exists y. y in X & edge(x, y))",
+    "forall x. exists X. Even(X) & (forall y. y in X & edge(x, y) | !(x in X) & !edge(x, y))",
+    # a count body naming five sets, more than MAX_COUNT_SETS
+    "exists A. exists B. exists C. exists D. exists E. forall x. exists y."
+    " y in A & y in B & y in C & y in D & y in E & edge(x, y)",
     # 2^13 labels for one vertex, more than MAX_STATES
     "".join(f"exists X{i}. " for i in range(13)) + "Even(X0)",
 ]
@@ -276,17 +415,18 @@ def test_empty_graph_and_single_vertex():
 
 def test_check_reports_the_method_of_every_library_formula(capsys):
     methods = {"two_colorable": "decomposition", "connected": "decomposition",
-               "even_order": "decomposition", "path2": "exhaustive"}
-    assert set(methods) == set(NAMED_FORMULA_SOURCES)
-    for name, method in methods.items():
+               "even_order": "decomposition", "path2": "exhaustive",
+               "perfect_code": "decomposition", "even_degrees": "decomposition"}
+    assert set(methods) == set(NAMED_FORMULA_SOURCES) | {"perfect_code", "even_degrees"}
+    for name, method in list(methods.items())[:4]:
         assert gslogic.cli.main(["check", "--named", name, "path:4", "cycle:4",
                                  "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["methods"] == [method, method]
         assert gslogic.cli.main(["check", "--named", name, "path:4"]) == 0
         assert f"graph[0] path:4 (n=4): true ({method})" in capsys.readouterr().out
-    for text in (EVEN_DEGREES, PERFECT_CODE):
+    for text in (PERFECT_CODE, EVEN_DEGREES):
         assert gslogic.cli.main(["check", text, "path:3", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["methods"] == ["exhaustive"]
+        assert json.loads(capsys.readouterr().out)["methods"] == ["decomposition"]
 
 
 def test_check_open_formula_is_a_usage_error_on_either_path(capsys):
@@ -305,7 +445,9 @@ def test_theory_member_witness_is_the_first_failure():
     assert theory_member_witness(graphs, named_formula("two_colorable")) == (False, 1)
     # the exhaustive path stops there too: complete:40 would be refused
     graphs = [generate("cycle", 5), generate("complete", 40)]
-    assert theory_member_witness(graphs, parse_formula(PERFECT_CODE)) == (False, 0)
+    f = parse_formula("exists X. forall Y. Even(X) & !Even(Y)")
+    assert recognize(f) is None
+    assert theory_member_witness(graphs, f) == (False, 0)
 
 
 @pytest.mark.parametrize("name", ["connected", "even_order"])
@@ -353,3 +495,24 @@ def test_theory_member_witness_agrees_with_check(tmp_path, capsys):
             out = json.loads(capsys.readouterr().out)
             graphs = [gslogic.cli.load_graph(source) for source in sources]
             assert theory_member_witness(graphs, f) == (out["holds"], out["witness_index"]), sources
+
+
+def _bench_module(monkeypatch, name: str):
+    """bench/<name>.py, loaded from its file and seen in sys.modules under
+    its own name for this test only."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_logic_workload_formulas_stay_in_the_fragment(monkeypatch):
+    # bench/workloads.py times these formulas through check; one that left
+    # the fragment would move the logic workload onto evaluate
+    _bench_module(monkeypatch, "oracles")
+    workloads = _bench_module(monkeypatch, "workloads")
+    for text in workloads.USER_FORMULAS.values():
+        assert recognize(parse_formula(text)) is not None, text
+    for name in NAMED_FORMULA_SOURCES:
+        assert (recognize(named_formula(name)) is None) == (name == "path2"), name
