@@ -254,8 +254,11 @@ def _at_most_one(
 
     for lx, ly, lz in product(labels, repeat=3):
         for y in (1, 4) if ly != lx else (0, 1, 4):
-            # z at 0 is x, at y is y, elsewhere a vertex labelled lz
+            # z at 0 is x, at y is y, elsewhere a vertex labelled lz; f
+            # must hold at z = y, whatever beta is there
             row = table((0, y), (lx, ly), lz)
+            if not row >> y & 1:
+                return None
             for z in range(len(_MODEL)):
                 if z != y and row >> z & 1 == (
                         beta(lx, ly, y == 1, y == 0)

@@ -36,9 +36,9 @@ the order seen as a caterpillar decomposition, plus one bit per piece: a
 counterexample bit for a forall piece, a witness bit for an exists piece,
 a parity bit for ``Even``. A class's counts are its members' count atoms
 so far, capped at 2 or kept mod 2, and its multiplicity is capped at 2
-with its parity kept. Placing v checks the pair pieces on (v, v) and, in
-both orders, on v and the classes it meets: those adjacent to it, and
-the far ones (below). It raises the counts of those classes that beta
+with its parity kept, or kept at 1 when the formula counts nothing.
+Placing v checks the pair pieces on (v, v) and, in both orders, on v and
+the classes it meets: those adjacent to it, and the far ones (below). It raises the counts of those classes that beta
 relates to v, and sets v's counts from their multiplicities. A class
 whose gamma no later count can change sets its piece's bit at once, so
 an "at most one" count past 1 prunes. Then v leaves the rows and equal
@@ -188,31 +188,28 @@ def decide(g: Graph, fragment: Fragment) -> bool:
             elif p.hit is not None and p.hit(label, label, False, True):
                 seen[label] |= 1 << i
     allowed = [label for label in labels if not seen[label] & prune]
-    pairs = [(i, p.hit) for i, p in enumerate(pieces) if p.pair]
     counts = [c for p in pieces for c in p.counts]
+    count_mask = (1 << 2 * len(counts)) - 1
     far = _far([(p.hit, p.bits) for p in pieces if p.pair]
                + [(c.beta, c.bits) for c in counts], labels)
     any_far = any(far)
-    keep = bool(pairs or counts)  # whether the states hold classes
-    # A class code is row << low | label, with the counts of _counting
-    # between the two when the formula counts. In a row the vertex placed
-    # at step i of n is bit n - i: the vertex placed next is the highest
-    # bit of every row that holds it, and the classes adjacent to it are
-    # those with a code at least its bit.
-    low = k + 2 * len(counts) + 2 if counts else k
-    if counts:
-        place, final = _counting(k, low, pieces, prune, far)
-    # bits set by placing a vertex labelled b next to the placed classes,
-    # keyed by (their codes label << 1 | adjacent, b)
-    cross: dict[tuple[frozenset[int], int], int] = {}
+    # A class code is row << low | counts << k + 2 | multiplicity << k |
+    # label; see _classes. In a row the vertex placed at step i of n is bit
+    # n - i: the vertex placed next is the highest bit of every row that
+    # holds it, and the classes adjacent to it are those with a code at
+    # least its bit.
+    low = k + 2 * len(counts) + 2
+    effect, add, final = _classes(k, pieces)
+    # keyed by met, the (label, multiplicity, counts, adjacent, final) of
+    # the classes v meets, then by v's label b: see _classes
+    effects: dict[tuple, dict[int, tuple]] = {}
     order = _breadth_first(g)
     n = len(order)
-    rows = _outside_rows(g, order) if keep else [0] * n
+    # with no pair piece and no count the placed vertices meet no one
+    rows = _outside_rows(g, order) if any(p.pair or p.counts for p in pieces) else [0] * n
     states: set[tuple[frozenset[int], int]] = {(frozenset(), 0)}
-    for step, v in enumerate(order, 1):
-        own = n - step
-        row = rows[step - 1]
-        vbit = 1 << low + own
+    for step, row in enumerate(rows, 1):
+        vbit = 1 << low + n - step
         placed: set[tuple[frozenset[int], int]] = set()
         for classes, bits in states:
             # the classes v meets: those whose row holds it, and the far
@@ -220,39 +217,37 @@ def decide(g: Graph, fragment: Fragment) -> bool:
             # changes or sets a bit
             touched = list(filter(vbit.__le__, classes))
             remote = [c for c in classes if c < vbit and far[c & label_mask]] if any_far else []
-            rest = classes.difference(touched, remote) if touched or remote else classes
-            touches = frozenset([(c & label_mask) << 1 | 1 for c in touched]
-                                + [(c & label_mask) << 1 for c in remote])
-            if counts:
-                related = [(c, True) for c in touched] + [(c, False) for c in remote]
-            elif keep:
-                # v leaves the rows, and a class left with row 0 meets every
-                # later vertex as a non-neighbour: it matters only if far
-                base = rest.union([c ^ vbit for c in touched
-                                   if c >> low ^ 1 << own or far[c & label_mask]], remote)
+            if touched or remote:
+                rest = classes.difference(touched, remote)
+                # v leaves their rows, and a class left with row 0 meets
+                # every later vertex as a non-neighbour: unless far, it is
+                # final
+                left = [(c ^ vbit, True) for c in touched] + [(c, False) for c in remote]
+                met = tuple([(c & label_mask, c >> k & 3, c >> k + 2 & count_mask, e,
+                              not (c >> low or far[c & label_mask])) for c, e in left])
+            else:
+                rest, left, met = classes, [], ()
+            known = effects.setdefault(met, {})
+            unchanged = None  # the classes after v when it changes no count
             for b in allowed:
-                key = (touches, b)
-                if key not in cross:
-                    cross[key] = 0
-                    for t in touches:
-                        a, e = t >> 1, t & 1 == 1
-                        for i, hit in pairs:
-                            if hit(a, b, e, False) or hit(b, a, e, False):
-                                cross[key] |= 1 << i
-                new = (bits | seen[b] | cross[key]) ^ toggle[b]
+                if b not in known:
+                    known[b] = effect(met, b)
+                after, changed, hit, hit_final, counted = known[b]
+                stays = row or far[b]  # whether v's own class outlives the step
+                new = (bits | seen[b] | (hit if stays else hit_final)) ^ toggle[b]
                 if new & prune:
                     continue
-                if counts:
-                    state = place(b, row, vbit, related, rest, new)
-                    if state is None:
-                        continue
-                elif not keep:
-                    state = (classes, new)
-                elif row or far[b]:
-                    state = (base.union((row << low | b,)), new)
+                if changed or unchanged is None:
+                    out = add(rest, [(c >> low << low | cs << k + 2 | a, m)
+                                     for (c, _), (a, m, _, _, done), cs in zip(left, met, after)
+                                     if not done])
+                    if not changed:
+                        unchanged = out
                 else:
-                    state = (base, new)
-                placed.add(state)
+                    out = unchanged
+                if stays:
+                    out = add(out, [(row << low | counted << k + 2 | b, 1)])
+                placed.add((out, new))
                 if len(placed) > MAX_STATES:
                     raise SizeLimitError(
                         f"the breadth-first DP holds more than {MAX_STATES} states "
@@ -260,8 +255,7 @@ def decide(g: Graph, fragment: Fragment) -> bool:
                         f"or formula"
                     )
         states = placed
-    verdict = any(fragment.psi(bits | final(classes) if counts else bits)
-                  for classes, bits in states)
+    verdict = any(fragment.psi(bits | final(classes)) for classes, bits in states)
     return verdict != fragment.negated
 
 
@@ -301,19 +295,26 @@ def _far(bodies: list, labels: range) -> list[bool]:
     return far
 
 
-def _counting(k: int, low: int, pieces: tuple[Piece, ...], prune: int, far: list[bool]):
-    """The step and the end of ``decide`` for a formula that counts.
+def _classes(k: int, pieces: tuple[Piece, ...]):
+    """What meeting and merging classes does in ``decide``.
 
-    A class code is then row << low | counts << k + 2 | multiplicity << k
-    | label, each count and the multiplicity 2 bits: a count capped at 2
-    or kept mod 2, the multiplicity capped at 2 with its parity kept (3 is
-    odd and at least 3). ``place(b, row, vbit, related, rest, bits)`` is
-    the state once a vertex labelled b with outside row ``row`` joins the
-    classes ``rest`` and the (class, adjacent) ``related`` ones, bit
-    ``vbit`` leaving their rows; None when it prunes. ``final(classes)``
-    is the bits the classes of a last state set.
+    A class code is row << low | counts << k + 2 | multiplicity << k |
+    label, each count and the multiplicity 2 bits: a count capped at 2 or
+    kept mod 2, the multiplicity capped at 2 with its parity kept (3 is
+    odd and at least 3). A formula without counts keeps multiplicity 1, a
+    class being there or not.
+
+    ``effect(met, b)``, met the (label, multiplicity, counts, adjacent,
+    final) of the classes a vertex v labelled b meets, is their counts
+    once v meets them, whether that changed one, the bits set then (by
+    the pair pieces, and by the counting pieces of the met classes and of
+    v whatever later steps add), those bits with v's counts final, and
+    v's counts. ``add(classes, moved)`` merges the (code without
+    multiplicity, multiplicity) pairs ``moved`` into classes.
+    ``final(classes)`` is the bits the classes of a last state set.
     """
     label_mask = (1 << k) - 1
+    pairs = [(i, p.hit) for i, p in enumerate(pieces) if p.pair]
     counters = [(i, p) for i, p in enumerate(pieces) if p.counts]
     counts = [c for _, p in counters for c in p.counts]
     count_mask = (1 << 2 * len(counts)) - 1
@@ -338,19 +339,6 @@ def _counting(k: int, low: int, pieces: tuple[Piece, ...], prune: int, far: list
         return sum(c.beta(a, b, e, eq) << 2 * j for j, c in enumerate(counts))
 
     @cache
-    def meet(a: int, cs: int, b: int, e: bool) -> tuple[int, int]:
-        """The counts of a class labelled a with counts cs once a vertex
-        labelled b meets it, and the bits it sets by then."""
-        cs = plus(cs, step_of(a, b, e, False))
-        return cs, hits(a, cs, False)
-
-    @cache
-    def gain(counted: int, b: int, a: int, e: bool, m: int) -> int:
-        """The counts of a vertex labelled b once it meets a class labelled
-        a of multiplicity m."""
-        return plus(counted, step_of(b, a, e, False) * m)
-
-    @cache
     def hits(a: int, cs: int, final: bool) -> int:
         """The bits of the counting pieces that a vertex labelled a with
         counts cs sets: at these counts when ``final``, else at every
@@ -368,45 +356,52 @@ def _counting(k: int, low: int, pieces: tuple[Piece, ...], prune: int, far: list
                 out |= 1 << i
         return out
 
-    def place(b: int, row: int, vbit: int, related, rest, bits: int):
-        counted = step_of(b, b, False, True)
-        moved: dict[int, int] = {}  # a class code without its multiplicity: it
-        for c, e in related:
-            a, m = c & label_mask, c >> k & 3
-            counted = gain(counted, b, a, e, m)
-            cs, settled = meet(a, c >> k + 2 & count_mask, b, e)
-            bits |= settled
-            if e:
-                c ^= vbit
-            if c >> low or far[a]:
-                key = c >> low << low | cs << k + 2 | a
-                moved[key] = merge(moved[key], m) if key in moved else m
-            else:
-                bits |= hits(a, cs, True)
+    def effect(met: tuple, b: int) -> tuple:
+        bits = 0
+        for a, _, _, e, _ in met:
+            for i, hit in pairs:
+                if hit(a, b, e, False) or hit(b, a, e, False):
+                    bits |= 1 << i
+        if not counts:
+            return [0] * len(met), False, bits, bits, 0
+        counted, after = step_of(b, b, False, True), []
+        for a, m, cs, e, done in met:
+            counted = plus(counted, step_of(b, a, e, False) * m)
+            after.append(plus(cs, step_of(a, b, e, False)))
+            bits |= hits(a, after[-1], done)
+        changed = any(cs != now for (_, _, cs, _, _), now in zip(met, after))
         bits |= hits(b, counted, False)
-        if row or far[b]:
-            key = row << low | counted << k + 2 | b
-            moved[key] = merge(moved[key], 1) if key in moved else 1
-        else:
-            bits |= hits(b, counted, True)
-        if bits & prune:
-            return None
+        return after, changed, bits, bits | hits(b, counted, True), counted
+
+    def add(classes: frozenset[int], moved: list[tuple[int, int]]) -> frozenset[int]:
+        if not moved:
+            return classes
+        if not counts:
+            return classes.union([key | 1 << k for key, _ in moved])
+        merged: dict[int, int] = {}
+        for key, m in moved:
+            merged[key] = merge(merged[key], m) if key in merged else m
         gone, codes = [], []
-        for key, m in moved.items():
+        for key, m in merged.items():
             for old in (1, 2, 3):
-                if key | old << k in rest:
-                    gone.append(key | old << k)
+                if key | old << k in classes:
                     m = merge(m, old)
+                    if m != old:
+                        gone.append(key | old << k)
+                        codes.append(key | m << k)
                     break
-            codes.append(key | m << k)
-        return (rest.difference(gone) if gone else rest).union(codes), bits
+            else:
+                codes.append(key | m << k)
+        if gone:
+            classes = classes.difference(gone)
+        return classes.union(codes) if codes else classes
 
     def final(classes: frozenset[int]) -> int:
         bits = 0
         for c in classes:
             bits |= hits(c & label_mask, c >> k + 2 & count_mask, True)
         return bits
-    return place, final
+    return effect, add, final
 
 
 def _breadth_first(g: Graph) -> list[int]:

@@ -157,15 +157,19 @@ def test_decide_matches_evaluate_on_random_counting_formulas():
 
 
 def test_count_atoms_with_two_bodies_are_refused_unless_the_bodies_agree():
-    # "at most one" with y-half a and z-half b, "even" with a when y is in
-    # U and b when not: the recognizer must see whether they fit the shape
+    # "at most one" with y-half a and z-half b, every other one without its
+    # y = z, "even" with a when y is in U and b when not: the recognizer
+    # must see whether they fit the shape
     rng = random.Random(23)
     graphs = [random_graph(n, rng, 0.5) for n in (3, 4, 4)]
     refused = 0
     for i in range(200):
         a, b = _qf(rng, "xy"), _qf(rng, "xy")
         if i % 2:
-            atom = Forall("y", Forall("z", Or(Not(And(a, _rename(b, "y", "z"))), Eq("y", "z"))))
+            atom = Not(And(a, _rename(b, "y", "z")))
+            if i % 4 == 1:
+                atom = Or(atom, Eq("y", "z"))
+            atom = Forall("y", Forall("z", atom))
         else:
             pinned = Or(And(In("y", "U"), a), And(Not(In("y", "U")), b))
             atom = Exists("U", And(Even("U"), Forall("y", pinned)))
@@ -327,6 +331,10 @@ NOT_RECOGNIZED = [
     "exists X. Even(Y)",
     "exists X. x in X",
     "exists x. exists X. x in X",
+    # "at most one" without its y = z: no vertex has a neighbour, and its
+    # negation, some vertex has one
+    "forall x. forall y. forall z. !(edge(x, y) & edge(x, z))",
+    "exists x. exists y. exists z. edge(x, y) & edge(x, z)",
     # "at most one" whose y-half and z-half differ
     "exists X. forall x. forall y. forall z. !(y in X & edge(x, y) & z in X"
     " & (z = x | edge(x, z))) | y = z",
@@ -415,16 +423,15 @@ def test_empty_graph_and_single_vertex():
 
 def test_check_reports_the_method_of_every_library_formula(capsys):
     methods = {"two_colorable": "decomposition", "connected": "decomposition",
-               "even_order": "decomposition", "path2": "exhaustive",
-               "perfect_code": "decomposition", "even_degrees": "decomposition"}
-    assert set(methods) == set(NAMED_FORMULA_SOURCES) | {"perfect_code", "even_degrees"}
-    for name, method in list(methods.items())[:4]:
+               "even_order": "decomposition", "path2": "exhaustive"}
+    assert set(methods) == set(NAMED_FORMULA_SOURCES)
+    for name, method in methods.items():
         assert gslogic.cli.main(["check", "--named", name, "path:4", "cycle:4",
                                  "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["methods"] == [method, method]
         assert gslogic.cli.main(["check", "--named", name, "path:4"]) == 0
         assert f"graph[0] path:4 (n=4): true ({method})" in capsys.readouterr().out
-    for text in (PERFECT_CODE, EVEN_DEGREES):
+    for text in (EVEN_DEGREES, PERFECT_CODE):
         assert gslogic.cli.main(["check", text, "path:3", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["methods"] == ["decomposition"]
 
