@@ -11,8 +11,9 @@ each other, each vertex under a label: the bits of the sets it belongs
 to. The last vertex name of a body is compiled as a mask, so one run
 gives the body at every place of that vertex. Count atoms are matched by
 their truth tables there, not by their syntax: the y-half and the z-half
-of "at most one" must be the same beta, and the body of "even" must be
-beta when y is in X and !beta when it is not.
+of "at most one" must be the same beta and its body must hold where
+z = y, and the body of "even" must be beta when y is in X and !beta when
+it is not.
 """
 
 from __future__ import annotations
