@@ -13,7 +13,8 @@ Three interlocking toolkits around simple undirected graphs:
 - A parser and exhaustive model checker for monadic second-order logic
   extended with an even-cardinality set predicate, and, in ``fragment``,
   a dynamic program along a breadth-first order that decides a fragment of it
-  (two-colourability, connectivity, parity) without enumerating sets.
+  (two-colourability, connectivity, parity, and neighbourhood counts such
+  as perfect codes and even degrees) without enumerating sets.
   ``theory_member`` checks a formula on a sequence of graphs by the same
   method rule as ``gslogic check``.
 - A stabilizer simulator for graph states under Pauli measurements, plus

@@ -95,12 +95,12 @@ def piece(node: Formula, sets: dict[str, int]) -> Piece | None:
     if not isinstance(node, (Exists, Forall)) or not sort_ok(node.var, False):
         return None
     is_forall = isinstance(node, Forall)
-    prefix, matrix = _vertex_prefix(node)
-    if len(prefix) <= 2 and prefix[-1][0] == is_forall and _reads(matrix, sets) is not None:
+    read = prefix(node, False)
+    if read is not None and len(read[1]) <= 2 and _reads(read[2], sets) is not None:
         # forall x. forall x. beta is forall x. beta, also on no vertices
-        names = tuple(dict.fromkeys(name for _, name in prefix))
+        names = tuple(dict.fromkeys(read[1]))
         # the bit records a witness of exists, a counterexample of forall
-        body = _body(Not(matrix) if is_forall else matrix, names, sets)
+        body = _body(Not(read[2]) if is_forall else read[2], names, sets)
         if body is None:
             return None
         return Piece(flip=is_forall, pair=len(names) == 2, hit=body[0], bits=body[1])
@@ -112,20 +112,26 @@ def piece(node: Formula, sets: dict[str, int]) -> Piece | None:
                  gamma=lambda label, cs: gamma(label, cs) != is_forall)
 
 
-def _vertex_prefix(node: Formula) -> tuple[list[tuple[bool, str]], Formula]:
-    """node as Q1 v1. ... Qn vn. matrix with its negations pushed past the
-    vertex quantifiers: the quantifiers as (is forall, name), outermost
-    first, and the matrix."""
-    prefix: list[tuple[bool, str]] = []
+def prefix(node: Formula, is_set: bool) -> tuple[bool, tuple[str, ...], Formula] | None:
+    """node as Q v1. ... Q vn. matrix, over names of the sort ``is_set``,
+    with its negations pushed past the quantifiers: (Q is forall, the
+    names outermost first, the matrix). None when the quantifiers differ
+    once the negations are pushed; an empty prefix reads as exists."""
+    kinds: set[bool] = set()
+    names: list[str] = []
     negate = False
     while True:
         if isinstance(node, Not):
             node, negate = node.body, not negate
-        elif isinstance(node, (Exists, Forall)) and sort_ok(node.var, False):
-            prefix.append((isinstance(node, Forall) != negate, node.var))
+        elif isinstance(node, (Exists, Forall)) and sort_ok(node.var, is_set):
+            kinds.add(isinstance(node, Forall) != negate)
+            names.append(node.var)
             node = node.body
         else:
-            return prefix, Not(node) if negate else node
+            break
+    if len(kinds) > 1:
+        return None
+    return True in kinds, tuple(names), Not(node) if negate else node
 
 
 def _gamma(
@@ -164,18 +170,19 @@ def _count_atom(
     """A count atom on x: the test of its count and the count, or None."""
     if isinstance(node, Exists) and sort_ok(node.var, True):
         return _even_atom(node, x, sets)
-    prefix, matrix = _vertex_prefix(node)
-    names = (x, *(name for _, name in prefix))
+    read = prefix(node, False)
+    if read is None:
+        return None
+    is_forall, vertices, matrix = read
+    names = (x, *vertices)
     if len(set(names)) != len(names):
         return None
-    if len(prefix) == 1:
+    if len(vertices) == 1:
         # exists y. beta: some y; forall y. beta: no y with !beta
-        is_forall = prefix[0][0]
         body = _body(Not(matrix) if is_forall else matrix, names, sets)
         holds = (lambda c: c == 0) if is_forall else (lambda c: c > 0)
-    elif len(prefix) == 2 and prefix[0][0] == prefix[1][0]:
+    elif len(vertices) == 2:
         # forall y. forall z. B: at most one; exists y. exists z. !B: two
-        is_forall = prefix[0][0]
         body = _at_most_one(matrix if is_forall else Not(matrix), names, sets)
         holds = (lambda c: c < 2) if is_forall else (lambda c: c == 2)
     else:
@@ -201,11 +208,11 @@ def _even_atom(
             break
     else:
         return None
-    prefix, matrix = _vertex_prefix(rest)
-    if len(prefix) != 1 or not prefix[0][0] or prefix[0][1] == x:
+    read = prefix(rest, False)
+    if read is None or not read[0] or len(read[1]) != 1 or x in read[1]:
         return None
     member = 1 << max(sets.values(), default=-1) + 1  # X's label bit
-    compiled = _run(matrix, (x, prefix[0][1]), {**sets, node.var: member.bit_length() - 1})
+    compiled = _run(read[2], (x, *read[1]), {**sets, node.var: member.bit_length() - 1})
     if compiled is None:
         return None
     _, table, bits = compiled

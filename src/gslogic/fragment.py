@@ -17,39 +17,42 @@ Boolean combination (``!``, ``&``, ``|``) of pieces:
   | y = z``, and "even" ``exists X. Even(X) & forall y. (y in X <->
   beta(x, y))``, ``!Even(X)`` for odd.
 
-``recognize`` returns None for any other formula, for ``Even`` inside
-alpha or beta, for more set quantifiers than the 2^k labels of one vertex
-leave room for under ``MAX_STATES`` (k > 12), for a count atom whose beta
-names more than ``MAX_COUNT_SETS`` sets, and for a formula with a name it
-cannot resolve (an open formula or a name of the wrong sort), which
+``recognize`` compiles a formula of the fragment once into a
+``Fragment``, every table ``decide`` reads, and returns None for any
+other formula, for ``Even`` inside alpha or beta, for more set
+quantifiers than the 2^k labels of one vertex leave room for under
+``MAX_STATES`` (k > 12), for a count atom whose beta names more than
+``MAX_COUNT_SETS`` sets, and for a formula with a name it cannot resolve
+(an open formula or a name of the wrong sort), which
 ``gslogic.logic.evaluate`` then refuses with its own ValueError. The
 pieces are read by ``gslogic._pieces``, count atoms by their truth
 tables, not by their syntax.
 
-``decide`` places the vertices one at a time in a breadth-first order of
-the graph, each component from its lowest unplaced vertex, and each
-vertex under a label: the bits of the sets X1..Xk it belongs to. Placed
-vertex a meets every unplaced vertex only through its outside row, its
-neighbours among them, so the placed part is summed up by the set of
-(outside row, label, counts) classes present in it, the cut classes of
-the order seen as a caterpillar decomposition, plus one bit per piece: a
-counterexample bit for a forall piece, a witness bit for an exists piece,
-a parity bit for ``Even``. A class's counts are its members' count atoms
-so far, capped at 2 or kept mod 2, and its multiplicity is capped at 2
-with its parity kept, or kept at 1 when the formula counts nothing.
-Placing v checks the pair pieces on (v, v) and, in both orders, on v and
-the classes it meets: those adjacent to it, and the far ones (below). It raises the counts of those classes that beta
-relates to v, and sets v's counts from their multiplicities. A class
-whose gamma no later count can change sets its piece's bit at once, so
-an "at most one" count past 1 prunes. Then v leaves the rows and equal
-classes merge. A class whose row is 0 meets every later vertex as a
-non-neighbour; unless its label is far, that is, some pair piece or
-count beta can hold on it and a non-adjacent vertex, it is final: gamma
-is tested on its counts and the class is dropped. Only the classes v
-meets are rebuilt. A state whose bit already falsifies a top-level
-conjunct of psi is dropped. The number of states per step, not 2^n, sets
-the cost, and passing ``MAX_STATES`` raises SizeLimitError after that
-work.
+``decide`` does only the work of one graph. It places the vertices one
+at a time in a breadth-first order of the graph, each component from its
+lowest unplaced vertex, and each vertex under a label: the bits of the
+sets X1..Xk it belongs to. Placed vertex a meets every unplaced vertex
+only through its outside row, its neighbours among them, so the placed
+part is summed up by the set of (outside row, label, counts) classes
+present in it, the cut classes of the order seen as a caterpillar
+decomposition, plus one bit per piece: a counterexample bit for a forall
+piece, a witness bit for an exists piece, a parity bit for ``Even``. A
+class's counts are its members' count atoms so far, capped at 2 or kept
+mod 2, and its multiplicity is capped at 2 with its parity kept, or kept
+at 1 when the formula counts nothing. Placing v checks the pair pieces
+on (v, v) and, in both orders, on v and the classes it meets: those
+adjacent to it, and the far ones (below). It raises the counts of those
+classes that beta relates to v, and sets v's counts from their
+multiplicities. A class whose gamma no later count can change sets its
+piece's bit at once, so an "at most one" count past 1 prunes. Then v
+leaves the rows and equal classes merge. A class whose row is 0 meets
+every later vertex as a non-neighbour; unless its label is far, that is,
+some pair piece or count beta can hold on it and a non-adjacent vertex,
+it is final: gamma is tested on its counts and the class is dropped.
+Only the classes v meets are rebuilt. A state whose bit already
+falsifies a top-level conjunct of psi is dropped. The number of states
+per step, not 2^n, sets the cost, and passing ``MAX_STATES`` raises
+SizeLimitError after that work.
 
 ``theory_member`` and ``theory_member_witness`` decide whether a closed
 formula holds on every graph of a finite sequence, by the method rule of
@@ -64,10 +67,10 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from ._pieces import MAX_COUNT_SETS, Piece, piece, sort_ok, submasks
+from ._pieces import MAX_COUNT_SETS, Piece, piece, prefix, submasks
 from .errors import SizeLimitError
 from .graphs import Graph
-from .logic import And, Exists, Forall, Formula, Not, Or, evaluate, free_variables
+from .logic import And, Formula, Not, Or, evaluate, free_variables
 
 __all__ = [
     "Fragment", "recognize", "decide", "theory_member", "theory_member_witness",
@@ -84,60 +87,63 @@ MAX_STATES = 1 << 12
 
 @dataclass(frozen=True)
 class Fragment:
-    """A formula recognized as [!] exists X1..Xk. psi; see ``recognize``.
+    """A formula recognized as [!] exists X1..Xk. psi, compiled for
+    ``decide``; see ``recognize``.
 
     ``psi`` maps the state bits to the truth of psi, and a state with a bit
-    of ``prune`` set can no longer satisfy psi.
+    of ``prune`` set can no longer satisfy psi. ``labels`` are the labels a
+    vertex may take with the bits placing it sets, none of ``prune``, and
+    the parity bits it flips; ``far`` holds the far labels (see the
+    module), and ``meets`` says whether a pair piece or count lets placed
+    vertices meet later ones at all.
+
+    A class code is row << low | counts << k + 2 | multiplicity << k |
+    label, 2 bits per count and for the multiplicity (3 is odd and at
+    least 3); ``label_mask`` and ``count_mask`` cover the label and counts.
+
+    ``effect(met)``, met the (label, multiplicity, counts, adjacent,
+    final) of the classes a vertex v meets, is kept per met and gives per
+    label b of ``labels``: their counts once v labelled b meets them,
+    whether that changed one, the bits set then (by the pair pieces, and
+    by the counting pieces of the met classes and of v whatever later
+    steps add), those bits with v's counts final, and v's counts.
+    ``add(classes, moved)`` merges the (code without multiplicity,
+    multiplicity) pairs ``moved`` into classes. ``final(classes)`` is the
+    bits the classes of a last state set.
     """
 
     negated: bool
-    k: int
-    pieces: tuple[Piece, ...]
     psi: Callable[[int], bool]
     prune: int
+    labels: tuple[tuple[int, int, int], ...]  # (label, seen, toggle)
+    far: frozenset[int]
+    meets: bool
+    k: int
+    low: int
+    label_mask: int
+    count_mask: int
+    effect: Callable[[tuple], list[tuple]]
+    add: Callable[[frozenset[int], list[tuple[int, int]]], frozenset[int]]
+    final: Callable[[frozenset[int]], int]
 
 
 def recognize(f: Formula) -> Fragment | None:
-    """The fragment form of f, or None when f is outside the fragment."""
+    """The fragment form of f compiled for ``decide``, or None when f is
+    outside the fragment."""
     negated = False
     while isinstance(f, Not):
         f, negated = f.body, not negated
-    sets: dict[str, int] = {}  # a set name to its label bit; inner ones shadow
-    k = 0
-    # after the first set quantifier, ``inner`` says whether the body is
-    # under an odd number of negations: exists X. !exists Y alternates
-    inner = False
-    while True:
-        if isinstance(f, Not) and k:
-            f, inner = f.body, not inner
-            continue
-        if not isinstance(f, (Exists, Forall)) or not sort_ok(f.var, True):
-            break
-        is_forall = isinstance(f, Forall)
-        if not k:
-            negated ^= is_forall
-            inner = is_forall
-        elif is_forall != inner:
-            return None
-        sets[f.var] = k
-        k += 1
-        f = f.body
-    # every vertex tries all 2^k labels in every state
-    if 1 << k > MAX_STATES:
+    read = prefix(f, True)
+    if read is None:  # exists X. !exists Y alternates
         return None
+    forall, names, f = read
+    # every vertex tries all 2^k labels in every state
+    if 1 << len(names) > MAX_STATES:
+        return None
+    sets = {name: i for i, name in enumerate(names)}  # inner ones shadow
 
-    pieces: dict[Formula, int] = {}
+    pieces: dict[Formula, int] = {}  # a piece to its bit
     specs: list[Piece] = []
-
-    def index(node: Formula) -> int | None:
-        if node not in pieces:
-            spec = piece(node, sets)
-            if spec is None:
-                return None
-            pieces[node] = len(specs)
-            specs.append(spec)
-        return pieces[node]
-
     prune = 0
 
     def compile_psi(node: Formula, neg: bool, top: bool) -> Callable[[int], bool] | None:
@@ -156,57 +162,40 @@ def recognize(f: Formula) -> Fragment | None:
             if isinstance(node, And):
                 return lambda bits: left(bits) and right(bits)
             return lambda bits: left(bits) or right(bits)
-        i = index(node)
-        if i is None:
-            return None
+        if node not in pieces:
+            spec = piece(node, sets)
+            if spec is None:
+                return None
+            pieces[node] = len(specs)
+            specs.append(spec)
+        i = pieces[node]
         spec = specs[i]
         if top and spec.parity < 0 and spec.flip != neg:
             prune |= 1 << i
         return lambda bits: bool((bits >> i) & 1) != spec.flip
 
-    if inner:
-        f = Not(f)
-    psi = compile_psi(f, False, True)
+    # forall X1..Xk. phi is !exists X1..Xk. !phi
+    psi = compile_psi(Not(f) if forall else f, False, True)
     if psi is None:
         return None
-    return Fragment(negated, k, tuple(specs), psi, prune)
+    return _program(negated != forall, len(names), tuple(specs), psi, prune)
 
 
 def decide(g: Graph, fragment: Fragment) -> bool:
     """Truth of a recognized formula on g, by the cut-class DP along a
     breadth-first order. Raises SizeLimitError when a step holds more than
     ``MAX_STATES`` states."""
-    k, pieces, prune = fragment.k, fragment.pieces, fragment.prune
-    labels = range(1 << k)
-    label_mask = (1 << k) - 1
-    seen = [0] * len(labels)  # bits set by placing a vertex with this label
-    toggle = [0] * len(labels)
-    for label in labels:
-        for i, p in enumerate(pieces):
-            if p.parity >= 0:
-                toggle[label] |= ((label >> p.parity) & 1) << i
-            elif p.hit is not None and p.hit(label, label, False, True):
-                seen[label] |= 1 << i
-    allowed = [label for label in labels if not seen[label] & prune]
-    counts = [c for p in pieces for c in p.counts]
-    count_mask = (1 << 2 * len(counts)) - 1
-    far = _far([(p.hit, p.bits) for p in pieces if p.pair]
-               + [(c.beta, c.bits) for c in counts], labels)
-    any_far = any(far)
-    # A class code is row << low | counts << k + 2 | multiplicity << k |
-    # label; see _classes. In a row the vertex placed at step i of n is bit
-    # n - i: the vertex placed next is the highest bit of every row that
-    # holds it, and the classes adjacent to it are those with a code at
-    # least its bit.
-    low = k + 2 * len(counts) + 2
-    effect, add, final = _classes(k, pieces)
-    # keyed by met, the (label, multiplicity, counts, adjacent, final) of
-    # the classes v meets, then by v's label b: see _classes
-    effects: dict[tuple, dict[int, tuple]] = {}
+    k, low, far, prune = fragment.k, fragment.low, fragment.far, fragment.prune
+    label_mask, count_mask = fragment.label_mask, fragment.count_mask
+    effect, add = fragment.effect, fragment.add
+    # In a row the vertex placed at step i of n is bit n - i of the class
+    # code's row: the vertex placed next is the highest bit of every row
+    # that holds it, and the classes adjacent to it are those with a code
+    # at least its bit.
     order = _breadth_first(g)
     n = len(order)
     # with no pair piece and no count the placed vertices meet no one
-    rows = _outside_rows(g, order) if any(p.pair or p.counts for p in pieces) else [0] * n
+    rows = _outside_rows(g, order) if fragment.meets else [0] * n
     states: set[tuple[frozenset[int], int]] = {(frozenset(), 0)}
     for step, row in enumerate(rows, 1):
         vbit = 1 << low + n - step
@@ -216,7 +205,7 @@ def decide(g: Graph, fragment: Fragment) -> bool:
             # ones, which it meets as a non-neighbour; no other class
             # changes or sets a bit
             touched = list(filter(vbit.__le__, classes))
-            remote = [c for c in classes if c < vbit and far[c & label_mask]] if any_far else []
+            remote = [c for c in classes if c < vbit and c & label_mask in far] if far else []
             if touched or remote:
                 rest = classes.difference(touched, remote)
                 # v leaves their rows, and a class left with row 0 meets
@@ -224,17 +213,14 @@ def decide(g: Graph, fragment: Fragment) -> bool:
                 # final
                 left = [(c ^ vbit, True) for c in touched] + [(c, False) for c in remote]
                 met = tuple([(c & label_mask, c >> k & 3, c >> k + 2 & count_mask, e,
-                              not (c >> low or far[c & label_mask])) for c, e in left])
+                              not (c >> low or c & label_mask in far)) for c, e in left])
             else:
                 rest, left, met = classes, [], ()
-            known = effects.setdefault(met, {})
             unchanged = None  # the classes after v when it changes no count
-            for b in allowed:
-                if b not in known:
-                    known[b] = effect(met, b)
-                after, changed, hit, hit_final, counted = known[b]
-                stays = row or far[b]  # whether v's own class outlives the step
-                new = (bits | seen[b] | (hit if stays else hit_final)) ^ toggle[b]
+            for (b, seen, toggle), (after, changed, hit, hit_final, counted) in zip(
+                    fragment.labels, effect(met)):
+                stays = row or b in far  # whether v's own class outlives the step
+                new = (bits | seen | (hit if stays else hit_final)) ^ toggle
                 if new & prune:
                     continue
                 if changed or unchanged is None:
@@ -255,7 +241,7 @@ def decide(g: Graph, fragment: Fragment) -> bool:
                         f"or formula"
                     )
         states = placed
-    verdict = any(fragment.psi(bits | final(classes)) for classes, bits in states)
+    verdict = any(fragment.psi(bits | fragment.final(classes)) for classes, bits in states)
     return verdict != fragment.negated
 
 
@@ -279,44 +265,40 @@ def _outside_rows(g: Graph, order: list[int]) -> list[int]:
     return rows
 
 
-def _far(bodies: list, labels: range) -> list[bool]:
-    """Per label, whether one of the bodies (with the label bits it reads)
+def _far(bodies: list, labels: range) -> frozenset[int]:
+    """The labels at which one of the bodies (with the label bits it reads)
     holds on a vertex with it and a non-adjacent vertex, in either order.
     A body that reads more than 6 sets is taken to hold on every pair."""
-    far = [False] * len(labels)
+    far: set[int] = set()
     for hit, bits in bodies:
         subs = submasks(bits)
         if len(subs) > 64:
-            return [True] * len(labels)
+            return frozenset(labels)
         apart = {a for a in subs
                  if any(hit(a, b, False, False) or hit(b, a, False, False) for b in subs)}
-        if apart:
-            far = [f or a & bits in apart for a, f in zip(labels, far)]
-    return far
+        far.update(a for a in labels if a & bits in apart)
+    return frozenset(far)
 
 
-def _classes(k: int, pieces: tuple[Piece, ...]):
-    """What meeting and merging classes does in ``decide``.
-
-    A class code is row << low | counts << k + 2 | multiplicity << k |
-    label, each count and the multiplicity 2 bits: a count capped at 2 or
-    kept mod 2, the multiplicity capped at 2 with its parity kept (3 is
-    odd and at least 3). A formula without counts keeps multiplicity 1, a
-    class being there or not.
-
-    ``effect(met, b)``, met the (label, multiplicity, counts, adjacent,
-    final) of the classes a vertex v labelled b meets, is their counts
-    once v meets them, whether that changed one, the bits set then (by
-    the pair pieces, and by the counting pieces of the met classes and of
-    v whatever later steps add), those bits with v's counts final, and
-    v's counts. ``add(classes, moved)`` merges the (code without
-    multiplicity, multiplicity) pairs ``moved`` into classes.
-    ``final(classes)`` is the bits the classes of a last state set.
-    """
-    label_mask = (1 << k) - 1
+def _program(negated: bool, k: int, pieces: tuple[Piece, ...],
+             psi: Callable[[int], bool], prune: int) -> Fragment:
+    """The ``Fragment`` of a formula recognized with these pieces over k
+    sets: every table and class step ``decide`` reads, built once."""
+    labels = range(1 << k)
+    seen = [0] * len(labels)
+    toggle = [0] * len(labels)
+    for label in labels:
+        for i, p in enumerate(pieces):
+            if p.parity >= 0:
+                toggle[label] |= ((label >> p.parity) & 1) << i
+            elif p.hit is not None and p.hit(label, label, False, True):
+                seen[label] |= 1 << i
     pairs = [(i, p.hit) for i, p in enumerate(pieces) if p.pair]
     counters = [(i, p) for i, p in enumerate(pieces) if p.counts]
     counts = [c for _, p in counters for c in p.counts]
+    far = _far([(p.hit, p.bits) for p in pieces if p.pair]
+               + [(c.beta, c.bits) for c in counts], labels)
+    label_mask = (1 << k) - 1
     count_mask = (1 << 2 * len(counts)) - 1
 
     @cache
@@ -356,7 +338,7 @@ def _classes(k: int, pieces: tuple[Piece, ...]):
                 out |= 1 << i
         return out
 
-    def effect(met: tuple, b: int) -> tuple:
+    def meet(met: tuple, b: int) -> tuple:
         bits = 0
         for a, _, _, e, _ in met:
             for i, hit in pairs:
@@ -372,6 +354,12 @@ def _classes(k: int, pieces: tuple[Piece, ...]):
         changed = any(cs != now for (_, _, cs, _, _), now in zip(met, after))
         bits |= hits(b, counted, False)
         return after, changed, bits, bits | hits(b, counted, True), counted
+
+    allowed = tuple((b, seen[b], toggle[b]) for b in labels if not seen[b] & prune)
+
+    @cache
+    def effect(met: tuple) -> list[tuple]:
+        return [meet(met, b) for b, _, _ in allowed]
 
     def add(classes: frozenset[int], moved: list[tuple[int, int]]) -> frozenset[int]:
         if not moved:
@@ -401,7 +389,11 @@ def _classes(k: int, pieces: tuple[Piece, ...]):
         for c in classes:
             bits |= hits(c & label_mask, c >> k + 2 & count_mask, True)
         return bits
-    return effect, add, final
+
+    return Fragment(
+        negated, psi, prune, allowed, far, bool(pairs or counts),
+        k, k + 2 * len(counts) + 2, label_mask, count_mask, effect, add, final,
+    )
 
 
 def _breadth_first(g: Graph) -> list[int]:

@@ -95,15 +95,40 @@ def _random_psi(rng: random.Random, depth: int):
     return maker(_random_psi(rng, depth - 1), _random_psi(rng, depth - 1))
 
 
+def _negated_set_prefix(rng: random.Random, psi):
+    """psi under exists or forall S and T, in either order, with up to two
+    negations before each quantifier and before psi; and whether the two
+    quantifiers have one kind once the negations are pushed inward."""
+    plan = [(rng.randrange(3), rng.choice((Exists, Forall)), name) for name in rng.sample("ST", 2)]
+    f = psi
+    for _ in range(rng.randrange(3)):
+        f = Not(f)
+    for negations, maker, name in reversed(plan):
+        f = maker(name, f)
+        for _ in range(negations):
+            f = Not(f)
+    kinds, negated = set(), False
+    for negations, maker, _ in plan:
+        negated ^= negations % 2 == 1
+        kinds.add((maker is Forall) != negated)
+    return f, len(kinds) == 1
+
+
 def test_decide_matches_evaluate_on_random_fragment_formulas():
+    # e.g. exists S. !forall T. psi is exists S. exists T. !psi, and
+    # !exists S. !exists T. psi is forall S. exists T. psi, which alternates
     rng = random.Random(31)
     graphs = [random_graph(n, rng, 0.5) for n in (3, 4, 4, 5)]
-    for i in range(240):
-        f = _closed(_random_psi(rng, 2), rng.choice(("ESET", "FSFT", "ETES")))
-        if i % 3 == 0:
-            f = Not(f)
+    alternating = 0
+    for i in range(480):
+        f, one_kind = _negated_set_prefix(rng, _random_psi(rng, 2))
+        if not one_kind:
+            assert recognize(f) is None, pretty(f)
+            alternating += 1
+            continue
         for g in [graphs[i % len(graphs)], *TINY_GRAPHS]:
             assert _decide(g, f) == evaluate(g, f), (g, pretty(f))
+    assert 120 < alternating < 360
 
 
 def _rename(f, old: str, new: str):
@@ -219,9 +244,27 @@ def test_three_colourability_drops_the_classes_no_later_vertex_sees():
     for n in range(5):
         for g in all_graphs(n):
             assert _decide(g, f) == evaluate(g, f), g
+    # every cycle and path is 3-colourable, and so is the triangular
+    # lattice, coloured (r, c) -> (r + c) mod 3
     for kind, size, holds in [("grid", 5, True), ("triangular", 12, True), ("cycle", 301, True),
-                              ("path", 300, True), ("complete", 4, False)]:
+                              ("path", 300, True), ("complete", 4, False), ("cycle", 1000, True),
+                              ("cycle", 1001, True), ("path", 1000, True), ("triangular", 32, True)]:
         assert _decide(generate(kind, size), f) == holds, (kind, size)
+
+
+def test_one_check_builds_the_formula_tables_once(monkeypatch, capsys):
+    # recognize builds the tables decide reads; nothing is kept across
+    # recognize calls, so every query builds its own
+    builds = []
+    build = gslogic.fragment._program
+    monkeypatch.setattr(gslogic.fragment, "_program", lambda *args: builds.append(args) or build(*args))
+    assert gslogic.cli.main(["check", "--named", "two_colorable", "path:3", "cycle:4", "grid:2"]) == 0
+    assert "true" in capsys.readouterr().out
+    assert len(builds) == 1
+    f = named_formula("two_colorable")
+    assert theory_member([generate("path", 3), generate("cycle", 5)], f) is False
+    assert recognize(f) is not None
+    assert len(builds) == 3
 
 
 def test_closed_forms_at_a_thousand_vertices(tmp_path):
