@@ -19,9 +19,9 @@ it is not.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from .graphs import Graph
 from .logic import And, Edge, Eq, Even, Exists, Forall, Formula, In, Not, Or, _compile, is_set_name
@@ -46,8 +46,7 @@ def _place(e: bool, eq: bool) -> int:
     return 0 if eq else 1 if e else 4
 
 
-@dataclass(frozen=True)
-class Count:
+class Count(NamedTuple):
     """A count atom's body: the number of y with beta(x, y), kept capped
     at 2 (``capped``) or mod 2. ``bits`` are the label bits beta reads."""
 
@@ -56,8 +55,7 @@ class Count:
     bits: int
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     """One bit of a state: is some vertex (pair, when ``pair``) seen at
     which ``hit`` holds, is some vertex's ``gamma`` of its label and
     ``counts`` true, or, for ``Even``, the parity of set ``parity``. The

@@ -18,41 +18,25 @@ Boolean combination (``!``, ``&``, ``|``) of pieces:
   beta(x, y))``, ``!Even(X)`` for odd.
 
 ``recognize`` compiles a formula of the fragment once into a
-``Fragment``, every table ``decide`` reads, and returns None for any
-other formula, for ``Even`` inside alpha or beta, for more set
-quantifiers than the 2^k labels of one vertex leave room for under
-``MAX_STATES`` (k > 12), for a count atom whose beta names more than
-``MAX_COUNT_SETS`` sets, and for a formula with a name it cannot resolve
-(an open formula or a name of the wrong sort), which
-``gslogic.logic.evaluate`` then refuses with its own ValueError. The
-pieces are read by ``gslogic._pieces``, count atoms by their truth
-tables, not by their syntax.
+``Fragment``, a step and an acceptance test over states with every
+table they read, and returns None for any other formula, for ``Even``
+inside alpha or beta, for more set quantifiers than the 2^k labels of
+one vertex leave room for under ``MAX_STATES`` (k > 12), for a count
+atom whose beta names more than ``MAX_COUNT_SETS`` sets, and for a
+formula with a name it cannot resolve (an open formula or a name of the
+wrong sort), which ``gslogic.logic.evaluate`` then refuses with its own
+ValueError. The pieces are read by ``gslogic._pieces``, count atoms by
+their truth tables, not by their syntax.
 
 ``decide`` does only the work of one graph. It places the vertices one
 at a time in a breadth-first order of the graph, each component from its
-lowest unplaced vertex, and each vertex under a label: the bits of the
-sets X1..Xk it belongs to. Placed vertex a meets every unplaced vertex
-only through its outside row, its neighbours among them, so the placed
-part is summed up by the set of (outside row, label, counts) classes
-present in it, the cut classes of the order seen as a caterpillar
-decomposition, plus one bit per piece: a counterexample bit for a forall
-piece, a witness bit for an exists piece, a parity bit for ``Even``. A
-class's counts are its members' count atoms so far, capped at 2 or kept
-mod 2, and its multiplicity is capped at 2 with its parity kept, or kept
-at 1 when the formula counts nothing. Placing v checks the pair pieces
-on (v, v) and, in both orders, on v and the classes it meets: those
-adjacent to it, and the far ones (below). It raises the counts of those
-classes that beta relates to v, and sets v's counts from their
-multiplicities. A class whose gamma no later count can change sets its
-piece's bit at once, so an "at most one" count past 1 prunes. Then v
-leaves the rows and equal classes merge. A class whose row is 0 meets
-every later vertex as a non-neighbour; unless its label is far, that is,
-some pair piece or count beta can hold on it and a non-adjacent vertex,
-it is final: gamma is tested on its counts and the class is dropped.
-Only the classes v meets are rebuilt. A state whose bit already
-falsifies a top-level conjunct of psi is dropped. The number of states
-per step, not 2^n, sets the cost, and passing ``MAX_STATES`` raises
-SizeLimitError after that work.
+lowest unplaced vertex, each under every label it may take: the bits of
+the sets X1..Xk it belongs to. It keeps the set of states of the placed
+prefix, each the cut classes of the order seen as a caterpillar
+decomposition plus one bit per piece (see ``_program``), and steps every
+state with the fragment's ``step``. The number of states per step, not
+2^n, sets the cost, and passing ``MAX_STATES`` raises SizeLimitError
+after that work.
 
 ``theory_member`` and ``theory_member_witness`` decide whether a closed
 formula holds on every graph of a finite sequence, by the method rule of
@@ -62,10 +46,10 @@ formula holds on every graph of a finite sequence, by the method rule of
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 from ._pieces import MAX_COUNT_SETS, Piece, piece, prefix, submasks
 from .errors import SizeLimitError
@@ -85,46 +69,27 @@ __all__ = [
 MAX_STATES = 1 << 12
 
 
-@dataclass(frozen=True)
-class Fragment:
+# A state of a placed prefix: its class codes and one bit per piece.
+State = tuple[frozenset[int], int]
+
+
+class Fragment(NamedTuple):
     """A formula recognized as [!] exists X1..Xk. psi, compiled for
     ``decide``; see ``recognize``.
 
-    ``psi`` maps the state bits to the truth of psi, and a state with a bit
-    of ``prune`` set can no longer satisfy psi. ``labels`` are the labels a
-    vertex may take with the bits placing it sets, none of ``prune``, and
-    the parity bits it flips; ``far`` holds the far labels (see the
-    module), and ``meets`` says whether a pair piece or count lets placed
-    vertices meet later ones at all.
-
-    A class code is row << low | counts << k + 2 | multiplicity << k |
-    label, 2 bits per count and for the multiplicity (3 is odd and at
-    least 3); ``label_mask`` and ``count_mask`` cover the label and counts.
-
-    ``effect(met)``, met the (label, multiplicity, counts, adjacent,
-    final) of the classes a vertex v meets, is kept per met and gives per
-    label b of ``labels``: their counts once v labelled b meets them,
-    whether that changed one, the bits set then (by the pair pieces, and
-    by the counting pieces of the met classes and of v whatever later
-    steps add), those bits with v's counts final, and v's counts.
-    ``add(classes, moved)`` merges the (code without multiplicity,
-    multiplicity) pairs ``moved`` into classes. ``final(classes)`` is the
-    bits the classes of a last state set.
+    ``step(state, row, vbit)`` yields the states after the next vertex
+    joins ``state`` under each label it may take, row its neighbours among
+    the vertices after it and vbit its own bit in the rows; the first
+    state is ``(frozenset(), 0)``. ``accepts(state)`` is psi on a last
+    state, and the verdict is its negation when ``negated``. ``meets``
+    says whether a pair piece or count lets placed vertices meet later
+    ones at all; when it does not, every row may be given as 0.
     """
 
     negated: bool
-    psi: Callable[[int], bool]
-    prune: int
-    labels: tuple[tuple[int, int, int], ...]  # (label, seen, toggle)
-    far: frozenset[int]
     meets: bool
-    k: int
-    low: int
-    label_mask: int
-    count_mask: int
-    effect: Callable[[tuple], list[tuple]]
-    add: Callable[[frozenset[int], list[tuple[int, int]]], frozenset[int]]
-    final: Callable[[frozenset[int]], int]
+    step: Callable[[State, int, int], Iterator[State]]
+    accepts: Callable[[State], bool]
 
 
 def recognize(f: Formula) -> Fragment | None:
@@ -185,64 +150,25 @@ def decide(g: Graph, fragment: Fragment) -> bool:
     """Truth of a recognized formula on g, by the cut-class DP along a
     breadth-first order. Raises SizeLimitError when a step holds more than
     ``MAX_STATES`` states."""
-    k, low, far, prune = fragment.k, fragment.low, fragment.far, fragment.prune
-    label_mask, count_mask = fragment.label_mask, fragment.count_mask
-    effect, add = fragment.effect, fragment.add
-    # In a row the vertex placed at step i of n is bit n - i of the class
-    # code's row: the vertex placed next is the highest bit of every row
-    # that holds it, and the classes adjacent to it are those with a code
-    # at least its bit.
     order = _breadth_first(g)
     n = len(order)
     # with no pair piece and no count the placed vertices meet no one
     rows = _outside_rows(g, order) if fragment.meets else [0] * n
-    states: set[tuple[frozenset[int], int]] = {(frozenset(), 0)}
-    for step, row in enumerate(rows, 1):
-        vbit = 1 << low + n - step
-        placed: set[tuple[frozenset[int], int]] = set()
-        for classes, bits in states:
-            # the classes v meets: those whose row holds it, and the far
-            # ones, which it meets as a non-neighbour; no other class
-            # changes or sets a bit
-            touched = list(filter(vbit.__le__, classes))
-            remote = [c for c in classes if c < vbit and c & label_mask in far] if far else []
-            if touched or remote:
-                rest = classes.difference(touched, remote)
-                # v leaves their rows, and a class left with row 0 meets
-                # every later vertex as a non-neighbour: unless far, it is
-                # final
-                left = [(c ^ vbit, True) for c in touched] + [(c, False) for c in remote]
-                met = tuple([(c & label_mask, c >> k & 3, c >> k + 2 & count_mask, e,
-                              not (c >> low or c & label_mask in far)) for c, e in left])
-            else:
-                rest, left, met = classes, [], ()
-            unchanged = None  # the classes after v when it changes no count
-            for (b, seen, toggle), (after, changed, hit, hit_final, counted) in zip(
-                    fragment.labels, effect(met)):
-                stays = row or b in far  # whether v's own class outlives the step
-                new = (bits | seen | (hit if stays else hit_final)) ^ toggle
-                if new & prune:
-                    continue
-                if changed or unchanged is None:
-                    out = add(rest, [(c >> low << low | cs << k + 2 | a, m)
-                                     for (c, _), (a, m, _, _, done), cs in zip(left, met, after)
-                                     if not done])
-                    if not changed:
-                        unchanged = out
-                else:
-                    out = unchanged
-                if stays:
-                    out = add(out, [(row << low | counted << k + 2 | b, 1)])
-                placed.add((out, new))
+    step = fragment.step
+    states: set[State] = {(frozenset(), 0)}
+    for i, row in enumerate(rows, 1):
+        placed: set[State] = set()
+        for state in states:
+            for after in step(state, row, 1 << n - i):
+                placed.add(after)
                 if len(placed) > MAX_STATES:
                     raise SizeLimitError(
                         f"the breadth-first DP holds more than {MAX_STATES} states "
-                        f"at vertex {step} of {n} in its order; use a smaller graph "
+                        f"at vertex {i} of {n} in its order; use a smaller graph "
                         f"or formula"
                     )
         states = placed
-    verdict = any(fragment.psi(bits | fragment.final(classes)) for classes, bits in states)
-    return verdict != fragment.negated
+    return any(map(fragment.accepts, states)) != fragment.negated
 
 
 def _outside_rows(g: Graph, order: list[int]) -> list[int]:
@@ -283,7 +209,34 @@ def _far(bodies: list, labels: range) -> frozenset[int]:
 def _program(negated: bool, k: int, pieces: tuple[Piece, ...],
              psi: Callable[[int], bool], prune: int) -> Fragment:
     """The ``Fragment`` of a formula recognized with these pieces over k
-    sets: every table and class step ``decide`` reads, built once."""
+    sets, with every table its step reads built once.
+
+    Placed vertex a meets every unplaced vertex only through its outside
+    row, its neighbours among them, so a state sums the placed part up by
+    the set of (outside row, label, counts) classes present in it, plus
+    one bit per piece: a counterexample bit for a forall piece, a witness
+    bit for an exists piece, a parity bit for ``Even``. A class's counts
+    are its members' count atoms so far, capped at 2 or kept mod 2, and
+    its multiplicity is capped at 2 with its parity kept, or kept at 1
+    when the formula counts nothing. A class code is row << low | counts
+    << k + 2 | multiplicity << k | label, 2 bits per count and for the
+    multiplicity (3 is odd and at least 3). The vertex placed next is the
+    highest bit of every row that holds it, so the classes adjacent to it
+    are those with a code at least its bit.
+
+    Placing v checks the pair pieces on (v, v) and, in both orders, on v
+    and the classes it meets: those adjacent to it, and the far ones, whose
+    label lets some pair piece or count beta hold on it and a non-adjacent
+    vertex. It raises the counts of those classes that beta relates to v,
+    and sets v's counts from their multiplicities. A class whose gamma no
+    later count can change sets its piece's bit at once, so an "at most
+    one" count past 1 prunes. Then v leaves the rows and equal classes
+    merge. A class whose row is 0 meets every later vertex as a
+    non-neighbour; unless its label is far, it is final: gamma is tested on
+    its counts and the class is dropped. Only the classes v meets are
+    rebuilt. A state with a bit of ``prune`` set, one that falsifies a
+    top-level conjunct of psi, is dropped.
+    """
     labels = range(1 << k)
     seen = [0] * len(labels)
     toggle = [0] * len(labels)
@@ -293,11 +246,14 @@ def _program(negated: bool, k: int, pieces: tuple[Piece, ...],
                 toggle[label] |= ((label >> p.parity) & 1) << i
             elif p.hit is not None and p.hit(label, label, False, True):
                 seen[label] |= 1 << i
+    # the labels v may take, with the bits placing it sets and flips
+    allowed = [(b, seen[b], toggle[b]) for b in labels if not seen[b] & prune]
     pairs = [(i, p.hit) for i, p in enumerate(pieces) if p.pair]
     counters = [(i, p) for i, p in enumerate(pieces) if p.counts]
     counts = [c for _, p in counters for c in p.counts]
     far = _far([(p.hit, p.bits) for p in pieces if p.pair]
                + [(c.beta, c.bits) for c in counts], labels)
+    low = k + 2 * len(counts) + 2
     label_mask = (1 << k) - 1
     count_mask = (1 << 2 * len(counts)) - 1
 
@@ -339,6 +295,11 @@ def _program(negated: bool, k: int, pieces: tuple[Piece, ...],
         return out
 
     def meet(met: tuple, b: int) -> tuple:
+        """For v labelled b and met the (label, multiplicity, counts,
+        adjacent, final) of the classes it meets: their counts after, whether
+        that changed one, the bits set (by the pair pieces, and by the
+        counting pieces of the met classes and of v whatever later steps
+        add), those bits with v's counts final, and v's counts."""
         bits = 0
         for a, _, _, e, _ in met:
             for i, hit in pairs:
@@ -355,13 +316,13 @@ def _program(negated: bool, k: int, pieces: tuple[Piece, ...],
         bits |= hits(b, counted, False)
         return after, changed, bits, bits | hits(b, counted, True), counted
 
-    allowed = tuple((b, seen[b], toggle[b]) for b in labels if not seen[b] & prune)
-
     @cache
     def effect(met: tuple) -> list[tuple]:
         return [meet(met, b) for b, _, _ in allowed]
 
     def add(classes: frozenset[int], moved: list[tuple[int, int]]) -> frozenset[int]:
+        """classes with the (code without multiplicity, multiplicity)
+        pairs ``moved`` merged in."""
         if not moved:
             return classes
         if not counts:
@@ -384,16 +345,47 @@ def _program(negated: bool, k: int, pieces: tuple[Piece, ...],
             classes = classes.difference(gone)
         return classes.union(codes) if codes else classes
 
-    def final(classes: frozenset[int]) -> int:
-        bits = 0
+    def step(state: State, row: int, vbit: int) -> Iterator[State]:
+        classes, bits = state
+        vbit <<= low
+        # the classes v meets: those whose row holds it, and the far ones,
+        # which it meets as a non-neighbour; no other class changes or sets
+        # a bit
+        touched = list(filter(vbit.__le__, classes))
+        remote = [c for c in classes if c < vbit and c & label_mask in far] if far else []
+        if touched or remote:
+            rest = classes.difference(touched, remote)
+            left = [(c ^ vbit, True) for c in touched] + [(c, False) for c in remote]
+            met = tuple([(c & label_mask, c >> k & 3, c >> k + 2 & count_mask, e,
+                          not (c >> low or c & label_mask in far)) for c, e in left])
+        else:
+            rest, left, met = classes, [], ()
+        unchanged = None  # the classes after v when it changes no count
+        for (b, seen, toggle), (after, changed, hit, hit_final, counted) in zip(
+                allowed, effect(met)):
+            stays = row or b in far  # whether v's own class outlives the step
+            new = (bits | seen | (hit if stays else hit_final)) ^ toggle
+            if new & prune:
+                continue
+            if changed or unchanged is None:
+                out = add(rest, [(c >> low << low | cs << k + 2 | a, m)
+                                 for (c, _), (a, m, _, _, done), cs in zip(left, met, after)
+                                 if not done])
+                if not changed:
+                    unchanged = out
+            else:
+                out = unchanged
+            if stays:
+                out = add(out, [(row << low | counted << k + 2 | b, 1)])
+            yield out, new
+
+    def accepts(state: State) -> bool:
+        classes, bits = state
         for c in classes:
             bits |= hits(c & label_mask, c >> k + 2 & count_mask, True)
-        return bits
+        return psi(bits)
 
-    return Fragment(
-        negated, psi, prune, allowed, far, bool(pairs or counts),
-        k, k + 2 * len(counts) + 2, label_mask, count_mask, effect, add, final,
-    )
+    return Fragment(negated, bool(pairs or counts), step, accepts)
 
 
 def _breadth_first(g: Graph) -> list[int]:

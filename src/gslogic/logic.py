@@ -31,10 +31,11 @@ formulas of the form [!] exists X1..Xk. psi, psi a Boolean combination of
 ``Even`` atoms, one- and two-vertex quantifier pieces and pieces that
 count a vertex's neighbourhood, by a dynamic program along a
 breadth-first order of the graph whose cost is set by its state count,
-not by 2^n, and compiles the quantifier-free bodies of those pieces with
-``_compile``. Theory membership (``theory_member``) lives
-there too, so that it, like ``gslogic check``, uses that program for every
-formula it recognizes and ``evaluate`` for the rest.
+not by 2^n; ``gslogic._pieces`` compiles the quantifier-free bodies of
+those pieces with ``_compile``. Theory membership (``theory_member``)
+lives in ``gslogic.fragment`` too, so that it, like ``gslogic check``,
+uses that program for every formula it recognizes and ``evaluate`` for
+the rest.
 
 Surface grammar (ASCII, shell-friendly):
 

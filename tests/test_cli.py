@@ -453,3 +453,17 @@ def test_bench_tracer_wraps_both_check_methods(capsys):
     assert tracer.calls["logic.parse"] == 2
     assert tracer.calls["cli.load_graph"] == 3
     assert tracer.calls["graphs.generate"] == 3
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_bench_run_answers_a_short_logic_round(trace):
+    # bench/run.py as the benchmark runs it: its import timing, its output
+    # checks and the package calls it makes, on half a second of queries
+    res = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "logic", "--seed", "1",
+         "--seconds", "0.5", "--trace", trace],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    summary = json.loads(res.stdout.splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0

@@ -457,6 +457,52 @@ def test_state_limit_refuses_after_the_work(monkeypatch, capsys):
     assert "more than 8 states at vertex" in capsys.readouterr().err
 
 
+def _walk(g, fragment):
+    """The verdict and the most states of one step, stepping the states by
+    hand along decide's order and outside rows."""
+    order = gslogic.fragment._breadth_first(g)
+    rows = gslogic.fragment._outside_rows(g, order)
+    states, peak = {(frozenset(), 0)}, 1
+    for i, row in enumerate(rows, 1):
+        states = {after for state in states for after in fragment.step(state, row, 1 << g.n - i)}
+        peak = max(peak, len(states))
+    return any(map(fragment.accepts, states)) != fragment.negated, peak
+
+
+@pytest.mark.parametrize("source", RECOGNIZED)
+def test_stepping_by_hand_gives_the_verdict_of_decide(source):
+    # the successor function a caller other than decide steps on its own
+    fragment = recognize(parse_formula(source))
+    for g in TINY_GRAPHS + [_shuffled(generate("grid", 3), 4)]:
+        assert _walk(g, fragment)[0] == decide(g, fragment), g
+
+
+def test_a_step_may_hold_exactly_max_states(monkeypatch):
+    # some vertex set is independent: 22 states at its peak here
+    text = "exists X. forall x. forall y. !(x in X & y in X & edge(x, y))"
+    fragment, g = recognize(parse_formula(text)), random_graph(14, random.Random(2), 0.5)
+    want, peak = _walk(g, fragment)
+
+    def answers(limit):
+        monkeypatch.setattr(gslogic.fragment, "MAX_STATES", limit)
+        try:
+            assert decide(g, fragment) == want
+        except SizeLimitError:
+            return False
+        return True
+
+    low, high = 1, gslogic.fragment.MAX_STATES  # refused at low, answered at high
+    assert answers(high) and not answers(low)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if answers(mid) else (mid, high)
+    # the least limit decide answers under is the most states a step holds
+    assert high == peak == 22
+    monkeypatch.setattr(gslogic.fragment, "MAX_STATES", peak - 1)
+    with pytest.raises(SizeLimitError, match=f"more than {peak - 1} states"):
+        decide(g, fragment)
+
+
 def test_empty_graph_and_single_vertex():
     empty, one = Graph(0, ()), generate("path", 1)
     for f in FRAGMENT_FORMULAS.values():
