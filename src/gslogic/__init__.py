@@ -17,9 +17,12 @@ Three interlocking toolkits around simple undirected graphs:
   as perfect codes and even degrees) without enumerating sets.
   ``theory_member`` checks a formula on a sequence of graphs by the same
   method rule as ``gslogic check``.
-- A stabilizer simulator for graph states under Pauli measurements, plus
-  a dense state-vector oracle for cross-validation on small registers. Its
-  names live in ``gslogic.dense`` only, which loads numpy on first use.
+- A simulator of Pauli measurement patterns on graph states by
+  vertex-minor rules with one local-Clifford frame per qubit, a stabilizer
+  tableau for any Pauli observable, which the tests use as its oracle, and
+  a dense state-vector oracle for cross-validation on small registers. The
+  oracle's names live in ``gslogic.dense`` only, which loads numpy on
+  first use.
 
 The kernels are pure Python (``kernel_backend()`` reports "pure").
 """

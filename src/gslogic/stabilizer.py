@@ -1,9 +1,34 @@
-"""Stabilizer-group simulation of graph states and Pauli measurements.
+"""Stabilizer simulation of graph states and Pauli measurements.
 
 A graph state on n qubits is the joint +1 eigenstate of the n correlation
-operators K_a = X_a * prod_{b ~ a} Z_b, one per vertex. The simulator keeps
-n generators of the stabilizer group as X/Z bitmasks with signs, so single
-Pauli measurements cost polynomial work regardless of n.
+operators K_a = X_a * prod_{b ~ a} Z_b, one per vertex.
+
+`simulate_pattern` measures one-qubit Paulis on a fresh graph state by
+graph rules, with no tableau. Measuring a qubit of a graph state in a Pauli
+basis leaves the other qubits in the graph state of a vertex-minor of the
+graph, up to one-qubit Cliffords (Hein, Eisert and Briegel, PRA 69, 062311,
+2004). The state is therefore kept as C |G'>: adjacency rows G' and one
+frame C_v per qubit, one of the 24 one-qubit Cliffords (as in Anders and
+Briegel, PRA 73, 022334, 2006). Measuring sigma on qubit a reads its frame,
+C_a^dag sigma C_a = s sigma', and measures sigma' on |G'> with outcome
+r = s * outcome. If a is isolated, sigma' = X gives r = +1 with probability
+1 and Y or Z a fair coin; otherwise every outcome is a fair coin. Then a is
+deleted and the rule for sigma' changes the rows and frames:
+
+- Z: nothing more; Z on N(a) if r = -1;
+- Y: local complementation at a; sqrt(-iZ) on N(a) if r = +1, sqrt(+iZ)
+  if r = -1;
+- X: a pivot on the edge from a to its lowest neighbour b0; sqrt(+iY) on
+  b0 and Z on N(a) - N[b0] if r = +1, sqrt(-iY) on b0 and Z on
+  N(b0) - N[a] if r = -1.
+
+That costs one big-int operation per neighbour whose row or frame changes.
+
+`StabilizerTableau` holds any stabilizer state and measures any Pauli
+observable, also one on several qubits; it is the general-Pauli type, and
+the tests check the graph rules against it. It keeps n generators of the
+stabilizer group as X/Z bitmasks with signs, so single Pauli measurements
+cost polynomial work regardless of n.
 
 Sign bookkeeping uses an internal phase exponent t modulo 4: a generator
 with bitmasks (x, z) and phase t denotes i^t X^x Z^z, where X^x is the
@@ -434,6 +459,127 @@ def graph_state_tableau(g: Graph) -> StabilizerTableau:
     )
 
 
+# ------------------------------------------------- local-Clifford frames
+#
+# A signed Pauli is the code 2 * p + (1 if its sign is -1), with p = 0, 1, 2
+# for X, Y, Z. A frame is a one-qubit Clifford C, stored as the codes of
+# C^dag X C, C^dag Y C and C^dag Z C. The corrections of the measurement
+# rules, as the same maps sigma -> U^dag sigma U:
+_CORRECTIONS = (
+    (1, 3, 4),  # Z
+    (3, 0, 4),  # sqrt(-iZ)
+    (2, 1, 4),  # sqrt(+iZ)
+    (5, 2, 0),  # sqrt(+iY)
+    (4, 2, 1),  # sqrt(-iY)
+)
+
+
+def _frame_tables():
+    """The 24 frames, closed under the corrections from the identity, and
+    for each correction the index of C*U for every frame index of C."""
+    frames = [(0, 2, 4)]
+    index = {frames[0]: 0}
+    steps = tuple([] for _ in _CORRECTIONS)
+    for frame in frames:  # grows until no correction makes a new frame
+        for step, u in zip(steps, _CORRECTIONS):
+            # (CU)^dag sigma (CU) = U^dag (C^dag sigma C) U
+            new = tuple(u[c >> 1] ^ (c & 1) for c in frame)
+            if new not in index:
+                index[new] = len(frames)
+                frames.append(new)
+            step.append(index[new])
+    return tuple(frames), tuple(map(tuple, steps))
+
+
+_FRAMES, (_Z, _MINUS_IZ, _PLUS_IZ, _PLUS_IY, _MINUS_IY) = _frame_tables()
+_BASIS_CODE = {"X": 0, "Y": 1, "Z": 2}
+
+
+def _check_pattern(n: int, pattern) -> None:
+    seen = set()
+    for pos, (qubit, basis) in enumerate(pattern, start=1):
+        if qubit in seen:
+            raise ValueError(f"pattern entry {pos}: qubit {qubit} measured twice")
+        seen.add(qubit)
+        if not 0 <= qubit < n:
+            raise ValueError(f"pattern entry {pos}: qubit {qubit} out of range for n={n}")
+        if basis not in _BASIS_CODE:
+            raise ValueError(
+                f"pattern entry {pos}: basis must be one of X, Y, Z, got {basis!r}"
+            )
+
+
+def _simulate(g: Graph, pattern, rng_seed):
+    """The transcript of simulate_pattern, with the graph rows and frame
+    indices (into _FRAMES) of the state it leaves: C |G'> with C the
+    tensor product of the frames and G' the rows, measured qubits isolated."""
+    n = g.n
+    if n > 4096:
+        raise SizeLimitError("refusing to simulate more than 4096 qubits")
+    _check_pattern(n, pattern)
+    adj = list(g.adj)
+    frame = [0] * n
+    rng = random.Random(rng_seed)
+    transcript = []
+    for a, basis in pattern:
+        # C_a^dag sigma C_a = s sigma': measuring sigma with outcome o on
+        # C |G> is measuring sigma' with outcome r = s o on |G>
+        code = _FRAMES[frame[a]][_BASIS_CODE[basis]]
+        pauli = code >> 1
+        na = adj[a]
+        if not na and not pauli:
+            # an isolated qubit is the +1 eigenstate of X
+            outcome, prob = -1 if code else 1, 1.0
+        else:
+            outcome, prob = (1 if rng.random() < 0.5 else -1), 0.5
+        r = -outcome if code & 1 else outcome
+        abit = 1 << a
+        if pauli == 2:
+            # Z: delete a; Z on N(a) if r = -1
+            for w in _bits(na):
+                adj[w] ^= abit
+                if r < 0:
+                    frame[w] = _Z[frame[w]]
+        elif pauli == 1:
+            # Y: complement N(a) locally and delete a; sqrt(-iZ) on N(a)
+            # if r = +1, sqrt(+iZ) if r = -1
+            step = _MINUS_IZ if r > 0 else _PLUS_IZ
+            full = na | abit
+            for w in _bits(na):
+                adj[w] ^= full ^ (1 << w)
+                frame[w] = step[frame[w]]
+        elif na:
+            # X: pivot on the edge a-b0 and delete a. The pairs between the
+            # three classes toggle; swapping a and b0 moves only_a to b0
+            # and only_b to a, which is deleted
+            bbit = na & -na
+            b0 = bbit.bit_length() - 1
+            nb = adj[b0]
+            both = na & nb
+            only_a = (na & ~nb) ^ bbit  # N(a) - N[b0]
+            only_b = (nb & ~na) ^ abit  # N(b0) - N[a]
+            for w in _bits(both):
+                adj[w] ^= only_a | only_b | abit
+            for w in _bits(only_a):
+                adj[w] ^= both | only_b | abit | bbit
+            for w in _bits(only_b):
+                adj[w] ^= both | only_a | bbit
+            adj[b0] = both | only_a
+            if r > 0:
+                frame[b0] = _PLUS_IY[frame[b0]]
+                zs = only_a
+            else:
+                frame[b0] = _MINUS_IY[frame[b0]]
+                zs = only_b
+            for w in _bits(zs):
+                frame[w] = _Z[frame[w]]
+        adj[a] = 0
+        transcript.append(
+            {"qubit": a, "basis": basis, "outcome": outcome, "probability": prob}
+        )
+    return transcript, adj, frame
+
+
 def simulate_pattern(
     g: Graph,
     pattern: list[tuple[int, str]],
@@ -442,23 +588,11 @@ def simulate_pattern(
     """Sequentially measure single-qubit Paulis on a fresh graph state.
 
     pattern is a list of (qubit, basis) pairs with distinct qubits and
-    basis in {X, Y, Z}. Returns one record per measurement:
-    {"qubit", "basis", "outcome", "probability"}.
+    basis in {X, Y, Z}; a bad entry raises ValueError before anything is
+    measured, and a graph of more than 4096 qubits SizeLimitError. Returns
+    one record per measurement: {"qubit", "basis", "outcome",
+    "probability"}, with probability 1.0 or 0.5. Each fair coin is one
+    draw of random.Random(rng_seed), as in StabilizerTableau.measure, so
+    the transcript is the tableau's for the same seed.
     """
-    tableau = graph_state_tableau(g)
-    rng = random.Random(rng_seed)
-    seen: set[int] = set()
-    transcript = []
-    for pos, (qubit, basis) in enumerate(pattern, start=1):
-        if qubit in seen:
-            raise ValueError(f"pattern entry {pos}: qubit {qubit} measured twice")
-        seen.add(qubit)
-        try:
-            p = PauliOperator.single(g.n, qubit, basis)
-        except ValueError as exc:
-            raise ValueError(f"pattern entry {pos}: {exc}") from None
-        outcome, prob = tableau.measure(p, rng=rng)
-        transcript.append(
-            {"qubit": qubit, "basis": basis, "outcome": outcome, "probability": prob}
-        )
-    return transcript
+    return _simulate(g, pattern, rng_seed)[0]

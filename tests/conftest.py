@@ -88,6 +88,24 @@ def reference_cut_rank(g: Graph, side) -> int:
     return len(basis)
 
 
+def entanglement_rank(tableau, amask: int) -> int:
+    """Entanglement of a stabilizer state across the cut between the qubits
+    of ``amask`` and the rest: the GF(2) rank of the generators restricted
+    to those qubits, minus their number. The rows are reduced on their
+    highest bit, with nothing shared with `gslogic.gf2`."""
+    n = tableau.n
+    pivots: dict[int, int] = {}
+    for x, z in zip(tableau.xs, tableau.zs):
+        row = (x & amask) | ((z & amask) << n)
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots) - amask.bit_count()
+
+
 def exhaustive_rankwidth(g: Graph) -> int:
     """Rank-width by walking all (2n-5)!! subcubic trees (n >= 2).
 

@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 import gslogic.cli
-import gslogic.stabilizer
-from gslogic import parse_edge_list
+from gslogic import PauliOperator, generate, graph_state_tableau, parse_edge_list
 from test_logic import EVEN_DEGREES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -259,24 +258,30 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
 
 
 def test_corrupt_tableau_is_not_a_usage_error(monkeypatch):
-    # a tableau that broke its own invariants is a fault, not bad input
+    # a tableau that broke its own invariants is a fault, not bad input:
+    # measure and expectation raise RuntimeError, and a RuntimeError from
+    # the simulator leaves the CLI as it is instead of becoming exit 2
     def odd_phase(tab):
         tab.ts[0] = 1
 
     def lost_destabilizer(tab):
         tab.dxcol[0] = tab.dzcol[0] = 0
 
-    real = gslogic.stabilizer.graph_state_tableau
+    x0 = PauliOperator.single(1, 0, "X")
     for corrupt, message in ((odd_phase, "inconsistent phase"),
                              (lost_destabilizer, "outside the stabilizer span")):
-        def broken(g, corrupt=corrupt):
-            tab = real(g)
+        for use in (lambda tab: tab.measure(x0), lambda tab: tab.expectation(x0)):
+            tab = graph_state_tableau(generate("path", 1))
             corrupt(tab)
-            return tab
+            with pytest.raises(RuntimeError, match=message):
+                use(tab)
 
-        monkeypatch.setattr(gslogic.stabilizer, "graph_state_tableau", broken)
-        with pytest.raises(RuntimeError, match=message):
-            gslogic.cli.main(["simulate", "path:1", "--pattern", "0:X"])
+    def broken(g, pattern, rng_seed=None):
+        raise RuntimeError("simulator fault")
+
+    monkeypatch.setattr(gslogic.cli, "simulate_pattern", broken)
+    with pytest.raises(RuntimeError, match="simulator fault"):
+        gslogic.cli.main(["simulate", "path:1", "--pattern", "0:X"])
 
 
 def test_cli_import_leaves_numpy_out():

@@ -7,12 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_graph, reference_cut_rank, small_corpus
+from conftest import entanglement_rank, random_graph, reference_cut_rank, small_corpus
 from gslogic import (
     Graph,
     PauliOperator,
     SizeLimitError,
     StabilizerTableau,
+    cut_rank,
     generate,
     graph_state_tableau,
     multiply_paulis,
@@ -29,6 +30,7 @@ from gslogic.dense import (
     project,
     stabilizer_residual,
 )
+from gslogic.stabilizer import _FRAMES, _simulate
 
 # ------------------------------------------------------------- PauliOperator
 
@@ -479,19 +481,6 @@ def test_random_single_qubit_measurement_decouples_its_qubit(kind):
     t.check_invariants()
 
 
-def _gf2_rank(rows):
-    """Rank over GF(2) by elimination on the highest set bit."""
-    pivots = {}
-    for row in rows:
-        while row:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = row
-                break
-            row ^= pivots[top]
-    return len(pivots)
-
-
 def test_entanglement_after_z_measurements_is_cut_rank_of_deleted_graph():
     # Z on the vertices of S leaves the graph state of G - S (up to local
     # Paulis) and S in product states, so the entanglement across any cut A
@@ -506,7 +495,6 @@ def test_entanglement_after_z_measurements_is_cut_rank_of_deleted_graph():
         t.measure(PauliOperator.single(n, v, "Z"), rng=rng)
     kept = [(u, v) for u, v in g.edges() if u not in removed and v not in removed]
     minor = Graph.from_edges(n, kept)
-    gens = t.generators()
     cuts = [
         {v for v in range(n) if rng.random() < 0.5},
         set(range(n // 2)),
@@ -514,8 +502,141 @@ def test_entanglement_after_z_measurements_is_cut_rank_of_deleted_graph():
         set(rng.sample(range(n), 40)),
     ]
     for side in cuts:
-        mask = sum(1 << v for v in side)
-        rows = [(p.x_bits & mask) | ((p.z_bits & mask) << n) for p in gens]
-        entanglement = _gf2_rank(rows) - len(side)
+        entanglement = entanglement_rank(t, sum(1 << v for v in side))
         assert entanglement == reference_cut_rank(minor, side - removed)
         assert entanglement > 0
+
+
+# ------------------------------------------ graph rules against the tableau
+
+
+def _tableau_transcript(g, pattern, seed):
+    """simulate_pattern's transcript, measured on the tableau instead, and
+    the tableau it leaves."""
+    tab = graph_state_tableau(g)
+    rng = random.Random(seed)
+    transcript = []
+    for q, basis in pattern:
+        outcome, prob = tab.measure(PauliOperator.single(g.n, q, basis), rng=rng)
+        transcript.append(
+            {"qubit": q, "basis": basis, "outcome": outcome, "probability": prob}
+        )
+    return transcript, tab
+
+
+def _conjugated(frame, pauli):
+    """C sigma C^dag for the frame of C (the codes of C^dag X C, C^dag Y C,
+    C^dag Z C) and sigma = X, Y, Z as 0, 1, 2: (sign, Pauli index)."""
+    for sigma, code in enumerate(frame):
+        if code >> 1 == pauli:
+            return (-1 if code & 1 else 1), sigma
+    raise AssertionError(f"frame {frame} is not a signed permutation")
+
+
+def _rule_generators(n, transcript, adj, frames):
+    """Generators of the state that the graph rules leave: outcome * sigma on
+    each measured qubit, and C K_v C^dag on each other qubit v, with K_v
+    read from the rows left and C the tensor product of the frames."""
+    measured = {rec["qubit"]: rec for rec in transcript}
+    for a, rec in measured.items():
+        assert adj[a] == 0
+        p = PauliOperator.single(n, a, rec["basis"])
+        yield PauliOperator(n, p.x_bits, p.z_bits, rec["outcome"])
+    for v in range(n):
+        if v in measured:
+            continue
+        x = z = 0
+        sign = 1
+        for w, pauli in [(v, 0)] + [(w, 2) for w in range(n) if adj[v] >> w & 1]:
+            assert w not in measured
+            s, sigma = _conjugated(_FRAMES[frames[w]], pauli)
+            sign *= s
+            x |= (sigma != 2) << w
+            z |= (sigma != 0) << w
+        yield PauliOperator(n, x, z, sign)
+
+
+def _assert_rules_match_tableau(g, pattern, seed):
+    want, tab = _tableau_transcript(g, pattern, seed)
+    got, adj, frames = _simulate(g, pattern, seed)
+    assert got == want
+    for gen in _rule_generators(g.n, got, adj, frames):
+        assert tab.expectation(gen) == 1, (g.name, gen.label())
+    return got
+
+
+def _carve_pattern(kind, k, rng):
+    """Z on all but one colour class of the colouring (r + c) mod colours,
+    then X or Y on that class."""
+    colours = 3 if kind == "triangular" else 2
+    keep = rng.randrange(colours)
+    colour = [sum(divmod(v, k)) % colours for v in range(k * k)]
+    cover = [v for v in range(k * k) if colour[v] != keep]
+    rest = [v for v in range(k * k) if colour[v] == keep]
+    rng.shuffle(cover)
+    rng.shuffle(rest)
+    return [(v, "Z") for v in cover] + [(v, rng.choice("XXY")) for v in rest]
+
+
+def test_graph_rules_match_tableau_on_small_graphs():
+    # the same seed draws the same coins, so transcripts agree exactly and
+    # the states left must be equal: every generator of the graph-rule state
+    # has expectation +1 on the tableau
+    rng = random.Random(62311)
+    determined = isolated = 0
+    for _ in range(1000):
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng, rng.choice((0.15, 0.5, 0.85)))
+        isolated += any(row == 0 for row in g.adj)
+        order = rng.sample(range(n), rng.randint(0, n))
+        pattern = [(q, rng.choice("XYZ")) for q in order]
+        transcript = _assert_rules_match_tableau(g, pattern, rng.randrange(1 << 30))
+        determined += sum(rec["probability"] == 1.0 for rec in transcript)
+    assert determined > 200
+    assert isolated > 100
+
+
+@pytest.mark.parametrize("kind", ["grid", "triangular", "hexagonal"])
+def test_graph_rules_match_tableau_on_lattices(kind):
+    rng = random.Random(22334)
+    for k in (16, 28):
+        g = generate(kind, k)
+        order = rng.sample(range(g.n), rng.randint(g.n // 2, g.n))
+        pattern = [(q, rng.choice("XYZ")) for q in order]
+        _assert_rules_match_tableau(g, pattern, rng.randrange(1 << 30))
+        carve = _carve_pattern(kind, k, rng)
+        transcript = _assert_rules_match_tableau(g, carve, rng.randrange(1 << 30))
+        # the cover isolates the rest, where X is determined and Y is not
+        assert all((rec["probability"] == 1.0) == (rec["basis"] == "X")
+                   for rec in transcript)
+    if kind == "grid":
+        g = generate("grid", 64)
+        order = rng.sample(range(g.n), 3 * g.n // 4)
+        pattern = [(q, rng.choice("XYZ")) for q in order]
+        _assert_rules_match_tableau(g, pattern, rng.randrange(1 << 30))
+
+
+@pytest.mark.parametrize("kind", ["grid", "triangular", "hexagonal"])
+def test_entanglement_after_pattern_prefixes_is_cut_rank_of_vertex_minor(kind):
+    # a Pauli pattern leaves the graph state of the vertex-minor G' up to
+    # local Cliffords, which keep entanglement; so across every cut A the
+    # tableau's entanglement is the cut-rank of G' on A minus the measured
+    rng = random.Random(2006)
+    for k in (8, 20, 28):
+        g = generate(kind, k)
+        n = g.n
+        order = rng.sample(range(n), rng.randint(n // 4, 3 * n // 4))
+        pattern = [(q, rng.choice("XYZ")) for q in order]
+        seed = rng.randrange(1 << 30)
+        _, tab = _tableau_transcript(g, pattern, seed)
+        _, adj, _ = _simulate(g, pattern, seed)
+        minor = Graph(n, tuple(adj))
+        measured = set(order)
+        cuts = [
+            {v for v in range(n) if rng.random() < 0.5},
+            set(range(n // 2)),
+            {v for v in range(n) if v % k < k // 3},
+        ]
+        ranks = [entanglement_rank(tab, sum(1 << v for v in side)) for side in cuts]
+        assert ranks == [cut_rank(minor, side - measured) for side in cuts]
+        assert max(ranks) > 0
