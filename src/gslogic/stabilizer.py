@@ -51,18 +51,10 @@ there, and one for Z). Measuring a Pauli p then costs:
   the same way, and its sign is that product's phase, with no elimination;
 - otherwise the outcome is a fair coin. The first anticommuting generator
   S_k is multiplied into every other generator and destabilizer that
-  anticommutes with p, and S_k becomes +-p. That is one big-int operation
-  per changed row, plus one per qubit in the support of the old S_k, the
-  old d_k and p to update the columns;
-- a random outcome of a single-qubit p on qubit q then decouples q: every
-  other generator and destabilizer that still holds p's Pauli at q is
-  multiplied by S_k (one big-int operation per row, and column q is
-  overwritten), and d_k becomes the one-qubit Pauli at q that anticommutes
-  with p. The measured qubit is left in a product state, as it is in
-  measurement-based computation (Hein, Eisert and Briegel, PRA 69, 062311,
-  2004), so no later row touches it and the rows keep the support of the
-  unmeasured graph instead of collecting old generators. For a p on
-  several qubits d_k becomes the old S_k instead.
+  anticommutes with p, d_k becomes the old S_k, and S_k becomes +-p, the
+  same update for a p on one qubit or on several. That is one big-int
+  operation per changed row, plus one per qubit in the support of the old
+  S_k, the old d_k and p to update the columns.
 """
 
 from __future__ import annotations
@@ -373,7 +365,8 @@ class StabilizerTableau:
         # the first anticommuting generator k0 is multiplied into the other
         # anticommuting generators and into every other destabilizer that
         # anticommutes with p; then generator k0 becomes outcome * p and
-        # destabilizer k0 a Pauli that anticommutes with it alone
+        # destabilizer k0 the old generator k0, which anticommutes with p
+        # and commutes with every other generator
         k0_bit = anti & -anti
         k0 = k0_bit.bit_length() - 1
         x0, z0, t0 = xs[k0], zs[k0], ts[k0]
@@ -389,17 +382,6 @@ class StabilizerTableau:
         t_new = _phase_t(px, pz, p.sign)
         if outcome == -1:
             t_new = (t_new + 2) % 4
-        support = px | pz
-        local = not (support & (support - 1))
-        if local:
-            # the single-qubit Pauli at the measured qubit that anticommutes
-            # with p: Z for X, X for Y or Z
-            dx0, dz0 = (support, 0) if pz else (0, support)
-        else:
-            # p acts on several qubits, which stay coupled; the old
-            # generator k0 anticommutes with p and commutes with every
-            # other generator
-            dx0, dz0 = x0, z0
         # columns: rows in rest and drest gained the old generator k0, row
         # k0 of the generators trades it for p, and row k0 of the
         # destabilizers trades its old value for the new one
@@ -414,33 +396,13 @@ class StabilizerTableau:
             xcol[q] ^= k0_bit
         for q in _bits(pz):
             zcol[q] ^= k0_bit
-        for q in _bits(dxs[k0] ^ dx0):
+        for q in _bits(dxs[k0] ^ x0):
             dxcol[q] ^= k0_bit
-        for q in _bits(dzs[k0] ^ dz0):
+        for q in _bits(dzs[k0] ^ z0):
             dzcol[q] ^= k0_bit
-        dxs[k0], dzs[k0] = dx0, dz0
+        dxs[k0], dzs[k0] = x0, z0
         xs[k0], zs[k0] = px, pz
         ts[k0] = t_new
-        if local:
-            # decouple the measured qubit q: every other generator commutes
-            # with p, so it holds I or P at q, and one that holds P is
-            # multiplied by generator k0; every other destabilizer commutes
-            # with generator k0, so it too holds I or P at q, and one that
-            # holds P is multiplied by generator k0 without a phase, which
-            # keeps every pairing. Afterwards only row k0 acts on q.
-            q = support.bit_length() - 1
-            keep = ~support
-            for k in _bits((xcol[q] | zcol[q]) & ~k0_bit):
-                ts[k] = (t_new + ts[k] + 2 * (pz & xs[k]).bit_count()) % 4
-                xs[k] &= keep
-                zs[k] &= keep
-            xcol[q] = k0_bit if px else 0
-            zcol[q] = k0_bit if pz else 0
-            for i in _bits((dxcol[q] | dzcol[q]) & ~k0_bit):
-                dxs[i] &= keep
-                dzs[i] &= keep
-            dxcol[q] = k0_bit if dx0 else 0
-            dzcol[q] = k0_bit if dz0 else 0
         return outcome, 0.5
 
 

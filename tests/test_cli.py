@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gslogic.cli
+import gslogic.stabilizer
 from gslogic import PauliOperator, generate, graph_state_tableau, parse_edge_list
 from test_logic import EVEN_DEGREES
 
@@ -282,6 +284,29 @@ def test_corrupt_tableau_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(gslogic.cli, "simulate_pattern", broken)
     with pytest.raises(RuntimeError, match="simulator fault"):
         gslogic.cli.main(["simulate", "path:1", "--pattern", "0:X"])
+
+
+def test_simulate_never_reaches_the_tableau(monkeypatch, capsys):
+    # patterns run on the graph rules alone, and the tableau is only the
+    # general-Pauli type and their oracle: with both of its entry points
+    # broken, simulate prints the same transcript
+    rng = random.Random(22334)
+    order = list(range(64))
+    rng.shuffle(order)
+    pattern = ",".join(f"{q}:{rng.choice('XYZ')}" for q in order)
+    argv = ["simulate", "grid:8", "--pattern", pattern, "--seed", "7",
+            "--format", "json"]
+    assert gslogic.cli.main(argv) == 0
+    want = capsys.readouterr().out
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("simulate reached the tableau")
+
+    monkeypatch.setattr(gslogic.stabilizer, "graph_state_tableau", unreachable)
+    monkeypatch.setattr(gslogic.stabilizer.StabilizerTableau, "measure", unreachable)
+    assert gslogic.cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert len(json.loads(want)["transcript"]) == 64
 
 
 def test_cli_import_leaves_numpy_out():

@@ -193,3 +193,33 @@ def test_cut_rank_masks_matches_subset_form():
         amask = rng.getrandbits(70)
         subset = [v for v in range(70) if (amask >> v) & 1]
         assert cut_rank_masks(g.adj, amask, full ^ amask) == reference_cut_rank(g, subset)
+
+
+def _local_complement(adj: list[int], a: int) -> None:
+    """Toggle every edge inside N(a), in place."""
+    na = adj[a]
+    for w in range(len(adj)):
+        if na >> w & 1:
+            adj[w] ^= na ^ (1 << w)
+
+
+@pytest.mark.parametrize("kind", ["grid", "triangular", "hexagonal"])
+def test_cut_rank_is_invariant_under_local_complementation(kind):
+    # local complementation keeps every cut-rank (Bouchet; Oum, JCTB 95,
+    # 2005), here after 200 of them at random vertices of a 64 x 64 lattice
+    k = 64
+    g = generate(kind, k)
+    n = g.n
+    rng = random.Random(952005)
+    adj = list(g.adj)
+    for _ in range(200):
+        _local_complement(adj, rng.randrange(n))
+    h = Graph(n, tuple(adj))
+    assert len(h.edges()) != len(g.edges())
+    cuts = [
+        {v for v in range(n) if rng.random() < 0.5},
+        set(range(n // 2)),
+        {v for v in range(n) if v % k < k // 3},
+    ]
+    for side in cuts:
+        assert cut_rank(h, side) == cut_rank(g, side)
