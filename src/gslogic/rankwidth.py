@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 from . import _kernels
 from .errors import SizeLimitError
-from .gf2 import cut_rank_masks, gf2_basis, gf2_reduce
+from .gf2 import cut_rank_masks, gf2_reduce
 from .graphs import Graph
 
 __all__ = [
@@ -278,12 +278,24 @@ def greedy_decomposition(g: Graph) -> tuple[int, SubcubicTree]:
     - rank M[A, B - v] is r - 1 if e_v is in the span of R, else r;
     - the row u adds 1 to that unless u or u + e_v is in the span of R.
 
-    The two tests on u are skipped for a candidate that cannot beat the
-    best rank seen so far. After the best v is placed, R is rebuilt from
-    its rows restricted to B - v plus u. Per step that is at most three
-    reductions against at most r pivots for each candidate and one
-    elimination of r + 1 rows, where a fresh cut-rank per candidate costs
-    an elimination of up to |A| rows.
+    R is kept in reduced echelon form: each row's pivot, its lowest bit,
+    is set in no other row, so e_v is in the span exactly when it is a row
+    of R. Call a vertex of B a front vertex if it has a neighbour in A, and
+    near if all its neighbours in B are front vertices. If v is not near,
+    some neighbour w of v in B has a zero column in M[A, B], so u and
+    u + e_v keep bit w against R and the second term is 1 with no
+    reduction. The scan therefore covers only the near vertices and the
+    unit rows of R and stops at the first score of r - 1; when no scored
+    vertex reaches r, every vertex scores r + 1 and the lowest one wins.
+
+    Placing v takes O(r) row operations: column v is dropped, by
+    re-pivoting v's row if v was a pivot and otherwise clearing bit v from
+    the rows that hold it, and the residue of u is added with its pivot
+    cleared from the other rows. The front and near sets change only at
+    the neighbours of v and of the new front vertices, and a near vertex
+    stays near. A step costs two short reductions per scored near vertex
+    plus those row operations, so it grows with the frontier and with r,
+    not with |B|.
 
     The width is the largest r over the prefixes of the order, so no cut of
     the finished tree is ranked afresh. Prefixes of 2..n-2 vertices are the
@@ -296,26 +308,75 @@ def greedy_decomposition(g: Graph) -> tuple[int, SubcubicTree]:
     adj = g.adj
     rest = (1 << g.n) - 1
     basis: dict[int, int] = {}
+    front = 0
+    near = sum(1 << v for v in range(g.n) if not adj[v])
     order: list[int] = []
     width = 0
+
+    def add(row: int) -> None:
+        # row holds no pivot; clear its own pivot from the other rows
+        low = row & -row
+        for p, q in basis.items():
+            if q & low:
+                basis[p] = q ^ row
+        basis[low] = row
+
     for _ in range(g.n):
         r = len(basis)
-        best_v, best_rank, best_row = -1, g.n + 1, 0
-        todo = rest
+        least = max(r - 1, 0)
+        singles = sum(p for p, q in basis.items() if q == p)
+        best_v, best_rank, best_row = -1, r + 1, 0
+        todo = (near | singles) & rest
         while todo:
             bit = todo & -todo
             todo ^= bit
-            rank = r if gf2_reduce(basis, bit) else r - 1
+            rank = r - 1 if singles & bit else r
             if rank >= best_rank:
                 continue
             v = bit.bit_length() - 1
             u = adj[v] & (rest ^ bit)
-            if gf2_reduce(basis, u) and gf2_reduce(basis, u ^ bit):
+            if not near & bit or gf2_reduce(basis, u) and gf2_reduce(basis, u ^ bit):
                 rank += 1
             if rank < best_rank:
                 best_v, best_rank, best_row = v, rank, u
+                if rank == least:
+                    break
+        if best_v < 0:
+            best_v = (rest & -rest).bit_length() - 1
+            best_row = adj[best_v] & (rest ^ 1 << best_v)
+        bit = 1 << best_v
+        rest ^= bit
         order.append(best_v)
-        rest ^= 1 << best_v
-        basis = gf2_basis([p & rest for p in basis.values()] + [best_row])
+        # drop column v: re-pivot v's row without bit v (a unit row leaves
+        # nothing), or clear bit v from the rows that hold it
+        row = basis.pop(bit, None)
+        if row is None:
+            for p, q in basis.items():
+                if q & bit:
+                    basis[p] = q ^ bit
+        elif row != bit:
+            add(row ^ bit)
+        # add u: XOR in the rows of the pivots it holds
+        todo = best_row
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            best_row ^= basis.get(low, 0)
+        if best_row:
+            add(best_row)
         width = max(width, len(basis))
+        # new front vertices, and the vertices whose near test may change
+        fresh = adj[best_v] & rest & ~front
+        front = (front | fresh) & rest
+        check = adj[best_v]
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            check |= adj[low.bit_length() - 1]
+        check &= rest & ~near
+        while check:
+            low = check & -check
+            check ^= low
+            if not adj[low.bit_length() - 1] & rest & ~front:
+                near |= low
     return width, _caterpillar(order)
