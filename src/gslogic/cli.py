@@ -234,9 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph source")
     p.add_argument("--greedy", action="store_true",
                    help="fast upper bound from a greedy vertex order instead "
-                        "of the exact subset DP with an optimal tree, which "
-                        f"refuses a graph with an edge above {EXACT_VERTEX_LIMIT} "
-                        "vertices")
+                        "of the exact answer with an optimal tree, which "
+                        "removes pendants and twins, splits at cut vertices "
+                        "and refuses when a piece left has more than "
+                        f"{EXACT_VERTEX_LIMIT} vertices")
     p.set_defaults(func=_cmd_rankwidth)
 
     p = sub.add_parser("cutrank", parents=[common],

@@ -15,6 +15,14 @@ from .graphs import Graph
 __all__ = ["gf2_reduce", "gf2_basis", "gf2_dual_basis", "cut_rank_masks", "cut_rank"]
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def gf2_reduce(pivots: dict[int, int], row: int) -> int:
     """Residue of ``row`` against a basis keyed by each row's lowest bit.
 

@@ -3,12 +3,14 @@
 The rank-width of a graph is the min over subcubic trees (every vertex of
 degree 1 or 3, leaves labeled bijectively by the graph's vertices) of the max
 cut-rank over the bipartitions induced by deleting a tree edge. There are
-(2n-5)!! such trees. `exact_rankwidth` does not walk them: a subset DP
-over the 2^(n-1) vertex sets on one side of a tree edge gives the width in
-O(3^n) steps with one 2^(n-1)-byte table, and an optimal tree is read from
-that table top down in at most n * 2^(n-2) split checks (see
-`gslogic._kernels`). Both it and the `greedy_decomposition` bound answer
-``(width, tree)``: a width and a subcubic tree that witnesses it.
+(2n-5)!! such trees. `exact_rankwidth` does not walk them. It removes
+pendants and twins and splits at cut vertices, which keeps the width, and
+on each piece left a subset DP over the 2^(n-1) vertex sets on one side
+of a tree edge gives the width in O(3^n) steps with one 2^(n-1)-byte
+table; an optimal tree is read from that table top down in at most
+n * 2^(n-2) split checks (see `gslogic._kernels`), and the pieces' trees
+are joined back into one. Both it and the `greedy_decomposition` bound
+answer ``(width, tree)``: a width and a subcubic tree that witnesses it.
 
 Tree encoding: leaves are tree vertices 0..n-1, internal vertices n..2n-3.
 Every tree arises from the unique 2-leaf tree by inserting leaf k = 2..n-1
@@ -25,7 +27,7 @@ from typing import Iterator, Sequence
 
 from . import _kernels
 from .errors import SizeLimitError
-from .gf2 import cut_rank_masks, gf2_reduce
+from .gf2 import _bits, cut_rank_masks, gf2_reduce
 from .graphs import Graph
 
 __all__ = [
@@ -39,8 +41,8 @@ __all__ = [
     "greedy_decomposition",
 ]
 
-# Largest graph with an edge that the exact search accepts: its DP table
-# takes 2^(n-1) bytes, 512 KiB at this limit.
+# Largest piece, left by the reductions of exact_rankwidth, that the subset
+# DP accepts: its table takes 2^(n-1) bytes, 512 KiB at this limit.
 EXACT_VERTEX_LIMIT = 20
 
 
@@ -221,31 +223,176 @@ def decomposition_width(g: Graph, tree: SubcubicTree) -> int:
 def exact_rankwidth(g: Graph) -> tuple[int, SubcubicTree | None]:
     """Exact rank-width and an optimal subcubic tree: ``(width, tree)``.
 
-    The width comes from the subset DP and the tree is the witness read
-    from its table, a deterministic function of the graph, so repeated
-    runs agree. Graphs with fewer than two vertices have rank-width 0 and
-    no tree; ``None`` stands in for the tree there. An edgeless graph
-    has width 0, witnessed by the tree of all-zero insertion choices, at
-    any size.
+    The graph is first reduced by three rules that keep rank-width, and
+    the subset DP runs only on the pieces that are left:
 
-    Raises SizeLimitError for a graph with an edge and more than
-    EXACT_VERTEX_LIMIT vertices, since the DP table grows as 2^n; use
+    - a pendant, a false twin or a true twin v of a vertex u is removed:
+      rw(G) = max(rw(G - v), 1) when G has an edge, and a tree for G - v
+      becomes one for G when leaf u is replaced by a cherry (u, v);
+    - a piece that is the union of G1 and G2 with only vertex c in common
+      and no edge between G1 - c and G2 - c (c a cut vertex, or any vertex
+      of a component when the piece is disconnected) is split: rw(G) =
+      max(rw(G1), rw(G2), 1), and the trees are glued by dropping leaf c
+      of G2's tree and hanging its neighbour from a new node on the edge
+      at leaf c in G1's tree;
+    - both are repeated until neither applies.
+
+    A split vertex stays a leaf of both pieces' trees, so G2's tree calls
+    its copy by a negative alias until the trees are glued.
+
+    Trees and other distance-hereditary graphs, which have rank-width 1,
+    reduce to one edge (Bandelt & Mulder, JCTB 41, 1986; Oum, JCTB 95,
+    2005). A graph that does not reduce gets the DP's own tree, read from
+    its table, so the answer is a deterministic function of the graph.
+    Graphs with fewer than two vertices have rank-width 0 and no tree;
+    ``None`` stands in for the tree there. An edgeless graph has width 0,
+    witnessed by the tree of all-zero insertion choices, at any size.
+
+    Raises SizeLimitError, before any DP runs, when a piece left has more
+    than EXACT_VERTEX_LIMIT vertices, since the DP table grows as 2^n; use
     :func:`greedy_decomposition` for an upper bound instead.
     """
     if g.n < 2:
         return 0, None
     if not any(g.adj):
-        width, tree = 0, tree_from_choices(g.n, (0,) * (g.n - 2))
-    elif g.n > EXACT_VERTEX_LIMIT:
+        return 0, tree_from_choices(g.n, (0,) * (g.n - 2))
+    adj = g.adj
+    # removals (False, u, v) and splits (True, c, alias) in the order made
+    log: list[tuple[bool, int, int]] = []
+    pieces: list[tuple[int, dict[int, int]]] = []
+    todo: list[tuple[int, dict[int, int]]] = [((1 << g.n) - 1, {})]
+    while todo:
+        mask, names = todo.pop()
+        mask = _peel(adj, mask, names, log)
+        split = _split(adj, mask) if mask.bit_count() > 2 else None
+        if split is None:
+            pieces.append((mask, names))
+            continue
+        c, side = split
+        alias = -1 - len(log)
+        log.append((True, names.get(c, c), alias))
+        todo.append((side | 1 << c, names))
+        todo.append((mask ^ side, {**names, c: alias}))
+    k = max(mask.bit_count() for mask, _ in pieces)
+    if k > EXACT_VERTEX_LIMIT:
         raise SizeLimitError(
-            f"exact rank-width is limited to {EXACT_VERTEX_LIMIT} vertices: "
-            f"its DP table for {g.n} vertices would have "
-            f"2^{g.n - 1} = {1 << (g.n - 1):,} entries; use greedy_decomposition"
+            f"exact rank-width is limited to {EXACT_VERTEX_LIMIT} vertices in "
+            f"each piece left by the pendant, twin and cut-vertex reductions; "
+            f"the largest piece of this {g.n}-vertex graph has {k} vertices, and "
+            f"its DP table for {k} vertices would have "
+            f"2^{k - 1} = {1 << (k - 1):,} entries; use greedy_decomposition"
         )
-    else:
-        width, edges = _kernels.rankwidth_search(g.adj, g.n)
-        tree = SubcubicTree(g.n, edges)
-    return width, tree
+    width = 1  # G has an edge
+    edges: list[tuple[int, int]] = []
+    at: dict[int, int] = {}  # leaf -> index of its edge
+    node = g.n  # next internal tree vertex
+    for mask, names in pieces:
+        verts = list(_bits(mask))
+        k = len(verts)
+        local: Sequence[tuple[int, int]] = ((0, 1),)
+        if k > 2:
+            pos = {v: i for i, v in enumerate(verts)}
+            rows = [sum(1 << pos[x] for x in _bits(adj[v] & mask)) for v in verts]
+            piece_width, local = _kernels.rankwidth_search(rows, k)
+            width = max(width, piece_width)
+        keys = [names.get(v, v) for v in verts]
+        for pair in local:
+            for z in pair:
+                if z < k:
+                    at[keys[z]] = len(edges)
+            edges.append(tuple(keys[z] if z < k else node + z - k for z in pair))
+        node += k - 2
+    # undo the log: each step adds a new tree vertex on the edge at leaf x,
+    # with leaf y's old neighbour (a split) or a new leaf y (a removal)
+    for glue, x, y in reversed(log):
+        i = at[x]
+        edges[i] = (sum(edges[i]) - x, node)
+        at[x] = len(edges)
+        edges.append((node, x))
+        if glue:
+            j = at.pop(y)
+            edges[j] = (sum(edges[j]) - y, node)
+        else:
+            at[y] = len(edges)
+            edges.append((node, y))
+        node += 1
+    return width, SubcubicTree(g.n, tuple(edges))
+
+
+def _peel(adj: Sequence[int], mask: int, names: dict[int, int],
+          log: list[tuple[bool, int, int]]) -> int:
+    """Remove pendants, twins and isolated vertices from the piece while it
+    has more than two vertices, logging ``(False, u, v)`` for v removed at
+    u; return what is left.
+
+    Each kept vertex is filed under both of its twin keys, and the
+    neighbours of a removed vertex are checked again. A key that is no
+    longer a current row holds a removed vertex, so it matches no row
+    checked later, and a filed key is never overwritten while it is
+    current: one sweep finds every removal.
+    """
+    size = mask.bit_count()
+    false_twins: dict[int, int] = {}
+    true_twins: dict[int, int] = {}
+    rest = mask
+    while rest and size > 2:
+        bit = rest & -rest
+        rest ^= bit
+        v = bit.bit_length() - 1
+        row = adj[v] & mask
+        if row & (row - 1) == 0:
+            # a pendant goes at its neighbour, an isolated vertex anywhere
+            row = row or mask ^ bit
+            u = (row & -row).bit_length() - 1
+        else:
+            u = false_twins.get(row, true_twins.get(row | bit, -1))
+            if u < 0:
+                false_twins[row] = v
+                true_twins[row | bit] = v
+                continue
+        mask ^= bit
+        rest |= adj[v] & mask
+        size -= 1
+        log.append((False, names.get(u, u), names.get(v, v)))
+    return mask
+
+
+def _split(adj: Sequence[int], mask: int) -> tuple[int, int] | None:
+    """``(c, side)``: side and the rest of the piece meet only at c, with no
+    edge between side and the rest; None when the piece is 2-connected.
+
+    A depth-first search from the lowest vertex; c is the first vertex
+    found with a child v whose subtree, the side, has no edge above c
+    (Hopcroft & Tarjan). At the root that holds for every child, so the
+    root splits when its first subtree misses a vertex, which also splits
+    a disconnected piece. The piece has no isolated vertex, so the root
+    has a child.
+    """
+    root = (mask & -mask).bit_length() - 1
+    seen = 1 << root
+    depth = {root: 0}
+    low = {root: 0}
+    stack = [[root, adj[root] & mask, 0]]
+    while True:
+        frame = stack[-1]
+        fresh = frame[1] & ~seen
+        if fresh:
+            bit = fresh & -fresh
+            frame[1] = fresh ^ bit
+            w = bit.bit_length() - 1
+            depth[w] = len(stack)
+            # the seen neighbours of w are its ancestors
+            low[w] = min(depth[x] for x in _bits(adj[w] & seen))
+            stack.append([w, adj[w] & mask, seen])
+            seen |= bit
+            continue
+        v, _, before = stack.pop()
+        if not stack:
+            return None
+        p = stack[-1][0]
+        if low[v] >= depth[p] and (p != root or seen != mask):
+            return p, seen & ~before
+        low[p] = min(low[p], low[v])
 
 
 def _caterpillar(order: Sequence[int]) -> SubcubicTree:

@@ -63,7 +63,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import SizeLimitError
-from .gf2 import gf2_dual_basis
+from .gf2 import _bits, gf2_dual_basis
 from .graphs import Graph
 
 __all__ = [
@@ -179,14 +179,6 @@ def multiply_paulis(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     sign = _sign((t - (x & z).bit_count()) % 4,
                  "product of anticommuting Paulis is not a signed Pauli")
     return PauliOperator(p.n, x, z, sign)
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _transpose(rows: list[int], width: int) -> list[int]:

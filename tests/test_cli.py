@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import hashlib
 import importlib.util
 import json
 import random
@@ -104,6 +105,21 @@ def test_rankwidth_json_documents_do_not_move(capsys):
         assert capsys.readouterr().out == document, args
 
 
+@pytest.mark.parametrize("spec, digest", [
+    ("cycle:7", "46d58581627004ada7825eeda30dd7613bb86591ce9cd6da9921abd894652573"),
+    ("cycle:10", "eb574e955a5293b96256aa1a8a8cabe5c87ee1eb48c101833b2f8ba36509fea2"),
+    ("cycle:12", "8ef158df54b258ce03998b6d2c5ff9f9f714c369ebc3725edc1a7b8f1756a358"),
+    ("grid:3", "84b1cc1930b04f2f1e2323a642d07c7e7c04cbabd8e49db544ceb6a0eb9877cb"),
+    ("grid:4", "c5834cace42ba07597c3e43004c3661d18497c7e52434ba6589c633e8f936886"),
+    ("triangular:3", "784f9ac99ca08d8cbe880acbbcac0d75e45a1edb678588d64542a2a0a9ea58c1"),
+])
+def test_irreducible_rankwidth_documents_do_not_move(capsys, spec, digest):
+    # these graphs have no pendant, twin or cut vertex, so the exact answer
+    # is the subset DP's own tree; the digests pin its document byte for byte
+    assert gslogic.cli.main(["rankwidth", spec, "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_rankwidth_text_mentions_width():
     res = run_cli("rankwidth", "path:6")
     assert res.returncode == 0
@@ -111,10 +127,12 @@ def test_rankwidth_text_mentions_width():
 
 
 def test_rankwidth_refuses_large_graph(capsys):
+    # grids and cycles have no pendant, twin or cut vertex to reduce by
     res = run_cli("rankwidth", "grid:5")
     assert res.returncode == 3
     assert res.stderr.startswith("error:") and "DP table for 25 vertices" in res.stderr
-    assert gslogic.cli.main(["rankwidth", "path:21", "--format", "json"]) == 3
+    assert "largest piece of this 25-vertex graph has 25 vertices" in res.stderr
+    assert gslogic.cli.main(["rankwidth", "cycle:21", "--format", "json"]) == 3
     assert "DP table for 21 vertices" in capsys.readouterr().err
 
 

@@ -270,6 +270,10 @@ def test_width_and_witness_on_all_small_graphs():
     ("binary_tree:3", 1),
     # rank-width k - 1 on the k x k grid (Jelinek 2010)
     ("grid:4", 3),
+    # distance-hereditary, reduced to one edge with no DP
+    ("path:1000", 1),
+    ("binary_tree:9", 1),
+    ("complete:300", 1),
 ])
 def test_exact_closed_forms_past_twelve_vertices(spec, width):
     kind, size = spec.split(":")
@@ -322,6 +326,76 @@ def test_disjoint_union_has_the_larger_width():
         assert decomposition_width(union, tree) == width
 
 
+def _glue(g1, g2, c1, c2):
+    """G1 and G2 with vertex c2 of G2 identified with vertex c1 of G1; the
+    other vertices of G2 follow those of G1 in order."""
+    name = [g1.n + v - (v > c2) for v in range(g2.n)]
+    name[c2] = c1
+    return Graph.from_edges(g1.n + g2.n - 1,
+                            g1.edges() + [(name[u], name[v]) for u, v in g2.edges()])
+
+
+def _hang(g, t, at):
+    """G and T joined by one edge from vertex ``at`` of G to vertex 0 of T."""
+    return _glue(g, _glue(Graph.from_edges(2, [(0, 1)]), t, 1, 0), at, 0)
+
+
+def _random_tree(n, rng):
+    return Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _dp_width(g):
+    # the subset DP on the whole graph, with no reduction
+    return _kernels.rankwidth_search(g.adj, g.n)[0]
+
+
+def test_reductions_agree_with_the_unreduced_dp():
+    rng = random.Random(25)
+    kinds = ["pendant", "true_twin", "false_twin"]
+    for n in (8, 10, 12):
+        g = random_graph(n, rng, p=rng.uniform(0.3, 0.7))
+        while g.n < 16:
+            g = _add_vertex(g, rng.choice(kinds), rng.randrange(g.n))
+            if g.n in (14, 16):
+                width, tree = exact_rankwidth(g)
+                assert width == _dp_width(g), (n, g.edges())
+                assert decomposition_width(g, tree) == width
+    # two graphs with one vertex in common: rw = max(rw(G1), rw(G2), 1)
+    for n1, n2 in ((8, 8), (8, 9), (9, 10), (10, 10), (10, 8)):
+        g1 = random_graph(n1, rng, p=rng.uniform(0.3, 0.7))
+        g2 = random_graph(n2, rng, p=rng.uniform(0.3, 0.7))
+        g = _glue(g1, g2, rng.randrange(n1), rng.randrange(n2))
+        width, tree = exact_rankwidth(g)
+        assert width == max(_dp_width(g1), _dp_width(g2), 1), (n1, n2)
+        if g.n <= 16:
+            assert width == _dp_width(g), (n1, n2)
+        assert decomposition_width(g, tree) == width
+
+
+def _cactus(copies):
+    # cycle:7 chained: each copy's vertex 0 is the previous copy's vertex 3
+    c7 = generate("cycle", 7)
+    g, joint = c7, 3
+    for _ in range(copies - 1):
+        g, joint = _glue(g, c7, joint, 0), g.n + 2
+    return g
+
+
+def test_exact_answers_large_graphs_with_small_pieces():
+    graphs = [
+        # a tree has rank-width 1 and reduces to one edge
+        (_random_tree(500, random.Random(500)), 1),
+        # every piece is a 7-cycle, of rank-width 2
+        (_cactus(10), 2),
+        # the peeled tree leaves grid:4, rank-width 3 (Jelinek 2010)
+        (_hang(generate("grid", 4), _random_tree(200, random.Random(4)), 0), 3),
+    ]
+    for g, want in graphs:
+        width, tree = exact_rankwidth(g)
+        assert width == want, g.n
+        assert decomposition_width(g, tree) == width
+
+
 def test_edgeless_graph_has_width_zero_at_any_size():
     width, tree = exact_rankwidth(Graph.from_edges(65, []))
     assert width == 0
@@ -335,19 +409,31 @@ def test_search_rejects_tiny_inputs():
 
 def test_rankwidth_invariant_under_relabeling():
     rng = random.Random(4)
-    for g in (generate("cycle", 6), generate("grid", 3), random_graph(6, rng)):
+    g1, g2 = random_graph(9, rng), random_graph(8, rng)
+    for g in (generate("cycle", 6), generate("grid", 3), random_graph(6, rng),
+              _cactus(4), _glue(g1, g2, 2, 5), _random_tree(100, rng),
+              _hang(generate("cycle", 8), generate("binary_tree", 3), 5)):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert exact_rankwidth(relabel(g, perm))[0] == exact_rankwidth(g)[0]
+        h = relabel(g, perm)
+        width, tree = exact_rankwidth(h)
+        assert width == exact_rankwidth(g)[0]
+        assert decomposition_width(h, tree) == width
 
 
 def test_exact_refuses_above_dp_limit():
+    # the limit is on the largest irreducible piece: cycles and grids are
+    # their own only piece
     with pytest.raises(SizeLimitError, match="2\\^20 = 1,048,576 entries"):
-        exact_rankwidth(generate("path", 21))
+        exact_rankwidth(generate("cycle", 21))
     with pytest.raises(SizeLimitError, match="DP table for 25 vertices"):
         exact_rankwidth(generate("grid", 5))
     with pytest.raises(SizeLimitError, match="2\\^29 = 536,870,912 entries"):
-        exact_rankwidth(generate("path", 30))
+        exact_rankwidth(generate("cycle", 30))
+    # a piece of 21 vertices past 200 peeled ones is still refused
+    big = _hang(generate("cycle", 21), _random_tree(200, random.Random(21)), 0)
+    with pytest.raises(SizeLimitError, match="this 221-vertex graph has 21 vertices"):
+        exact_rankwidth(big)
 
 
 def test_greedy_is_valid_upper_bound():

@@ -37,7 +37,7 @@ def command_line_examples() -> list[tuple[str, list[str]]]:
 def test_command_line_examples_match_the_cli(capsys):
     # a line with "..." is abridged in the README and is not compared
     examples = command_line_examples()
-    assert len(examples) == 8
+    assert len(examples) == 9
     for command, expected in examples:
         assert gslogic.cli.main(shlex.split(command)) == 0, command
         actual = capsys.readouterr().out.rstrip("\n").split("\n")
