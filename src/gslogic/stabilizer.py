@@ -18,9 +18,11 @@ deleted and the rule for sigma' changes the rows and frames:
 - Z: nothing more; Z on N(a) if r = -1;
 - Y: local complementation at a; sqrt(-iZ) on N(a) if r = +1, sqrt(+iZ)
   if r = -1;
-- X: a pivot on the edge from a to its lowest neighbour b0; sqrt(+iY) on
-  b0 and Z on N(a) - N[b0] if r = +1, sqrt(-iY) on b0 and Z on
-  N(b0) - N[a] if r = -1.
+- X: a pivot on the edge from a to a neighbour b0, any one of N(a);
+  sqrt(+iY) on b0 and Z on N(a) - N[b0] if r = +1, sqrt(-iY) on b0 and
+  Z on N(b0) - N[a] if r = -1. b0 is the neighbour with the fewest
+  neighbours, the lowest of those, which keeps the pivot small and the
+  graph sparse.
 
 That costs one big-int operation per neighbour whose row or frame changes.
 
@@ -488,9 +490,15 @@ def _simulate(g: Graph, pattern, rng_seed):
             outcome, prob = (1 if rng.random() < 0.5 else -1), 0.5
         r = -outcome if code & 1 else outcome
         abit = 1 << a
+        # the loops walk set bits inline: resuming a generator per bit
+        # would cost about as much as the row update itself
         if pauli == 2:
             # Z: delete a; Z on N(a) if r = -1
-            for w in _bits(na):
+            m = na
+            while m:
+                low = m & -m
+                m ^= low
+                w = low.bit_length() - 1
                 adj[w] ^= abit
                 if r < 0:
                     frame[w] = _Z[frame[w]]
@@ -499,33 +507,61 @@ def _simulate(g: Graph, pattern, rng_seed):
             # if r = +1, sqrt(+iZ) if r = -1
             step = _MINUS_IZ if r > 0 else _PLUS_IZ
             full = na | abit
-            for w in _bits(na):
-                adj[w] ^= full ^ (1 << w)
+            m = na
+            while m:
+                low = m & -m
+                m ^= low
+                w = low.bit_length() - 1
+                adj[w] ^= full ^ low
                 frame[w] = step[frame[w]]
         elif na:
-            # X: pivot on the edge a-b0 and delete a. The pairs between the
-            # three classes toggle; swapping a and b0 moves only_a to b0
-            # and only_b to a, which is deleted
-            bbit = na & -na
+            # X: pivot on an edge a-b0 and delete a. Any b0 in N(a) leaves
+            # the same state; the one with the fewest neighbours (the lowest
+            # of those) keeps the pivot small and the graph sparse. The
+            # pairs between the three classes toggle; swapping a and b0
+            # moves only_a to b0 and only_b to a, which is deleted
+            fewest = n
+            m = na
+            while m:
+                low = m & -m
+                m ^= low
+                degree = adj[low.bit_length() - 1].bit_count()
+                if degree < fewest:
+                    fewest, bbit = degree, low
             b0 = bbit.bit_length() - 1
             nb = adj[b0]
             both = na & nb
             only_a = (na & ~nb) ^ bbit  # N(a) - N[b0]
             only_b = (nb & ~na) ^ abit  # N(b0) - N[a]
-            for w in _bits(both):
-                adj[w] ^= only_a | only_b | abit
-            for w in _bits(only_a):
-                adj[w] ^= both | only_b | abit | bbit
-            for w in _bits(only_b):
-                adj[w] ^= both | only_a | bbit
+            toggle = only_a | only_b | abit
+            m = both
+            while m:
+                low = m & -m
+                m ^= low
+                adj[low.bit_length() - 1] ^= toggle
+            toggle = both | only_b | abit | bbit
+            m = only_a
+            while m:
+                low = m & -m
+                m ^= low
+                adj[low.bit_length() - 1] ^= toggle
+            toggle = both | only_a | bbit
+            m = only_b
+            while m:
+                low = m & -m
+                m ^= low
+                adj[low.bit_length() - 1] ^= toggle
             adj[b0] = both | only_a
             if r > 0:
                 frame[b0] = _PLUS_IY[frame[b0]]
-                zs = only_a
+                m = only_a
             else:
                 frame[b0] = _MINUS_IY[frame[b0]]
-                zs = only_b
-            for w in _bits(zs):
+                m = only_b
+            while m:
+                low = m & -m
+                m ^= low
+                w = low.bit_length() - 1
                 frame[w] = _Z[frame[w]]
         adj[a] = 0
         transcript.append(
