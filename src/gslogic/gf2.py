@@ -1,9 +1,10 @@
 """The package's GF(2) code, on bit-packed rows: a row is an int, bit j
 is column j. A basis is a dict keyed by each row's lowest bit, and the rank
-of some rows is the size of their basis. The cut-rank of a vertex subset A,
-the GF(2) rank of the adjacency block between A and its complement, is the
-quantity the rank-width search minimizes over tree cuts; the dual basis
-gives a stabilizer tableau its destabilizers.
+of some rows is the size of their basis. `cut_rank_masks` is the one rank
+kernel: the cut-rank of a vertex subset A, the GF(2) rank of the adjacency
+block between A and its complement, is the quantity the rank-width search
+minimizes over tree cuts. `gf2_reduce` tests membership in a span, and the
+dual basis gives a stabilizer tableau its destabilizers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .graphs import Graph
 
-__all__ = ["gf2_reduce", "gf2_basis", "gf2_dual_basis", "cut_rank_masks", "cut_rank"]
+__all__ = ["gf2_reduce", "gf2_dual_basis", "cut_rank_masks", "cut_rank"]
 
 
 def _bits(mask: int):
@@ -26,7 +27,9 @@ def _bits(mask: int):
 def gf2_reduce(pivots: dict[int, int], row: int) -> int:
     """Residue of ``row`` against a basis keyed by each row's lowest bit.
 
-    Zero exactly when ``row`` lies in the span of the basis rows.
+    Zero exactly when ``row`` lies in the span of the basis rows. No two
+    basis rows share a lowest bit, so each step clears the lowest bit of
+    ``row`` and sets only higher ones, and the loop terminates.
     """
     while row:
         p = pivots.get(row & -row)
@@ -34,21 +37,6 @@ def gf2_reduce(pivots: dict[int, int], row: int) -> int:
             return row
         row ^= p
     return 0
-
-
-def gf2_basis(rows: Iterable[int]) -> dict[int, int]:
-    """A GF(2) basis of the span of bit-packed rows (bit j = column j).
-
-    Each basis row is stored under its lowest set bit, which no other basis
-    row has as its lowest bit; reducing against the dict only ever clears
-    that bit and sets higher ones, so :func:`gf2_reduce` terminates.
-    """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        row = gf2_reduce(pivots, row)
-        if row:
-            pivots[row & -row] = row
-    return pivots
 
 
 def cut_rank_masks(adj: Sequence[int], amask: int, bmask: int) -> int:

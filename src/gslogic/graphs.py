@@ -195,18 +195,27 @@ def cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], f"cycle({n})")
 
 
-def grid(k: int) -> Graph:
-    """k x k square lattice; vertex (r, c) is r*k + c (row-major)."""
-    _require_positive("grid", k)
+def _lattice(kind: str, k: int, diagonal: bool = False, step: int = 1) -> Graph:
+    """k x k patch of a lattice; vertex (r, c) is r*k + c (row-major).
+
+    Edges (r, c)-(r, c+1); (r, c)-(r+1, c) where step divides r + c; and
+    with diagonal, (r, c)-(r+1, c+1).
+    """
+    _require_positive(kind, k)
     edges = []
     for r in range(k):
-        for c in range(k):
-            v = r * k + c
-            if c + 1 < k:
-                edges.append((v, v + 1))
-            if r + 1 < k:
-                edges.append((v, v + k))
-    return Graph.from_edges(k * k, edges, f"grid({k})")
+        v0 = r * k
+        edges += [(v, v + 1) for v in range(v0, v0 + k - 1)]
+        if r + 1 < k:
+            edges += [(v, v + k) for v in range(v0 + (-r) % step, v0 + k, step)]
+            if diagonal:
+                edges += [(v, v + k + 1) for v in range(v0, v0 + k - 1)]
+    return Graph.from_edges(k * k, edges, f"{kind}({k})")
+
+
+def grid(k: int) -> Graph:
+    """k x k square lattice; vertex (r, c) is r*k + c (row-major)."""
+    return _lattice("grid", k)
 
 
 def triangular(k: int) -> Graph:
@@ -215,18 +224,7 @@ def triangular(k: int) -> Graph:
     Convention: the square grid plus one diagonal per unit cell,
     (r, c)-(r+1, c+1).
     """
-    _require_positive("triangular", k)
-    edges = []
-    for r in range(k):
-        for c in range(k):
-            v = r * k + c
-            if c + 1 < k:
-                edges.append((v, v + 1))
-            if r + 1 < k:
-                edges.append((v, v + k))
-                if c + 1 < k:
-                    edges.append((v, v + k + 1))
-    return Graph.from_edges(k * k, edges, f"triangular({k})")
+    return _lattice("triangular", k, diagonal=True)
 
 
 def hexagonal(k: int) -> Graph:
@@ -235,16 +233,7 @@ def hexagonal(k: int) -> Graph:
     Convention: k rows of k vertices with all horizontal edges, and vertical
     edges (r, c)-(r+1, c) only where r + c is even. Every degree is <= 3.
     """
-    _require_positive("hexagonal", k)
-    edges = []
-    for r in range(k):
-        for c in range(k):
-            v = r * k + c
-            if c + 1 < k:
-                edges.append((v, v + 1))
-            if r + 1 < k and (r + c) % 2 == 0:
-                edges.append((v, v + k))
-    return Graph.from_edges(k * k, edges, f"hexagonal({k})")
+    return _lattice("hexagonal", k, step=2)
 
 
 def complete(n: int) -> Graph:

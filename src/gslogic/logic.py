@@ -209,6 +209,10 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# the binary connectives, loosest first
+_CONNECTIVES = (("|", Or), ("&", And))
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -275,31 +279,25 @@ class _Parser:
             self._expect_sym(".")
             body, height = self._inside(tok, self._formula)
             return (Exists if tok.text == "exists" else Forall)(var, body), height
-        return self._or()
+        return self._chain()
 
-    def _or(self) -> tuple[Formula, int]:
-        left, height = self._and()
+    def _chain(self, level: int = 0) -> tuple[Formula, int]:
+        """Operands joined by the connective of this level, grouped to the
+        left; an operand is a chain of the next level, and below the last
+        level a negation, a parenthesized formula or an atom."""
+        if level == len(_CONNECTIVES):
+            return self._not()
+        sym, node = _CONNECTIVES[level]
+        left, height = self._chain(level + 1)
         while True:
             tok = self._peek()
-            if tok is None or tok.kind != "sym" or tok.text != "|":
+            if tok is None or tok.kind != "sym" or tok.text != sym:
                 return left, height
             self._next()
-            right, right_height = self._and()
+            right, right_height = self._chain(level + 1)
             height = 1 + max(height, right_height)
             self._check_nesting(tok, self.depth + height)
-            left = Or(left, right)
-
-    def _and(self) -> tuple[Formula, int]:
-        left, height = self._not()
-        while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "sym" or tok.text != "&":
-                return left, height
-            self._next()
-            right, right_height = self._not()
-            height = 1 + max(height, right_height)
-            self._check_nesting(tok, self.depth + height)
-            left = And(left, right)
+            left = node(left, right)
 
     def _not(self) -> tuple[Formula, int]:
         tok = self._peek()

@@ -44,7 +44,9 @@ d_i per generator S_i, with the invariant that d_i anticommutes with S_i
 and commutes with every other generator. For a graph state d_a = Z_a. Both
 lists are stored twice: as rows (one bitmask over the qubits per operator)
 and as columns (for each qubit, a bitmask over the operators that carry X
-there, and one for Z). Measuring a Pauli p then costs:
+there, and one for Z). Every tableau is built from its rows by one private
+path that derives the columns by transposing them; `measure` then keeps
+the columns in step with the rows. Measuring a Pauli p costs:
 
 - one XOR of columns per qubit in the support of p to find the generators
   that anticommute with p (O(1) big-int operations for a single qubit);
@@ -230,22 +232,15 @@ class StabilizerTableau:
         self._set_rows(n, xs, zs, ts, [d & full for d in ds], [d >> n for d in ds])
         self.check_invariants()
 
-    @classmethod
-    def _from_rows(cls, n, xs, zs, ts, dxs, dzs, cols=None) -> "StabilizerTableau":
-        """A tableau from generator and destabilizer rows already known to
-        satisfy the invariants, and optionally their column masks
-        (xcol, zcol, dxcol, dzcol); the lists are taken over, not copied."""
-        tab = cls.__new__(cls)
-        tab._set_rows(n, xs, zs, ts, dxs, dzs, cols)
-        return tab
-
-    def _set_rows(self, n, xs, zs, ts, dxs, dzs, cols=None) -> None:
+    def _set_rows(self, n, xs, zs, ts, dxs, dzs) -> None:
+        """Take over the generator and destabilizer rows, not copied, and
+        derive their column masks."""
         self.n = n
         self.xs, self.zs, self.ts = xs, zs, ts
         self.dxs, self.dzs = dxs, dzs
-        if cols is None:
-            cols = [_transpose(rows, n) for rows in (xs, zs, dxs, dzs)]
-        self.xcol, self.zcol, self.dxcol, self.dzcol = cols
+        self.xcol, self.zcol, self.dxcol, self.dzcol = (
+            _transpose(rows, n) for rows in (xs, zs, dxs, dzs)
+        )
 
     def copy(self) -> "StabilizerTableau":
         dup = StabilizerTableau.__new__(StabilizerTableau)
@@ -406,13 +401,10 @@ def graph_state_tableau(g: Graph) -> StabilizerTableau:
     if g.n > 4096:
         raise SizeLimitError("refusing a tableau with more than 4096 qubits")
     n = g.n
+    tab = StabilizerTableau.__new__(StabilizerTableau)
     singles = [1 << a for a in range(n)]
-    # the rows form (I | A) and (0 | I) with A symmetric, so every column
-    # mask equals the row of the same index
-    cols = (list(singles), list(g.adj), [0] * n, list(singles))
-    return StabilizerTableau._from_rows(
-        n, singles, list(g.adj), [0] * n, [0] * n, list(singles), cols
-    )
+    tab._set_rows(n, singles, list(g.adj), [0] * n, [0] * n, list(singles))
+    return tab
 
 
 # ------------------------------------------------- local-Clifford frames

@@ -252,7 +252,9 @@ def test_check_family_verdicts():
 
 
 def test_check_usage_errors():
-    assert run_cli("check", "x = x").returncode == 2  # formula but no graph
+    res = run_cli("check", "x = x")  # formula but no graph
+    assert res.returncode == 2
+    assert "check needs a formula and at least one graph" in res.stderr
     res = run_cli("check", "--named", "nope", "path:3")
     assert res.returncode == 2
     assert "unknown formula" in res.stderr

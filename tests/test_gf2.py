@@ -1,8 +1,11 @@
-"""GF(2) bases, rank, dual basis and cut-rank on bit-packed int rows.
+"""GF(2) span tests, rank, dual basis and cut-rank on bit-packed int rows.
 
-Ranks are checked against `naive_rank`, an elimination on 0/1 lists, dual
-bases by their dot products with the rows, and cut-ranks against
-`conftest.reference_cut_rank`; none of these shares code with `gslogic.gf2`.
+The rank of some rows is taken with the package's one rank kernel,
+`cut_rank_masks`, on the bipartite graph of the rows, and checked against
+`naive_rank`, an elimination on 0/1 lists; dual bases are checked by their
+dot products with the rows, and cut-ranks against
+`conftest.reference_cut_rank`. None of these references shares code with
+`gslogic.gf2`.
 """
 
 import random
@@ -11,7 +14,7 @@ import pytest
 
 from conftest import random_graph, reference_cut_rank, small_corpus
 from gslogic import Graph, cut_rank, cut_rank_masks, generate
-from gslogic.gf2 import gf2_basis, gf2_dual_basis, gf2_reduce
+from gslogic.gf2 import gf2_dual_basis, gf2_reduce
 
 
 def naive_rank(entries: list[list[int]]) -> int:
@@ -40,7 +43,15 @@ def rows_of(entries: list[list[int]]) -> list[int]:
 
 
 def basis_rank(rows) -> int:
-    return len(gf2_basis(rows))
+    """GF(2) rank of the rows: the cut-rank between the row vertices and the
+    column vertices of the bipartite graph whose edges are the 1 entries."""
+    rows = list(rows)
+    n_rows = len(rows)
+    n_cols = max(rows, default=0).bit_length()
+    adj = [row << n_rows for row in rows] + transpose(rows, n_cols)
+    g = Graph(n_rows + n_cols, tuple(adj))
+    row_side = (1 << n_rows) - 1
+    return cut_rank_masks(g.adj, row_side, ((1 << g.n) - 1) ^ row_side)
 
 
 def test_zeros_rank():
@@ -96,7 +107,11 @@ def test_basis_span_test_matches_naive_rank():
     n_cols = 9
     for _ in range(200):
         rows = [rng.getrandbits(n_cols) for _ in range(rng.randrange(6))]
-        basis = gf2_basis(rows)
+        basis = {}
+        for row in rows:
+            row = gf2_reduce(basis, row)
+            if row:
+                basis[row & -row] = row
         assert all(low == row & -row for low, row in basis.items())
         assert all(gf2_reduce(basis, row) == 0 for row in rows)
         x = rng.getrandbits(n_cols)

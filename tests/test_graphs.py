@@ -55,6 +55,13 @@ def test_constructor_validates_diagonal_and_width():
         Graph(1, (0b10,))
 
 
+def test_constructor_validates_row_count():
+    with pytest.raises(ValueError, match="row count does not match vertex count"):
+        Graph(2, (0b10,))
+    with pytest.raises(ValueError, match="row count does not match vertex count"):
+        Graph(1, (0, 0))
+
+
 def test_from_edges_rejects_negative_vertex_count():
     with pytest.raises(ValueError, match="vertex count must be non-negative, got -1"):
         Graph.from_edges(-1, [])
@@ -141,6 +148,15 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list("3 1\n0 1 2\n")
 
 
+def test_parse_rejects_bad_header_values_on_their_line():
+    with pytest.raises(GraphParseError, match="^line 2: header values must be integers$"):
+        parse_edge_list("# a comment\n3 two\n0 1\n0 2\n")
+    with pytest.raises(GraphParseError, match="^line 3: header values must be non-negative$"):
+        parse_edge_list("\n# a comment\n3 -1\n")
+    with pytest.raises(GraphParseError, match="^line 1: header values must be non-negative$"):
+        parse_edge_list("-3 0\n")
+
+
 def test_path_generator():
     g = generate("path", 5)
     assert (g.n, g.edge_count) == (5, 4)
@@ -185,6 +201,24 @@ def test_triangular_is_grid_plus_diagonals(k):
     assert g.edges() == sorted(want)
     diagonals = {(e[0], e[0] + k + 1) for e in want if e[1] == e[0] + k + 1}
     assert set(g.edges()) == set(generate("grid", k).edges()) | diagonals
+
+
+@pytest.mark.parametrize("kind", ["grid", "hexagonal"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_square_and_brick_lattices_from_coordinates(kind, k):
+    # right neighbours always; down neighbours everywhere on the grid and
+    # only where r + c is even on the brick wall
+    want = set()
+    for r in range(k):
+        for c in range(k):
+            v = r * k + c
+            if c + 1 < k:
+                want.add((v, v + 1))
+            if r + 1 < k and (kind == "grid" or (r + c) % 2 == 0):
+                want.add((v, v + k))
+    g = generate(kind, k)
+    assert (g.n, g.name) == (k * k, f"{kind}({k})")
+    assert g.edges() == sorted(want)
 
 
 def test_edges_match_adjacency_scan():

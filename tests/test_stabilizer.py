@@ -131,6 +131,33 @@ def test_tableau_invariants_hold_for_corpus():
         graph_state_tableau(g).check_invariants()
 
 
+def _measured_cycle_tableau():
+    # a tableau whose rows and columns differ from the graph state's
+    t = graph_state_tableau(generate("cycle", 4))
+    t.measure(PauliOperator.single(4, 0, "X"), forced_outcome=1)
+    t.measure(PauliOperator.single(4, 2, "Y"), forced_outcome=-1)
+    t.check_invariants()
+    return t
+
+
+@pytest.mark.parametrize("cols", ["xcol", "zcol", "dxcol", "dzcol"])
+def test_check_invariants_catches_a_corrupt_column_mask(cols):
+    t = _measured_cycle_tableau()
+    getattr(t, cols)[1] ^= 1 << 3
+    with pytest.raises(ValueError, match=f"column masks {cols} do not match the rows"):
+        t.check_invariants()
+
+
+def test_check_invariants_catches_a_corrupt_destabilizer_row():
+    # Z on qubit 1 added to destabilizer 0, in its row and in its column,
+    # so that only the pairing check can see it
+    t = _measured_cycle_tableau()
+    t.dzs[0] ^= 1 << 1
+    t.dzcol[1] ^= 1 << 0
+    with pytest.raises(ValueError, match="destabilizer 0 does not pair with generator 0 alone"):
+        t.check_invariants()
+
+
 def test_tableau_rejects_bad_generator_sets():
     n2 = generate("path", 2)
     gens = graph_state_tableau(n2).generators()
