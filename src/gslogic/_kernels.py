@@ -10,9 +10,17 @@ counting the edge above its root; w({v}) = f({v}) and
     w(X) = max(f(X), min over splits X = Y + Z of max(w(Y), w(Z))),
 
 where f is the cut-rank. Rooting every tree at the edge of leaf 0 gives
-rank-width w* = w(V - {0}). The DP fills w for the subsets of V - {0} at a
-cost of 2^(n-1) cut-ranks, at most 3^(n-1)/2 split checks (fewer, since a
-split reaching f(X) ends the search for X), and one table of 2^(n-1) bytes.
+rank-width w* = w(V - {0}). The cut-ranks of the subsets of V - {0} come
+from one walk of their subset trie (:func:`gslogic.gf2._cut_rank_table`),
+two row insertions per set. The DP then fills w in at most 3^(n-1)/2 split
+checks and one table of 2^(n-1) bytes.
+
+Every subcubic tree with n leaves has an edge with at least ceil(n/3)
+leaves on each side, so L, the least f(X) over ceil(n/3) <= |X| <= n -
+ceil(n/3), is at most w*. The search for X ends at the first split with
+max(w(Y), w(Z)) <= max(f(X), L). Max with a constant commutes with min, so
+the table then holds some w <= w' <= max(w, L): w'(V - {0}) = w*, and
+w'(X) <= w* exactly when w(X) <= w*, so the witness below is unchanged.
 
 The witness is read from the table top down: V - {0} hangs from leaf 0, and
 every set X with w(X) <= w* and more than one vertex splits at the first
@@ -26,7 +34,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .gf2 import cut_rank_masks
+from .gf2 import _cut_rank_table
+
+
+def _balanced_cut_bound(f: bytearray, n: int) -> int:
+    """L, the least f(X) over ceil(n/3) <= |X| <= n - ceil(n/3) in the table
+    f; a set and its complement have one cut-rank, so X may avoid vertex 0."""
+    lo = -(-n // 3)
+    return min(r for i, r in enumerate(f) if lo <= i.bit_count() <= n - lo)
 
 
 def _subset_widths(adj: Sequence[int], n: int) -> bytearray:
@@ -34,16 +49,16 @@ def _subset_widths(adj: Sequence[int], n: int) -> bytearray:
 
     Index i runs over the subsets of V - {0}, vertex v on bit v - 1, so a
     subset's index is larger than those of its proper subsets and the last
-    entry is the rank-width.
+    entry is the rank-width. The table starts as the cut-ranks, and w(X)
+    overwrites f(X) in index order, after every proper subset of X.
     """
-    size = 1 << (n - 1)
-    full = (1 << n) - 1
-    w = bytearray(size)
-    for x in range(1, size):
-        fx = cut_rank_masks(adj, x << 1, full ^ (x << 1))
+    w = _cut_rank_table(adj, n)
+    low = _balanced_cut_bound(w, n)
+    for x in range(1, len(w)):
         if x & (x - 1) == 0:
-            w[x] = fx
             continue
+        fx = w[x]
+        stop = fx if fx > low else low
         best = n
         # splits (Y, Z) with the lowest element of X in Y and Z non-empty
         rest = x & (x - 1)
@@ -54,7 +69,7 @@ def _subset_widths(adj: Sequence[int], n: int) -> bytearray:
             m = wy if wy > wz else wz
             if m < best:
                 best = m
-                if best <= fx:
+                if best <= stop:
                     break
             z = (z - 1) & rest
         w[x] = fx if fx > best else best

@@ -1,10 +1,11 @@
 """The package's GF(2) code, on bit-packed rows: a row is an int, bit j
-is column j. A basis is a dict keyed by each row's lowest bit, and the rank
-of some rows is the size of their basis. `cut_rank_masks` is the one rank
-kernel: the cut-rank of a vertex subset A, the GF(2) rank of the adjacency
-block between A and its complement, is the quantity the rank-width search
-minimizes over tree cuts. `gf2_reduce` tests membership in a span, and the
-dual basis gives a stabilizer tableau its destabilizers.
+is column j. A basis is keyed by each row's lowest or highest bit, and the
+rank of some rows is the size of their basis. The cut-rank of a vertex
+subset A, the GF(2) rank of the adjacency block between A and its
+complement, is what the rank-width search minimizes over tree cuts:
+`cut_rank_masks` takes one, and `_cut_rank_table` every one the exact
+search needs, at two row insertions each. `gf2_reduce` tests membership in
+a span, and the dual basis gives a stabilizer tableau its destabilizers.
 """
 
 from __future__ import annotations
@@ -64,6 +65,40 @@ def cut_rank_masks(adj: Sequence[int], amask: int, bmask: int) -> int:
                 break
             row ^= p
     return rank
+
+
+def _cut_rank_table(adj: Sequence[int], n: int) -> bytearray:
+    """Cut-ranks of the subsets of V - {0}: entry i is f(X) for X = i << 1.
+
+    f(X) = rank(span{adj[x], e_x : x in X}) - |X|, as the e_x clear the
+    columns of X. A depth-first walk adds vertices in increasing order, and
+    each set inserts e_v and adj[v] into a copy of its parent's basis, keyed
+    by each row's highest bit; the last child, with vertex n - 1, has no
+    children and takes its parent's basis itself.
+    """
+    table = bytearray(1 << (n - 1))
+    last = n - 1
+
+    def walk(x: int, basis: list[int], rank: int, start: int) -> None:
+        for v in range(start, n):
+            child = basis.copy() if v < last else basis
+            r = rank - 1
+            for row in (1 << v, adj[v]):
+                while row:
+                    top = row.bit_length() - 1
+                    p = child[top]
+                    if not p:
+                        child[top] = row
+                        r += 1
+                        break
+                    row ^= p
+            i = x | 1 << (v - 1)
+            table[i] = r
+            if v < last:
+                walk(i, child, r, v + 1)
+
+    walk(0, [0] * n, 0, 1)
+    return table
 
 
 def gf2_dual_basis(vectors: Sequence[int]) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import GraphParseError
+from .errors import GraphParseError, SizeLimitError
 
 __all__ = [
     "Graph",
@@ -28,6 +28,22 @@ __all__ = [
     "relabel",
     "GENERATOR_KINDS",
 ]
+
+# Each ceiling costs about 300 MB at its peak: path:65536 and grid:256 build
+# in 302 and 334 MB, complete:2048 (2,096,128 edges) in 224 MB.
+MAX_VERTICES = 1 << 16
+MAX_EDGES = 1 << 21
+
+
+def _check_size(n: int, m: int = 0) -> None:
+    """Refuse a graph of n vertices and m edges before any row or edge of it
+    is built; its adjacency rows cost about n^2/16 bytes."""
+    if n > MAX_VERTICES:
+        raise SizeLimitError(
+            f"{n:,} vertices exceed the limit of {MAX_VERTICES:,}; their "
+            f"adjacency rows would take about {n * n >> 24:,} MiB")
+    if m > MAX_EDGES:
+        raise SizeLimitError(f"{m:,} edges exceed the limit of {MAX_EDGES:,}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +93,7 @@ class Graph:
         """
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
+        _check_size(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -146,6 +163,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphParseError("header values must be integers", lineno) from None
             if n < 0 or m < 0:
                 raise GraphParseError("header values must be non-negative", lineno)
+            _check_size(n)
             header = (n, m)
             header_line = lineno
             continue
@@ -184,12 +202,14 @@ def _require_positive(kind: str, size: int) -> None:
 def path(n: int) -> Graph:
     """Open chain on n vertices: edges {i, i+1}."""
     _require_positive("path", n)
+    _check_size(n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], f"path({n})")
 
 
 def cycle(n: int) -> Graph:
     """Closed chain on n >= 3 vertices."""
     _require_positive("cycle", n)
+    _check_size(n)
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], f"cycle({n})")
@@ -202,6 +222,7 @@ def _lattice(kind: str, k: int, diagonal: bool = False, step: int = 1) -> Graph:
     with diagonal, (r, c)-(r+1, c+1).
     """
     _require_positive(kind, k)
+    _check_size(k * k)
     edges = []
     for r in range(k):
         v0 = r * k
@@ -239,6 +260,7 @@ def hexagonal(k: int) -> Graph:
 def complete(n: int) -> Graph:
     """Complete graph on n vertices."""
     _require_positive("complete", n)
+    _check_size(n, n * (n - 1) // 2)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph.from_edges(n, edges, f"complete({n})")
 
@@ -249,7 +271,10 @@ def binary_tree(depth: int) -> Graph:
     Vertex i has children 2i+1 and 2i+2 (heap order).
     """
     _require_positive("binary_tree", depth)
+    if depth > 64:  # refused before 2 ** (depth + 1) is computed
+        raise SizeLimitError(f"binary_tree({depth}) exceeds the limit of {MAX_VERTICES:,} vertices")
     n = 2 ** (depth + 1) - 1
+    _check_size(n)
     edges = [(i, c) for i in range(n) for c in (2 * i + 1, 2 * i + 2) if c < n]
     return Graph.from_edges(n, edges, f"binary_tree({depth})")
 

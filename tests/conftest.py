@@ -3,6 +3,9 @@ independent reference implementations used as test oracles."""
 
 import itertools
 import random
+import resource
+import subprocess
+import sys
 
 from gslogic import Graph, generate
 from gslogic.logic import (
@@ -26,6 +29,17 @@ def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
         if rng.random() < p
     ]
     return Graph.from_edges(n, edges, name=f"random({n})")
+
+
+def run_with_memory_limit(args: list[str], limit: int = 1 << 29):
+    """Run ``python *args`` with its address space capped at ``limit`` bytes,
+    so that a missing size check fails with MemoryError instead of taking
+    the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120, preexec_fn=cap)
 
 
 def small_corpus() -> list[Graph]:

@@ -13,6 +13,7 @@ import pytest
 import gslogic.cli
 import gslogic.stabilizer
 from gslogic import PauliOperator, generate, graph_state_tableau, parse_edge_list
+from conftest import run_with_memory_limit
 from test_logic import EVEN_DEGREES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -483,6 +484,19 @@ def test_trees_count_refuses_a_count_too_long_to_print(capsys):
 
 def test_trees_count_needs_two_leaves():
     assert run_cli("trees-count", "1").returncode == 2
+
+
+def test_huge_graphs_are_refused_under_a_memory_limit(tmp_path):
+    # each of these would exhaust memory if built; under a 512 MiB address
+    # space a missing check fails with MemoryError instead of exit code 3
+    huge = tmp_path / "huge.edges"
+    huge.write_text("1000000000 0\n")
+    for argv in (["gen", "path", "1000000"], ["rankwidth", "grid:99999999"],
+                 ["rankwidth", str(huge)], ["gen", "complete", "100000"],
+                 ["simulate", "binary_tree:99999999", "--pattern", "0:X"]):
+        res = run_with_memory_limit(["-m", "gslogic.cli", *argv])
+        assert res.returncode == 3, (argv, res.stderr[-500:])
+        assert res.stderr.startswith("error:") and "exceed" in res.stderr, argv
 
 
 def test_graph_file_parse_error(tmp_path):

@@ -12,9 +12,9 @@ import random
 
 import pytest
 
-from conftest import random_graph, reference_cut_rank, small_corpus
+from conftest import all_graphs, random_graph, reference_cut_rank, small_corpus
 from gslogic import Graph, cut_rank, cut_rank_masks, generate
-from gslogic.gf2 import gf2_dual_basis, gf2_reduce
+from gslogic.gf2 import _cut_rank_table, gf2_dual_basis, gf2_reduce
 
 
 def naive_rank(entries: list[list[int]]) -> int:
@@ -208,6 +208,22 @@ def test_cut_rank_masks_matches_subset_form():
         amask = rng.getrandbits(70)
         subset = [v for v in range(70) if (amask >> v) & 1]
         assert cut_rank_masks(g.adj, amask, full ^ amask) == reference_cut_rank(g, subset)
+
+
+def test_cut_rank_table_matches_one_cut_at_a_time():
+    # the walk's two-row insertions against a fresh elimination of each set
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    rng = random.Random(28)
+    graphs += [random_graph(n, rng, p=rng.uniform(0.1, 0.9))
+               for n in range(2, 13) for _ in range(4)]
+    graphs += [generate("grid", 3), generate("cycle", 12)]
+    for g in graphs:
+        full = (1 << g.n) - 1
+        table = _cut_rank_table(g.adj, g.n)
+        assert len(table) == 1 << (g.n - 1)
+        assert list(table) == [
+            cut_rank_masks(g.adj, i << 1, full ^ (i << 1)) for i in range(len(table))
+        ], g.edges()
 
 
 def _local_complement(adj: list[int], a: int) -> None:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_graph, small_corpus
+from conftest import random_graph, run_with_memory_limit, small_corpus
 from gslogic import (
     GENERATOR_KINDS,
     Graph,
@@ -256,6 +256,40 @@ def test_generate_rejects_bad_input():
     for kind in GENERATOR_KINDS:
         with pytest.raises(ValueError):
             generate(kind, 0)
+
+
+REFUSALS = r"""
+from gslogic import Graph, SizeLimitError, generate, parse_edge_list
+rows = "vertices exceed the limit of 65,536; their adjacency rows would take about"
+cases = [
+    (lambda: generate("path", 65537), "65,537 " + rows + " 256 MiB"),
+    (lambda: generate("cycle", 10**9), "1,000,000,000 " + rows),
+    (lambda: generate("grid", 257), "66,049 " + rows),
+    (lambda: generate("hexagonal", 99999999), rows),
+    (lambda: Graph.from_edges(65537, []), rows),
+    (lambda: parse_edge_list("65537 0\n"), rows),
+    (lambda: parse_edge_list("# too many\n1000000000 1\n0 1\n"), rows),
+    (lambda: generate("complete", 2049), "2,098,176 edges exceed the limit of 2,097,152"),
+    (lambda: generate("binary_tree", 16), "131,071 " + rows),
+    (lambda: generate("binary_tree", 10**10), "binary_tree(10000000000) exceeds the limit"),
+]
+for make, message in cases:
+    try:
+        make()
+    except SizeLimitError as exc:
+        assert message in str(exc), (str(exc), message)
+    else:
+        raise AssertionError(message)
+# at the limit: an edgeless graph of 65,536 vertices has no row memory
+assert parse_edge_list("65536 0\n").n == 65536
+"""
+
+
+def test_graphs_too_large_to_build_are_refused_first():
+    # every refusal comes before a row or an edge is made; under a 512 MiB
+    # address space a missing one fails with MemoryError
+    res = run_with_memory_limit(["-c", REFUSALS])
+    assert res.returncode == 0, res.stderr[-1000:]
 
 
 def test_relabel_matches_manual():

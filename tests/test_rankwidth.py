@@ -30,6 +30,7 @@ from gslogic import (
 )
 import gslogic.rankwidth
 from gslogic import _kernels
+from gslogic.gf2 import _cut_rank_table
 from gslogic.rankwidth import _caterpillar, tree_from_choices
 
 
@@ -347,6 +348,46 @@ def _random_tree(n, rng):
 def _dp_width(g):
     # the subset DP on the whole graph, with no reduction
     return _kernels.rankwidth_search(g.adj, g.n)[0]
+
+
+def _balanced_cut_bound(g):
+    return _kernels._balanced_cut_bound(_cut_rank_table(g.adj, g.n), g.n)
+
+
+def test_balanced_cut_bound_is_at_most_the_width():
+    # some tree edge has at least ceil(n/3) leaves on each side
+    rng = random.Random(33)
+    graphs = [g for n in range(2, 6) for g in all_graphs(n)]
+    graphs += [random_graph(n, rng, p=rng.uniform(0.2, 0.8))
+               for n in (6, 7) for _ in range(15)]
+    for g in graphs:
+        assert _balanced_cut_bound(g) <= exhaustive_rankwidth(g), g.edges()
+    tight = 0
+    for _ in range(200):
+        g = random_graph(rng.randrange(2, 13), rng, p=rng.uniform(0.1, 0.9))
+        bound, width = _balanced_cut_bound(g), _dp_width(g)
+        assert bound <= width, g.edges()
+        tight += bound == width
+    # the bound is not vacuous: it reaches the width on most of these
+    assert tight > 100
+
+
+def test_dp_widths_and_trees_are_pinned():
+    # 24 G(10-11, 1/2) graphs; the digest was recorded with the DP that took
+    # each cut-rank by its own elimination and ended a split search only at
+    # f(X), so the cut-rank table and the lower bound move no tree
+    rng = random.Random(28)
+    out = []
+    for i in range(24):
+        g = random_graph(11 if i % 3 == 2 else 10, rng)
+        width, edges = _kernels.rankwidth_search(g.adj, g.n)
+        out.append([width, [list(e) for e in edges]])
+    assert [width for width, _ in out] == [
+        3, 3, 2, 3, 2, 3, 2, 3, 3, 3, 2, 3, 2, 3, 3, 2, 3, 3, 2, 2, 3, 2, 2, 3]
+    assert (
+        hashlib.sha256(json.dumps(out).encode()).hexdigest()
+        == "26ba852da493c6226f8fdf2394fc79a9d63f1d1c2fedaaea47d9548f48b5712b"
+    )
 
 
 def test_reductions_agree_with_the_unreduced_dp():
