@@ -53,6 +53,7 @@ from typing import NamedTuple
 
 from ._pieces import MAX_COUNT_SETS, Piece, piece, prefix, submasks
 from .errors import SizeLimitError
+from .gf2 import _bits
 from .graphs import Graph
 from .logic import And, Formula, Not, Or, evaluate, free_variables
 
@@ -179,14 +180,12 @@ def _outside_rows(g: Graph, order: list[int]) -> list[int]:
     for i, v in enumerate(order):
         bit[v] = n - 1 - i
     rows = []
+    later = (1 << n) - 1  # the vertices after v in the order
     for v in order:
-        row, rest = 0, g.adj[v]
-        while rest:
-            low = rest & -rest
-            u = bit[low.bit_length() - 1]
-            if u < bit[v]:
-                row |= 1 << u
-            rest ^= low
+        later ^= 1 << v
+        row = 0
+        for u in _bits(g.adj[v] & later):
+            row |= 1 << bit[u]
         rows.append(row)
     return rows
 

@@ -122,10 +122,8 @@ def gf2_dual_basis(vectors: Sequence[int]) -> list[int]:
         pivots.append([bit, vec, combo])
     ds = [0] * len(pivots)
     for bit, _, combo in pivots:
-        while combo:
-            low = combo & -combo
-            ds[low.bit_length() - 1] |= bit
-            combo ^= low
+        for i in _bits(combo):
+            ds[i] |= bit
     return ds
 
 

@@ -483,12 +483,10 @@ def _compile(
         mask = None
         if isinstance(f, And):
             if left_mask is not None and right_mask is not None:
-                mask = lambda env: (m := left_mask(env)) and m & right_mask(env)
+                mask = lambda env: left_mask(env) & right_mask(env)
             return (lambda env: left(env) and right(env)), mask, cost
         if left_mask is not None and right_mask is not None:
-            mask = lambda env: (
-                full if (m := left_mask(env)) == full else m | right_mask(env)
-            )
+            mask = lambda env: left_mask(env) | right_mask(env)
         return (lambda env: left(env) or right(env)), mask, cost
     if isinstance(f, Edge):
         x, y = _slot(slots, free, f.x, False), _slot(slots, free, f.y, False)

@@ -525,24 +525,13 @@ def _simulate(g: Graph, pattern, rng_seed):
             both = na & nb
             only_a = (na & ~nb) ^ bbit  # N(a) - N[b0]
             only_b = (nb & ~na) ^ abit  # N(b0) - N[a]
-            toggle = only_a | only_b | abit
-            m = both
-            while m:
-                low = m & -m
-                m ^= low
-                adj[low.bit_length() - 1] ^= toggle
-            toggle = both | only_b | abit | bbit
-            m = only_a
-            while m:
-                low = m & -m
-                m ^= low
-                adj[low.bit_length() - 1] ^= toggle
-            toggle = both | only_a | bbit
-            m = only_b
-            while m:
-                low = m & -m
-                m ^= low
-                adj[low.bit_length() - 1] ^= toggle
+            for m, toggle in ((both, only_a | only_b | abit),
+                              (only_a, both | only_b | abit | bbit),
+                              (only_b, both | only_a | bbit)):
+                while m:
+                    low = m & -m
+                    m ^= low
+                    adj[low.bit_length() - 1] ^= toggle
             adj[b0] = both | only_a
             if r > 0:
                 frame[b0] = _PLUS_IY[frame[b0]]

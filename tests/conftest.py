@@ -2,10 +2,12 @@
 independent reference implementations used as test oracles."""
 
 import itertools
+import os
 import random
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 from gslogic import Graph, generate
 from gslogic.logic import (
@@ -31,6 +33,16 @@ def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges, name=f"random({n})")
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a child Python: this checkout's ``src`` first on
+    its PYTHONPATH, so it imports the gslogic under test."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+
+
 def run_with_memory_limit(args: list[str], limit: int = 1 << 29):
     """Run ``python *args`` with its address space capped at ``limit`` bytes,
     so that a missing size check fails with MemoryError instead of taking
@@ -39,7 +51,7 @@ def run_with_memory_limit(args: list[str], limit: int = 1 << 29):
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, timeout=120, preexec_fn=cap)
+                          text=True, timeout=120, preexec_fn=cap, env=src_env())
 
 
 def small_corpus() -> list[Graph]:

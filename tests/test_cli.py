@@ -13,7 +13,7 @@ import pytest
 import gslogic.cli
 import gslogic.stabilizer
 from gslogic import PauliOperator, generate, graph_state_tableau, parse_edge_list
-from conftest import run_with_memory_limit
+from conftest import run_with_memory_limit, src_env
 from test_logic import EVEN_DEGREES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -26,6 +26,7 @@ def run_cli(*args, stdin: str | None = None):
         text=True,
         input=stdin,
         timeout=120,
+        env=src_env(),
     )
 
 
@@ -334,7 +335,7 @@ def test_cli_import_leaves_numpy_out():
     # bench/run.py reads gslogic.dense from this -X importtime report
     code = "import sys, gslogic.cli; sys.exit('numpy' in sys.modules)"
     res = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=120, env=src_env())
     assert res.returncode == 0
     modules = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()}
     assert "gslogic.dense" in modules

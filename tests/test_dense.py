@@ -32,6 +32,13 @@ def test_two_vertex_amplitudes():
     assert np.allclose(s.vector, [0.5, 0.5, 0.5, -0.5])
 
 
+def test_amplitude_reads_one_basis_string():
+    s = dense_state_vector(generate("path", 2))
+    assert s.amplitude(0b00) == pytest.approx(0.5)
+    assert s.amplitude(0b11) == pytest.approx(-0.5)
+    assert isinstance(s.amplitude(0b01), complex)
+
+
 def test_triangle_amplitude_signs():
     s = dense_state_vector(generate("cycle", 3))
     # sign is (-1)^(edges inside the support)

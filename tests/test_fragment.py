@@ -531,6 +531,89 @@ def test_check_open_formula_is_a_usage_error_on_either_path(capsys):
         assert "unbound variables" in capsys.readouterr().err
 
 
+# Counting pieces that _pieces refuses deep inside gamma, one refusal each
+FIVE_SETS = "exists A. exists B. exists C. exists D. exists E. "
+CLOSED_REFUSED_COUNTS = [
+    # a count atom whose vertex prefix alternates
+    "exists X. forall x. x in X | (exists y. forall z. edge(y, z))",
+    # a count atom that binds x again
+    "exists X. forall x. x in X | (exists x. edge(x, x))",
+    # a set quantifier in gamma with no Even conjunct
+    "exists X. forall x. x in X | (exists Y. x in Y & (forall y. y in Y))",
+    # "odd" over a beta that reads five sets
+    FIVE_SETS + "forall x. exists Y. !Even(Y) & (forall y. (y in Y & edge(x, y) & x in A"
+    " & x in B & x in C & x in D & x in E) | (!(y in Y) & !(edge(x, y) & x in A & x in B"
+    " & x in C & x in D & x in E)))",
+    # "two" over a beta that reads five sets
+    FIVE_SETS + "exists x. exists y. exists z. edge(x, y) & edge(x, z) & y in A & z in A"
+    " & y in B & z in B & y in C & z in C & y in D & z in D & y in E & z in E & !(y = z)",
+]
+OPEN_REFUSED_COUNTS = [
+    # a one-vertex atom of gamma with a free vertex
+    "exists X. forall x. edge(x, w) | (exists y. x in X & edge(x, y))",
+    # the body of "even" with a free vertex
+    "exists X. forall x. x in X | (exists Y. Even(Y) & (forall y. (y in Y & edge(x, y))"
+    " | (!(y in Y) & !edge(w, y))))",
+    # the body of "at most one" with a free vertex
+    "exists X. forall x. x in X | (forall y. forall z. !(edge(x, y) & edge(x, z)"
+    " & edge(w, y)) | y = z)",
+]
+
+
+@pytest.mark.parametrize("text", CLOSED_REFUSED_COUNTS)
+def test_refused_counting_pieces_are_checked_exhaustively(text, capsys):
+    f = parse_formula(text)
+    assert recognize(f) is None
+    graphs = ["path:1", "path:2", "path:3"]
+    want = [evaluate(generate("path", n), f) for n in (1, 2, 3)]
+    assert gslogic.cli.main(["check", text, *graphs, "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["methods"] == ["exhaustive"] * 3
+    assert out["verdicts"] == want
+
+
+@pytest.mark.parametrize("text", OPEN_REFUSED_COUNTS)
+def test_open_counting_pieces_are_a_usage_error(text, capsys):
+    assert recognize(parse_formula(text)) is None
+    assert gslogic.cli.main(["check", text, "path:3"]) == 2
+    assert "unbound variables: w" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_a_connective_over_one_refused_piece_is_refused(op):
+    # Even(X) is a piece, "some path of length two" is not
+    f = parse_formula(f"exists X. Even(X) {op} (exists x. exists y. exists z."
+                      f" edge(x, y) & edge(y, z))")
+    assert recognize(f) is None
+    for g in TINY_GRAPHS + [generate("path", 3)]:
+        assert theory_member([g], f) == evaluate(g, f)
+
+
+# X and Y placed apart from each other: a pair body over seven sets, one
+# more than _far tries label by label
+SEVEN_SETS_APART = (
+    "exists A. exists B. exists C. exists D. exists E. exists F. exists G."
+    " (exists x. exists y. x in A & y in B & x in C & y in D & x in E & y in F & x in G"
+    " & !edge(x, y) & !(x = y)) & (forall x. x in A)"
+)
+
+
+def test_a_pair_body_over_seven_sets_is_far_at_every_label(monkeypatch):
+    f = parse_formula(SEVEN_SETS_APART)
+    # a body read over seven sets, even one that never holds, is taken to
+    # hold on a non-adjacent pair at every label
+    assert gslogic.fragment._far([(lambda *_: False, 0x7F)], range(128)) == frozenset(range(128))
+    monkeypatch.setattr(gslogic.fragment, "MAX_STATES", 1 << 16)
+    fragment = recognize(f)
+    assert fragment is not None
+    apart, joined = Graph.from_edges(2, []), generate("path", 2)
+    assert decide(apart, fragment) == evaluate(apart, f) is True
+    assert decide(joined, fragment) == evaluate(joined, f) is False
+    # with no far label the two vertices never meet, and the witness is lost
+    monkeypatch.setattr(gslogic.fragment, "_far", lambda bodies, labels: frozenset())
+    assert decide(apart, recognize(f)) is False
+
+
 def test_theory_member_decides_a_thousand_vertex_cycle():
     # evaluate alone refuses this: its worst-case cost is about 5.5e73
     assert not theory_member([generate("cycle", 1001)], named_formula("two_colorable"))

@@ -67,6 +67,11 @@ def test_from_edges_rejects_negative_vertex_count():
         Graph.from_edges(-1, [])
 
 
+def test_constructor_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be non-negative, got -1"):
+        Graph(-1, ())
+
+
 def test_built_graphs_skip_the_row_checks_that_the_constructor_runs(monkeypatch):
     # generators and the parser build rows through from_edges, which holds
     # them symmetric by construction; only Graph(n, adj) checks rows

@@ -211,6 +211,21 @@ def test_positions_are_offsets():
         pytest.fail("expected a parse error")
 
 
+def test_trailing_spaces_are_ignored():
+    assert parse_formula("x = y   ") == parse_formula("x = y")
+
+
+@pytest.mark.parametrize("text, position, message", [
+    ("exists . x = x", 7, "expected quantified variable"),
+    ("x = y & )", 8, "unexpected ')'"),
+])
+def test_a_missing_operand_is_refused_where_it_should_stand(text, position, message):
+    with pytest.raises(FormulaParseError) as info:
+        parse_formula(text)
+    assert info.value.position == position
+    assert message in str(info.value)
+
+
 # ----------------------------------------------------------------- printing
 
 

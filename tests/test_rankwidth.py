@@ -77,6 +77,13 @@ def test_tree_from_choices_small():
         tree_from_choices(4, [0])
 
 
+def test_one_leaf_has_no_tree():
+    with pytest.raises(ValueError, match="at least 2 leaves, got 1"):
+        tree_from_choices(1, ())
+    with pytest.raises(ValueError, match="at least 2 leaves, got 1"):
+        list(enumerate_subcubic_trees(1))
+
+
 def test_choices_encoding_matches_incremental_masks():
     """Replaying the insertion far-mask update must reproduce, edge for
     edge, the leaf partitions of the reconstructed tree."""

@@ -97,6 +97,16 @@ def test_multiply_self_gives_identity():
         assert multiply_paulis(p, p).is_identity
 
 
+def test_product_operator_is_multiply_paulis():
+    rng = random.Random(13)
+    for _ in range(50):
+        n = rng.randrange(1, 6)
+        p = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1)))
+        q = PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n), rng.choice((1, -1)))
+        if paulis_commute(p, q):
+            assert p * q == multiply_paulis(p, q)
+
+
 def test_commutation_matches_dense_action():
     # PQ = QP on a random state iff the symplectic parity is even;
     # anticommuting pairs satisfy PQ = -QP
@@ -169,6 +179,23 @@ def test_tableau_rejects_bad_generator_sets():
         StabilizerTableau([x0, z0])
     with pytest.raises(ValueError, match="exactly n"):
         StabilizerTableau([x0])
+
+
+def test_operators_on_different_register_sizes_are_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        PauliOperator(-1, 0, 0)
+    one, two = PauliOperator.single(1, 0, "X"), PauliOperator.single(2, 0, "X")
+    with pytest.raises(ValueError, match="different register sizes"):
+        paulis_commute(one, two)
+    with pytest.raises(ValueError, match="different register sizes"):
+        multiply_paulis(one, two)
+    with pytest.raises(ValueError, match="different register sizes"):
+        StabilizerTableau([two, PauliOperator.single(3, 1, "X")])
+    tab = graph_state_tableau(generate("path", 2))
+    with pytest.raises(ValueError, match="does not match the register"):
+        tab.expectation(one)
+    with pytest.raises(ValueError, match="does not match the register"):
+        tab.measure(one)
 
 
 def test_expectation_of_generators_and_products():
@@ -256,6 +283,19 @@ def test_measure_seeded_rng_reproducible():
         for q in range(5):
             seq.append(t.measure(PauliOperator.single(5, q, "Z"), rng=rng))
     assert seq_a == seq_b
+
+
+def test_measure_without_rng_draws_from_the_module_rng():
+    seqs, state = [], random.getstate()
+    try:
+        for _ in range(2):
+            random.seed(99)
+            t = graph_state_tableau(generate("cycle", 5))
+            seqs.append([t.measure(PauliOperator.single(5, q, "Z")) for q in range(5)])
+    finally:
+        random.setstate(state)
+    assert seqs[0] == seqs[1]
+    assert {p for _, p in seqs[0]} <= {0.5, 1.0} and seqs[0][0][1] == 0.5
 
 
 def test_post_measurement_state_matches_dense_projection():
