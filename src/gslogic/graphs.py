@@ -7,7 +7,6 @@ operations reduce to bitwise arithmetic. Graphs are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import GraphParseError, SizeLimitError
@@ -46,8 +45,57 @@ def _check_size(n: int, m: int = 0) -> None:
         raise SizeLimitError(f"{m:,} edges exceed the limit of {MAX_EDGES:,}")
 
 
-@dataclass(frozen=True)
-class Graph:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass stores its constructor's arguments in slots, in the order
+    that ``_fields`` names them; its ``_check`` then validates them and
+    fills any derived slot. ``repr`` shows every field, equality (same
+    class, equal ``_key()``) and ``hash`` go by the fields, and pickling
+    and copying rebuild a value through its constructor. Assignment and
+    ``del`` raise AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(self._fields)} "
+                            f"arguments ({len(values)} given)")
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+        self._check()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Frozen):
     """Undirected simple graph on vertices 0..n-1.
 
     ``adj[a]`` is the neighborhood of ``a`` as a bitmask. ``Graph(n, adj)``
@@ -57,11 +105,18 @@ class Graph:
     name is a display label and does not participate in equality.
     """
 
+    __slots__ = _fields = ("n", "adj", "name")
     n: int
     adj: tuple[int, ...]
-    name: str | None = field(default=None, compare=False)
+    name: str | None
 
-    def __post_init__(self):
+    def __init__(self, n: int, adj: tuple[int, ...], name: str | None = None) -> None:
+        super().__init__(n, adj, name)
+
+    def _key(self) -> tuple:
+        return self.n, self.adj
+
+    def _check(self) -> None:
         if self.n < 0:
             raise ValueError(f"vertex count must be non-negative, got {self.n}")
         if len(self.adj) != self.n:
@@ -103,9 +158,9 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", tuple(rows))
-        object.__setattr__(g, "name", name)
+        _set(g, "n", n)
+        _set(g, "adj", tuple(rows))
+        _set(g, "name", name)
         return g
 
     def edges(self) -> list[tuple[int, int]]:

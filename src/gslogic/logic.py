@@ -56,11 +56,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FormulaParseError, SizeLimitError
-from .graphs import Graph
+from .graphs import Graph, _Frozen, _set
 
 __all__ = [
     "Formula",
@@ -101,76 +100,96 @@ def is_set_name(name: str) -> bool:
     return name[0].isupper()
 
 
-class Formula:
-    """Base class of AST nodes; subclasses are frozen dataclasses.
+class Formula(_Frozen):
+    """Base class of AST nodes: immutable values, equal when they are of
+    the same class with equal fields.
 
     Building a node sets ``height``, the number of nodes on its longest
     path down to an atom, atom included, and raises ValueError when that
-    passes ``MAX_NESTING``; so every walk of an AST, the generated
-    ``repr`` and ``hash`` included, stays within the recursion limit.
+    passes ``MAX_NESTING``; so every walk of an AST, ``repr`` included,
+    stays within the recursion limit. It also computes the node's hash
+    once, so hashing never walks the AST and unequal hashes settle ``==``.
     """
 
+    __slots__ = ("height", "_values", "_hash")
     height: int
 
-    def __post_init__(self) -> None:
-        children = (c for c in vars(self).values() if isinstance(c, Formula))
-        height = 1 + max((c.height for c in children), default=0)
+    def __init__(self, *values) -> None:
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
+                            f"arguments ({len(values)} given)")
+        height = 1
+        for name, value in zip(fields, values):
+            _set(self, name, value)
+            if isinstance(value, Formula) and value.height >= height:
+                height = value.height + 1
         if height > MAX_NESTING:
             raise ValueError(f"formula nests deeper than {MAX_NESTING} levels")
-        object.__setattr__(self, "height", height)
+        _set(self, "height", height)
+        _set(self, "_values", values)
+        _set(self, "_hash", hash(values))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._values == other._values
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return pretty(self)
 
 
-@dataclass(frozen=True)
 class Edge(Formula):
+    __slots__ = _fields = ("x", "y")
     x: str
     y: str
 
 
-@dataclass(frozen=True)
 class In(Formula):
+    __slots__ = _fields = ("x", "set_var")
     x: str
     set_var: str
 
 
-@dataclass(frozen=True)
 class Even(Formula):
+    __slots__ = _fields = ("set_var",)
     set_var: str
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
+    __slots__ = _fields = ("x", "y")
     x: str
     y: str
 
 
-@dataclass(frozen=True)
 class Not(Formula):
+    __slots__ = _fields = ("body",)
     body: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Or(Formula):
+    __slots__ = _fields = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
+    __slots__ = _fields = ("var", "body")
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
 class Forall(Formula):
+    __slots__ = _fields = ("var", "body")
     var: str
     body: Formula
 

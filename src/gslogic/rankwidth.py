@@ -22,13 +22,12 @@ vertices in creation order) and `enumerate_subcubic_trees` walks.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from . import _kernels
 from .errors import SizeLimitError
 from .gf2 import _bits, cut_rank_masks, gf2_reduce
-from .graphs import Graph
+from .graphs import Graph, _Frozen, _set
 
 __all__ = [
     "SubcubicTree",
@@ -46,22 +45,23 @@ __all__ = [
 EXACT_VERTEX_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class SubcubicTree:
+class SubcubicTree(_Frozen):
     """Tree with all degrees 1 or 3 and leaves labeled by graph vertices.
 
     ``n`` is the leaf count; tree vertices are 0..2n-3 with leaves 0..n-1,
     and leaf v carries graph vertex v.
     """
 
+    _fields = ("n", "edges")
+    # set by _check: the parent of each tree vertex, rooted at 0, and the
+    # child-side leaf mask of each edge, keyed by (min, max) endpoint
+    __slots__ = _fields + ("_parent", "_masks")
     n: int
     edges: tuple[tuple[int, int], ...]
-    # set by __post_init__: the parent of each tree vertex, rooted at 0, and
-    # the child-side leaf mask of each edge, keyed by (min, max) endpoint
-    _parent: list[int] = field(init=False, repr=False, compare=False)
-    _masks: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    _parent: list[int]
+    _masks: dict[tuple[int, int], int]
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if self.n < 2:
             raise ValueError(f"subcubic tree needs at least 2 leaves, got {self.n}")
         v_count = 2 * self.n - 2
@@ -103,8 +103,8 @@ class SubcubicTree:
         masks = {}
         for u, v in self.edges:
             masks[min(u, v), max(u, v)] = below[v] if parent[v] == u else below[u]
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_masks", masks)
+        _set(self, "_parent", parent)
+        _set(self, "_masks", masks)
 
     def leaf_masks(self) -> list[int]:
         """For each edge, the leaves on one side of its cut, as a bitmask.

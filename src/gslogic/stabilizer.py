@@ -64,11 +64,10 @@ the columns in step with the rows. Measuring a Pauli p costs:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import SizeLimitError
 from .gf2 import _bits, gf2_dual_basis
-from .graphs import Graph
+from .graphs import Graph, _Frozen
 
 __all__ = [
     "PauliOperator",
@@ -100,20 +99,23 @@ def _phase_t(x_bits: int, z_bits: int, sign: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class PauliOperator:
+class PauliOperator(_Frozen):
     """A signed n-qubit Pauli operator: sign times a tensor of I/X/Y/Z.
 
     Qubit a carries X when bit a of x_bits is set, Z when bit a of z_bits
     is set, Y when both are set, identity otherwise.
     """
 
+    __slots__ = _fields = ("n", "x_bits", "z_bits", "sign")
     n: int
     x_bits: int
     z_bits: int
-    sign: int = 1
+    sign: int
 
-    def __post_init__(self):
+    def __init__(self, n: int, x_bits: int, z_bits: int, sign: int = 1) -> None:
+        super().__init__(n, x_bits, z_bits, sign)
+
+    def _check(self) -> None:
         if self.n < 0:
             raise ValueError("qubit count must be nonnegative")
         full = (1 << self.n) - 1

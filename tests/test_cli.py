@@ -341,6 +341,17 @@ def test_cli_import_leaves_numpy_out():
     assert "gslogic.dense" in modules
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # the value classes are written out, so starting the CLI loads neither
+    # dataclasses nor the inspect, ast and tokenize modules it imports
+    code = ("import sys, gslogic.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=src_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_package_exports_resolve():
     # every exported name resolves; the dense oracle's names live in
     # gslogic.dense alone, so none of them is exported here

@@ -76,14 +76,14 @@ def test_built_graphs_skip_the_row_checks_that_the_constructor_runs(monkeypatch)
     # generators and the parser build rows through from_edges, which holds
     # them symmetric by construction; only Graph(n, adj) checks rows
     calls = 0
-    real = Graph.__post_init__
+    real = Graph._check
 
     def counting(self):
         nonlocal calls
         calls += 1
         real(self)
 
-    monkeypatch.setattr(Graph, "__post_init__", counting)
+    monkeypatch.setattr(Graph, "_check", counting)
     for kind in GENERATOR_KINDS:
         generate(kind, 3)
     g = parse_edge_list(serialize(generate("triangular", 4)))
