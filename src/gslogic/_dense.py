@@ -100,12 +100,10 @@ def canonical_phase(state: DenseState) -> DenseState:
 
     Post-measurement states are returned in this form so that two states
     are equal as rays iff their vectors compare (almost) equal entrywise.
+    A unit vector always has an amplitude above _NORM_TOL.
     """
-    for value in state.vector:
-        mag = abs(value)
-        if mag > _NORM_TOL:
-            return DenseState(state.n, state.vector * (mag / value))
-    raise ValueError("zero vector has no canonical phase")
+    value = next(v for v in state.vector if abs(v) > _NORM_TOL)
+    return DenseState(state.n, state.vector * (abs(value) / value))
 
 
 def _branch(state: DenseState, p: PauliOperator, outcome: int):

@@ -143,14 +143,13 @@ def _cmd_check(args) -> int:
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
         sources = args.args
-        shown = args.named
     else:
         if len(args.args) < 2:
             raise ValueError("check needs a formula and at least one graph "
                              "(or --named NAME and graphs)")
         formula = parse_formula(args.args[0])
         sources = args.args[1:]
-        shown = pretty(formula)
+    formula_text = pretty(formula)
     graphs = [(src, load_graph(src)) for src in sources]
     # the formula's shape alone picks the method
     fragment = recognize(formula)
@@ -163,7 +162,7 @@ def _cmd_check(args) -> int:
     holds = all(verdicts)
     witness = verdicts.index(False) if not holds else None
     if args.format == "json":
-        _emit_json({"formula": pretty(formula),
+        _emit_json({"formula": formula_text,
                     "named": args.named,
                     "graphs": [src for src, _ in graphs],
                     "verdicts": verdicts,
@@ -171,7 +170,7 @@ def _cmd_check(args) -> int:
                     "holds": holds,
                     "witness_index": witness})
     else:
-        print(f"formula: {shown}")
+        print(f"formula: {formula_text if args.named is None else args.named}")
         for i, ((src, g), verdict) in enumerate(zip(graphs, verdicts)):
             print(f"graph[{i}] {src} (n={g.n}): {'true' if verdict else 'false'} ({method})")
         if holds:
@@ -206,31 +205,15 @@ def _cmd_trees_count(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default: text; json is the "
-                             "stable interface)")
-
-    parser = argparse.ArgumentParser(
-        prog="gslogic",
-        description="Graph states, rank-width, and counting logic on graphs.",
-        epilog='Graph sources: "kind:size" generator specs '
-               f'({", ".join(sorted(GENERATOR_KINDS))}), an edge-list file '
-               'path, or "-" for stdin.',
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("gen", parents=[common],
-                       help="write a generated graph as an edge list")
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=sorted(GENERATOR_KINDS))
     p.add_argument("size", type=int)
     p.add_argument("-o", "--output", default=None, metavar="PATH",
                    help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("rankwidth", parents=[common],
-                       help="rank-width of a graph with a decomposition tree")
+
+def _rankwidth_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="graph source")
     p.add_argument("--greedy", action="store_true",
                    help="fast upper bound from a greedy vertex order instead "
@@ -240,27 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{EXACT_VERTEX_LIMIT} vertices")
     p.set_defaults(func=_cmd_rankwidth)
 
-    p = sub.add_parser("cutrank", parents=[common],
-                       help="GF(2) cut-rank of one vertex bipartition")
+
+def _cutrank_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="graph source")
     p.add_argument("--side", required=True, metavar="V,V,...",
                    help="comma-separated vertices of one side of the cut "
                         "(empty string for the empty side)")
     p.set_defaults(func=_cmd_cutrank)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="evaluate a counting-logic formula on graphs",
-                       description="Decide a C2MS formula on each graph. A "
-                                   "formula of the form [!] exists X1..Xk. psi, "
-                                   "psi a Boolean combination of Even(Xi), "
-                                   "one-vertex, two-vertex and neighbourhood-"
-                                   "counting quantifier pieces "
-                                   "(see the README), is decided by a DP along "
-                                   "a breadth-first order of the graph (method "
-                                   "\"decomposition\"; "
-                                   "exit 3 past its state limit); any other by "
-                                   "exhaustive enumeration (method "
-                                   "\"exhaustive\"; exit 3 past its cost limit).")
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
+    p.description = ("Decide a C2MS formula on each graph. A formula of the "
+                     "form [!] exists X1..Xk. psi, psi a Boolean combination "
+                     "of Even(Xi), one-vertex, two-vertex and neighbourhood-"
+                     "counting quantifier pieces (see the README), is decided "
+                     "by a DP along a breadth-first order of the graph "
+                     "(method \"decomposition\"; exit 3 past its state "
+                     "limit); any other by exhaustive enumeration (method "
+                     "\"exhaustive\"; exit 3 past its cost limit).")
     p.add_argument("--named", default=None, metavar="NAME",
                    help="use a library formula instead of a formula argument")
     p.add_argument("args", nargs="+", metavar="ARG",
@@ -268,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "or more graph sources")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="measure a Pauli pattern on a graph state")
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph", help="graph source")
     p.add_argument("--pattern", required=True, metavar="Q:B,...",
                    help='measurement sequence, e.g. "0:Z,3:X"')
@@ -278,17 +258,55 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: fresh entropy)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("trees-count", parents=[common],
-                       help="number of binary (subcubic) trees on N leaves")
+
+def _trees_count_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("leaves", type=int, metavar="N")
     p.set_defaults(func=_cmd_trees_count)
+
+
+# (name, help, argument adder) of each subcommand, in help order
+_COMMANDS = (
+    ("gen", "write a generated graph as an edge list", _gen_arguments),
+    ("rankwidth", "rank-width of a graph with a decomposition tree",
+     _rankwidth_arguments),
+    ("cutrank", "GF(2) cut-rank of one vertex bipartition", _cutrank_arguments),
+    ("check", "evaluate a counting-logic formula on graphs", _check_arguments),
+    ("simulate", "measure a Pauli pattern on a graph state",
+     _simulate_arguments),
+    ("trees-count", "number of binary (subcubic) trees on N leaves",
+     _trees_count_arguments),
+)
+_COMMAND_NAMES = tuple(name for name, _, _ in _COMMANDS)
+
+
+def build_parser(names=_COMMAND_NAMES) -> argparse.ArgumentParser:
+    """The gslogic parser with the subcommands in names registered."""
+    parser = argparse.ArgumentParser(
+        prog="gslogic",
+        description="Graph states, rank-width, and counting logic on graphs.",
+        epilog='Graph sources: "kind:size" generator specs '
+               f'({", ".join(sorted(GENERATOR_KINDS))}), an edge-list file '
+               'path, or "-" for stdin.',
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, help_text, add_arguments in _COMMANDS:
+        if name in names:
+            p = sub.add_parser(name, help=help_text)
+            p.add_argument("--format", choices=("text", "json"), default="text",
+                           help="output format (default: text; json is the "
+                                "stable interface)")
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a process runs one command, so only its subparser is built; help,
+    # errors and an option before the command need all of them
+    commands = argv[:1] if argv and argv[0] in _COMMAND_NAMES else _COMMAND_NAMES
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(commands).parse_args(argv)
     except SystemExit as exc:
         # argparse prints its own diagnostics; normalize the exit code
         return 0 if exc.code == 0 else 2

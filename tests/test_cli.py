@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -533,6 +534,109 @@ def test_usage_errors_from_argparse():
 def test_help_exits_zero():
     assert run_cli("--help").returncode == 0
     assert run_cli("rankwidth", "--help").returncode == 0
+
+
+MAIN_HELP = """\
+usage: gslogic [-h] COMMAND ...
+
+Graph states, rank-width, and counting logic on graphs.
+
+positional arguments:
+  COMMAND
+    gen        write a generated graph as an edge list
+    rankwidth  rank-width of a graph with a decomposition tree
+    cutrank    GF(2) cut-rank of one vertex bipartition
+    check      evaluate a counting-logic formula on graphs
+    simulate   measure a Pauli pattern on a graph state
+    trees-count
+               number of binary (subcubic) trees on N leaves
+
+options:
+  -h, --help   show this help message and exit
+
+Graph sources: "kind:size" generator specs (binary_tree, complete, cycle,
+grid, hexagonal, path, triangular), an edge-list file path, or "-" for stdin.
+"""
+
+RANKWIDTH_HELP = """\
+usage: gslogic rankwidth [-h] [--format {text,json}] [--greedy] graph
+
+positional arguments:
+  graph                 graph source
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}  output format (default: text; json is the stable
+                        interface)
+  --greedy              fast upper bound from a greedy vertex order instead of
+                        the exact answer with an optimal tree, which removes
+                        pendants and twins, splits at cut vertices and refuses
+                        when a piece left has more than 20 vertices
+"""
+
+
+@pytest.mark.parametrize("argv,text", [(["--help"], MAIN_HELP),
+                                       (["rankwidth", "--help"], RANKWIDTH_HELP)],
+                         ids=["main", "rankwidth"])
+def test_help_text_is_pinned(monkeypatch, capsys, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert gslogic.cli.main(argv) == 0
+    assert capsys.readouterr() == (text, "")
+
+
+COMMAND_NAMES = ["gen", "rankwidth", "cutrank", "check", "simulate", "trees-count"]
+
+# per command: valid, a value outside choices, a required argument missing,
+# -h and an unknown option
+PARSER_CASES = [
+    ["gen", "path", "3"], ["gen", "moebius", "3"], ["gen"], ["gen", "-h"],
+    ["gen", "path", "3", "--bogus"],
+    ["rankwidth", "path:4", "--format", "json"],
+    ["rankwidth", "path:4", "--format", "yaml"], ["rankwidth"],
+    ["rankwidth", "-h"], ["rankwidth", "path:4", "--bogus"],
+    ["cutrank", "path:4", "--side", "0,1"],
+    ["cutrank", "path:4", "--side", "0", "--format", "yaml"],
+    ["cutrank", "path:4"], ["cutrank", "-h"],
+    ["cutrank", "path:4", "--side", "0", "--bogus"],
+    ["check", "exists x. x = x", "path:3"],
+    ["check", "--named", "connected", "path:4", "--format", "yaml"], ["check"],
+    ["check", "-h"], ["check", "--named", "connected", "path:4", "--bogus"],
+    ["simulate", "path:3", "--pattern", "0:Z", "--seed", "1"],
+    ["simulate", "path:3", "--pattern", "0:Z", "--format", "yaml"],
+    ["simulate", "path:3"], ["simulate", "-h"],
+    ["simulate", "path:3", "--pattern", "0:Z", "--bogus"],
+    ["trees-count", "5"], ["trees-count", "5", "--format", "yaml"],
+    ["trees-count"], ["trees-count", "-h"], ["trees-count", "5", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_one_command_parser_answers_like_the_full_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = (gslogic.cli.main(argv), *capsys.readouterr())
+    build_parser = gslogic.cli.build_parser
+    monkeypatch.setattr(gslogic.cli, "build_parser", lambda names: build_parser())
+    assert (gslogic.cli.main(argv), *capsys.readouterr()) == got
+
+
+def test_main_builds_only_the_invoked_command(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, *args, **kwargs):
+        built.append(name)
+        return add_parser(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    for _ in range(2):  # a second call builds again: nothing is cached
+        built.clear()
+        assert gslogic.cli.main(["check", "--named", "connected", "path:4"]) == 0
+        assert built == ["check"]
+    for argv in (["--help"], [], ["frobnicate"]):
+        built.clear()
+        gslogic.cli.main(argv)
+        assert built == COMMAND_NAMES, argv
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("source,n", [("path:4", 4), ("binary_tree:2", 7)])
