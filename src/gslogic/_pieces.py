@@ -21,9 +21,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import cache
 from itertools import product
-from typing import NamedTuple
 
-from .graphs import Graph
+from .graphs import Graph, _Frozen
 from .logic import And, Edge, Eq, Even, Exists, Forall, Formula, In, Not, Or, _compile, is_set_name
 
 # Most sets the body of a count atom may name: matching "at most one" runs
@@ -46,29 +45,36 @@ def _place(e: bool, eq: bool) -> int:
     return 0 if eq else 1 if e else 4
 
 
-class Count(NamedTuple):
+class Count(_Frozen):
     """A count atom's body: the number of y with beta(x, y), kept capped
     at 2 (``capped``) or mod 2. ``bits`` are the label bits beta reads."""
 
+    __slots__ = _fields = ("capped", "beta", "bits")
     capped: bool
     beta: _Body
     bits: int
 
 
-class Piece(NamedTuple):
+class Piece(_Frozen):
     """One bit of a state: is some vertex (pair, when ``pair``) seen at
     which ``hit`` holds, is some vertex's ``gamma`` of its label and
     ``counts`` true, or, for ``Even``, the parity of set ``parity``. The
     piece's truth is that bit xor ``flip``; ``bits`` are the label bits
     ``hit`` reads."""
 
+    __slots__ = _fields = ("flip", "pair", "hit", "parity", "bits", "counts", "gamma")
     flip: bool
-    pair: bool = False
-    hit: _Body | None = None
-    parity: int = -1
-    bits: int = 0
-    counts: tuple[Count, ...] = ()
-    gamma: Callable[[int, tuple[int, ...]], bool] | None = None
+    pair: bool
+    hit: _Body | None
+    parity: int
+    bits: int
+    counts: tuple[Count, ...]
+    gamma: Callable[[int, tuple[int, ...]], bool] | None
+
+    def __init__(self, flip: bool, pair: bool = False, hit: _Body | None = None,
+                 parity: int = -1, bits: int = 0, counts: tuple[Count, ...] = (),
+                 gamma: Callable[[int, tuple[int, ...]], bool] | None = None) -> None:
+        super().__init__(flip, pair, hit, parity, bits, counts, gamma)
 
 
 def sort_ok(name: str, is_set: bool) -> bool:

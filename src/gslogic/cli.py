@@ -73,17 +73,17 @@ def _emit_json(payload: dict) -> None:
 def _cmd_gen(args) -> int:
     g = generate(args.kind, args.size)
     text = serialize(g)
+    doc = {"kind": args.kind, "size": args.size, "n": g.n, "m": g.edge_count}
     if args.output is not None:
         Path(args.output).write_text(text, encoding="utf-8")
-        if args.format == "json":
-            _emit_json({"kind": args.kind, "size": args.size, "n": g.n,
-                        "m": g.edge_count, "path": args.output})
-        return 0
-    if args.format == "json":
-        _emit_json({"kind": args.kind, "size": args.size, "n": g.n,
-                    "m": g.edge_count, "edges": [list(e) for e in g.edges()]})
+        doc["path"] = args.output
+    elif args.format == "json":
+        doc["edges"] = [list(e) for e in g.edges()]
     else:
         sys.stdout.write(text)
+        return 0
+    if args.format == "json":
+        _emit_json(doc)
     return 0
 
 

@@ -49,12 +49,11 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from itertools import product
-from typing import NamedTuple
 
 from ._pieces import MAX_COUNT_SETS, Piece, piece, prefix, submasks
 from .errors import SizeLimitError
 from .gf2 import _bits
-from .graphs import Graph
+from .graphs import Graph, _Frozen
 from .logic import And, Formula, Not, Or, evaluate, free_variables
 
 __all__ = [
@@ -74,7 +73,7 @@ MAX_STATES = 1 << 12
 State = tuple[frozenset[int], int]
 
 
-class Fragment(NamedTuple):
+class Fragment(_Frozen):
     """A formula recognized as [!] exists X1..Xk. psi, compiled for
     ``decide``; see ``recognize``.
 
@@ -87,6 +86,7 @@ class Fragment(NamedTuple):
     ones at all; when it does not, every row may be given as 0.
     """
 
+    __slots__ = _fields = ("negated", "meets", "step", "accepts")
     negated: bool
     meets: bool
     step: Callable[[State, int, int], Iterator[State]]

@@ -53,10 +53,10 @@ class _Frozen:
 
     A subclass stores its constructor's arguments in slots, in the order
     that ``_fields`` names them; its ``_check`` then validates them and
-    fills any derived slot. ``repr`` shows every field, equality (same
-    class, equal ``_key()``) and ``hash`` go by the fields, and pickling
-    and copying rebuild a value through its constructor. Assignment and
-    ``del`` raise AttributeError.
+    fills any derived slot (the base's does nothing). ``repr`` shows every
+    field, equality (same class, equal ``_key()``) and ``hash`` go by the
+    fields, and pickling and copying rebuild a value through its
+    constructor. Assignment and ``del`` raise AttributeError.
     """
 
     __slots__ = ()
@@ -69,6 +69,9 @@ class _Frozen:
         for name, value in zip(self._fields, values):
             _set(self, name, value)
         self._check()
+
+    def _check(self) -> None:
+        pass
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

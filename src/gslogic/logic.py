@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from typing import NamedTuple
 
 from .errors import FormulaParseError, SizeLimitError
 from .graphs import Graph, _Frozen, _set
@@ -108,32 +107,19 @@ class Formula(_Frozen):
     path down to an atom, atom included, and raises ValueError when that
     passes ``MAX_NESTING``; so every walk of an AST, ``repr`` included,
     stays within the recursion limit. It also computes the node's hash
-    once, so hashing never walks the AST and unequal hashes settle ``==``.
+    once, so hashing never walks the AST.
     """
 
-    __slots__ = ("height", "_values", "_hash")
+    __slots__ = ("height", "_hash")
     height: int
 
-    def __init__(self, *values) -> None:
-        fields = self._fields
-        if len(values) != len(fields):
-            raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
-                            f"arguments ({len(values)} given)")
-        height = 1
-        for name, value in zip(fields, values):
-            _set(self, name, value)
-            if isinstance(value, Formula) and value.height >= height:
-                height = value.height + 1
+    def _check(self) -> None:
+        key = self._key()
+        height = 1 + max([v.height for v in key if isinstance(v, Formula)], default=0)
         if height > MAX_NESTING:
             raise ValueError(f"formula nests deeper than {MAX_NESTING} levels")
         _set(self, "height", height)
-        _set(self, "_values", values)
-        _set(self, "_hash", hash(values))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and self._values == other._values
+        _set(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
         return self._hash
@@ -196,35 +182,26 @@ class Forall(Formula):
 
 # ---------------------------------------------------------------- parsing
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
+_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[()&|!=.,])")
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<sym>[()&|!=.,]))"
-)
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """The tokens of text as (text, offset) pairs, closed by an empty token
+    at the end of input. Keywords, identifiers and symbols never share a
+    text, so a token's text says its kind."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
             bad_pos = len(text) - len(stripped)
             raise FormulaParseError(f"unexpected character {stripped[0]!r}", bad_pos)
-        if m.group("ident"):
-            name = m.group("ident")
-            kind = "kw" if name in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, name, m.start("ident")))
-        else:
-            tokens.append(_Token("sym", m.group("sym"), m.start("sym")))
+        tokens.append((m.group(1), m.start(1)))
         pos = m.end()
+    tokens.append(("", len(text)))
     return tokens
 
 
@@ -234,49 +211,48 @@ _CONNECTIVES = (("|", Or), ("&", And))
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         # parentheses, negations and quantifiers open around the current token
         self.depth = 0
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def _peek(self) -> tuple[str, int]:
+        return self.tokens[self.i]
 
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise FormulaParseError("unexpected end of input", len(self.text))
+    def _next(self) -> tuple[str, int]:
+        tok = self.tokens[self.i]
+        if not tok[0]:
+            raise FormulaParseError("unexpected end of input", tok[1])
         self.i += 1
         return tok
 
     def _expect_sym(self, sym: str) -> None:
-        tok = self._next()
-        if tok.kind != "sym" or tok.text != sym:
-            raise FormulaParseError(f"expected {sym!r}, found {tok.text!r}", tok.pos)
+        text, pos = self._next()
+        if text != sym:
+            raise FormulaParseError(f"expected {sym!r}, found {text!r}", pos)
 
     def _expect_ident(self, want_set: bool | None, role: str) -> str:
-        tok = self._next()
-        if tok.kind == "kw":
-            raise FormulaParseError(f"keyword {tok.text!r} cannot be a variable", tok.pos)
-        if tok.kind != "ident":
-            raise FormulaParseError(f"expected {role}, found {tok.text!r}", tok.pos)
-        if want_set is True and not is_set_name(tok.text):
-            raise FormulaParseError(f"{role} must start uppercase, got {tok.text!r}", tok.pos)
-        if want_set is False and is_set_name(tok.text):
-            raise FormulaParseError(f"{role} must start lowercase, got {tok.text!r}", tok.pos)
-        return tok.text
+        text, pos = self._next()
+        if text in _KEYWORDS:
+            raise FormulaParseError(f"keyword {text!r} cannot be a variable", pos)
+        if not text[0].isalpha():
+            raise FormulaParseError(f"expected {role}, found {text!r}", pos)
+        if want_set is True and not is_set_name(text):
+            raise FormulaParseError(f"{role} must start uppercase, got {text!r}", pos)
+        if want_set is False and is_set_name(text):
+            raise FormulaParseError(f"{role} must start lowercase, got {text!r}", pos)
+        return text
 
-    def _check_nesting(self, tok: _Token, nesting: int) -> None:
+    def _check_nesting(self, pos: int, nesting: int) -> None:
         if nesting > MAX_NESTING:
-            raise FormulaParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.pos)
+            raise FormulaParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
 
     def _inside(
-        self, tok: _Token, parse: Callable[[], tuple[Formula, int]]
+        self, pos: int, parse: Callable[[], tuple[Formula, int]]
     ) -> tuple[Formula, int]:
-        """Parse one level below ``tok``, which opens it; the level and at
-        least an atom inside it must fit in the bound."""
-        self._check_nesting(tok, self.depth + 2)
+        """Parse one level below the token at ``pos``, which opens it; the
+        level and at least an atom inside it must fit in the bound."""
+        self._check_nesting(pos, self.depth + 2)
         self.depth += 1
         f, height = parse()
         self.depth -= 1
@@ -284,20 +260,20 @@ class _Parser:
 
     def parse(self) -> Formula:
         f, _ = self._formula()
-        tok = self._peek()
-        if tok is not None:
-            raise FormulaParseError(f"unexpected trailing {tok.text!r}", tok.pos)
+        text, pos = self._peek()
+        if text:
+            raise FormulaParseError(f"unexpected trailing {text!r}", pos)
         return f
 
     # each method below returns a formula and its height (see MAX_NESTING)
     def _formula(self) -> tuple[Formula, int]:
-        tok = self._peek()
-        if tok is not None and tok.kind == "kw" and tok.text in ("exists", "forall"):
+        text, pos = self._peek()
+        if text in ("exists", "forall"):
             self._next()
             var = self._expect_ident(None, "quantified variable")
             self._expect_sym(".")
-            body, height = self._inside(tok, self._formula)
-            return (Exists if tok.text == "exists" else Forall)(var, body), height
+            body, height = self._inside(pos, self._formula)
+            return (Exists if text == "exists" else Forall)(var, body), height
         return self._chain()
 
     def _chain(self, level: int = 0) -> tuple[Formula, int]:
@@ -309,64 +285,54 @@ class _Parser:
         sym, node = _CONNECTIVES[level]
         left, height = self._chain(level + 1)
         while True:
-            tok = self._peek()
-            if tok is None or tok.kind != "sym" or tok.text != sym:
+            text, pos = self._peek()
+            if text != sym:
                 return left, height
             self._next()
             right, right_height = self._chain(level + 1)
             height = 1 + max(height, right_height)
-            self._check_nesting(tok, self.depth + height)
+            self._check_nesting(pos, self.depth + height)
             left = node(left, right)
 
     def _not(self) -> tuple[Formula, int]:
-        tok = self._peek()
-        if tok is not None and tok.kind == "sym" and tok.text == "!":
+        text, pos = self._peek()
+        if text == "!":
             self._next()
-            body, height = self._inside(tok, self._not)
+            body, height = self._inside(pos, self._not)
             return Not(body), height
-        if tok is not None and tok.kind == "sym" and tok.text == "(":
+        if text == "(":
             self._next()
-            inner = self._inside(tok, self._formula)
+            inner = self._inside(pos, self._formula)
             self._expect_sym(")")
             return inner
         return self._atom(), 1
 
     def _atom(self) -> Formula:
-        tok = self._peek()
-        if tok is None:
-            raise FormulaParseError("unexpected end of input", len(self.text))
-        if tok.kind == "kw" and tok.text == "edge":
-            self._next()
+        text, pos = self._next()
+        if text == "edge":
             self._expect_sym("(")
             x = self._expect_ident(False, "edge endpoint")
             self._expect_sym(",")
             y = self._expect_ident(False, "edge endpoint")
             self._expect_sym(")")
             return Edge(x, y)
-        if tok.kind == "kw" and tok.text == "Even":
-            self._next()
+        if text == "Even":
             self._expect_sym("(")
             s = self._expect_ident(True, "Even argument")
             self._expect_sym(")")
             return Even(s)
-        if tok.kind == "ident":
-            name = self._next().text
-            if is_set_name(name):
-                raise FormulaParseError(
-                    f"set variable {name!r} cannot stand alone", tok.pos
-                )
-            follow = self._peek()
-            if follow is not None and follow.kind == "kw" and follow.text == "in":
-                self._next()
-                s = self._expect_ident(True, "membership set")
-                return In(name, s)
-            if follow is not None and follow.kind == "sym" and follow.text == "=":
-                self._next()
-                y = self._expect_ident(False, "equality operand")
-                return Eq(name, y)
-            where = follow.pos if follow is not None else len(self.text)
-            raise FormulaParseError(f"expected 'in' or '=' after {name!r}", where)
-        raise FormulaParseError(f"unexpected {tok.text!r}", tok.pos)
+        if text in _KEYWORDS or not text[0].isalpha():
+            raise FormulaParseError(f"unexpected {text!r}", pos)
+        if is_set_name(text):
+            raise FormulaParseError(f"set variable {text!r} cannot stand alone", pos)
+        follow, where = self._peek()
+        if follow == "in":
+            self._next()
+            return In(text, self._expect_ident(True, "membership set"))
+        if follow == "=":
+            self._next()
+            return Eq(text, self._expect_ident(False, "equality operand"))
+        raise FormulaParseError(f"expected 'in' or '=' after {text!r}", where)
 
 
 def parse_formula(text: str) -> Formula:

@@ -351,6 +351,16 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
                          timeout=120, env=src_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+    # _Frozen is the only record mechanism: no named tuple class in gslogic
+    code = ("import sys, gslogic.cli; "
+            "print(sorted(f'{name}.{c.__name__}' for name, m in list(sys.modules.items()) "
+            "if name.split('.')[0] == 'gslogic' for c in vars(m).values() "
+            "if isinstance(c, type) and issubclass(c, tuple) and hasattr(c, '_fields') "
+            "and c.__module__ == name))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=src_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_package_exports_resolve():

@@ -218,6 +218,21 @@ def test_trailing_spaces_are_ignored():
 @pytest.mark.parametrize("text, position, message", [
     ("exists . x = x", 7, "expected quantified variable"),
     ("x = y & )", 8, "unexpected ')'"),
+    # one row per place the parser raises
+    ("x @ y", 2, "unexpected character '@'"),
+    ("(x = y", 6, "unexpected end of input"),
+    ("edge(x, y", 9, "unexpected end of input"),
+    ("x in", 4, "unexpected end of input"),
+    ("x", 1, "expected 'in' or '=' after 'x'"),
+    ("exists X. X", 10, "set variable 'X' cannot stand alone"),
+    ("exists in. x = x", 7, "keyword 'in' cannot be a variable"),
+    ("exists (. x = x", 7, "expected quantified variable, found '('"),
+    ("edge(x y)", 7, "expected ',', found 'y'"),
+    ("exists x x = x", 9, "expected '.', found 'x'"),
+    ("x in y", 5, "membership set must start uppercase, got 'y'"),
+    ("x = Y", 4, "equality operand must start lowercase, got 'Y'"),
+    ("x = y)", 5, "unexpected trailing ')'"),
+    ("x = y & in", 8, "unexpected 'in'"),
 ])
 def test_a_missing_operand_is_refused_where_it_should_stand(text, position, message):
     with pytest.raises(FormulaParseError) as info:

@@ -17,6 +17,9 @@ VALUES = {
     "tree": (lambda: tree_from_choices(4, [0, 1]), "edges"),
     "pauli": (lambda: PauliOperator(3, 5, 4, -1), "sign"),
     "formula": (lambda: parse_formula("exists X. forall x. x in X | !edge(x, x)"), "var"),
+    # a formula at the height bound: every protocol step walks 100 levels
+    "deep formula": (lambda: parse_formula(
+        "exists x. " + " & ".join(["x = x"] * (MAX_NESTING - 1))), "body"),
 }
 
 
