@@ -29,7 +29,7 @@ The kernels are pure Python (``kernel_backend()`` reports "pure").
 """
 
 from . import dense
-from .errors import FormulaParseError, GraphParseError, SizeLimitError
+from .errors import FormulaParseError, GraphParseError, InputError, SizeLimitError
 from .fragment import theory_member, theory_member_witness
 from .gf2 import cut_rank, cut_rank_masks
 from .graphs import (
@@ -119,6 +119,7 @@ __all__ = [
     "simulate_pattern",
     # errors
     "SizeLimitError",
+    "InputError",
     "GraphParseError",
     "FormulaParseError",
 ]

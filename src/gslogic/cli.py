@@ -6,7 +6,8 @@ path:6; takes precedence over files of the same name), a path to an
 edge-list file, or "-" for an edge list on stdin. Text output is for
 humans; --format json is the stable machine interface. Exit codes:
 0 success (a false verdict is still success), 2 usage or input error,
-3 size or resource refusal.
+3 size or resource refusal. Any other error is a fault and leaves a
+traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import SizeLimitError
+from .errors import InputError, SizeLimitError
 from .fragment import decide, recognize
 from .gf2 import cut_rank
 from .graphs import GENERATOR_KINDS, Graph, generate, parse_edge_list, serialize
@@ -35,20 +36,34 @@ __all__ = ["main", "load_graph", "parse_pattern"]
 _GEN_SPEC = re.compile(r"^([a-z_]+):(\d+)$")
 
 
+def _int(digits: str) -> int:
+    """int(digits), where more digits than int reads are bad input."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def load_graph(source: str) -> Graph:
     """Resolve a graph argument: generator spec, file path, or stdin."""
+    if not source:
+        raise InputError('empty graph source; expected kind:size, a file path or "-"')
     m = _GEN_SPEC.match(source)
     if m is not None and m.group(1) in GENERATOR_KINDS:
-        return generate(m.group(1), int(m.group(2)))
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+        return generate(m.group(1), _int(m.group(2)))
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc)) from None
     return parse_edge_list(text)
 
 
 def parse_pattern(text: str) -> list[tuple[int, str]]:
-    """Parse the measurement microformat "qubit:basis,..." e.g. "0:Z,3:X"."""
+    """Parse the measurement microformat "qubit:basis,..." e.g. "0:Z,3:X".
+    Only the shape is checked here; simulate_pattern checks each entry."""
     text = text.strip()
     if not text:
         return []
@@ -57,12 +72,12 @@ def parse_pattern(text: str) -> list[tuple[int, str]]:
         qubit_str, sep, basis = part.strip().partition(":")
         qubit_str = qubit_str.strip()
         basis = basis.strip()
-        if not sep or not qubit_str.isdecimal() or basis not in ("X", "Y", "Z"):
-            raise ValueError(
+        if not sep or not qubit_str.isdecimal() or not basis:
+            raise InputError(
                 f"bad pattern entry {part.strip()!r} (entry {pos}); "
                 "expected QUBIT:BASIS like 0:Z"
             )
-        out.append((int(qubit_str), basis))
+        out.append((_int(qubit_str), basis))
     return out
 
 
@@ -118,8 +133,8 @@ def _parse_side(text: str) -> list[int]:
     for piece in text.split(","):
         piece = piece.strip()
         if not piece.isdecimal():
-            raise ValueError(f"bad vertex {piece!r} in --side; expected e.g. 0,2,5")
-        side.append(int(piece))
+            raise InputError(f"bad vertex {piece!r} in --side; expected e.g. 0,2,5")
+        side.append(_int(piece))
     return sorted(set(side))
 
 
@@ -141,11 +156,11 @@ def _cmd_check(args) -> int:
         try:
             formula = named_formula(args.named)
         except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
+            raise InputError(exc.args[0]) from None
         sources = args.args
     else:
         if len(args.args) < 2:
-            raise ValueError("check needs a formula and at least one graph "
+            raise InputError("check needs a formula and at least one graph "
                              "(or --named NAME and graphs)")
         formula = parse_formula(args.args[0])
         sources = args.args[1:]
@@ -315,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,12 @@ class SizeLimitError(RuntimeError):
     """
 
 
-class GraphParseError(ValueError):
+class InputError(ValueError):
+    """Bad input that the caller can fix: an argument, graph or formula.
+    The CLI maps this to exit code 2, and no other ValueError."""
+
+
+class GraphParseError(InputError):
     """Malformed edge-list text; carries the 1-based line number."""
 
     def __init__(self, message: str, line: int):
@@ -17,7 +22,7 @@ class GraphParseError(ValueError):
         self.line = line
 
 
-class FormulaParseError(ValueError):
+class FormulaParseError(InputError):
     """Malformed formula text; carries the character position."""
 
     def __init__(self, message: str, position: int):

@@ -51,7 +51,7 @@ from functools import cache
 from itertools import product
 
 from ._pieces import MAX_COUNT_SETS, Piece, piece, prefix, submasks
-from .errors import SizeLimitError
+from .errors import InputError, SizeLimitError
 from .gf2 import _bits
 from .graphs import Graph, _Frozen
 from .logic import And, Formula, Not, Or, evaluate, free_variables
@@ -417,7 +417,7 @@ def theory_member_witness(graphs: Iterable[Graph], f: Formula) -> tuple[bool, in
     """
     free = set().union(*free_variables(f))
     if free:
-        raise ValueError(f"formula has unbound variables: {', '.join(sorted(free))}")
+        raise InputError(f"formula has unbound variables: {', '.join(sorted(free))}")
     fragment = recognize(f)
     for i, g in enumerate(graphs):
         if not (evaluate(g, f) if fragment is None else decide(g, fragment)):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .errors import InputError
 from .graphs import Graph
 
 __all__ = ["gf2_reduce", "gf2_dual_basis", "cut_rank_masks", "cut_rank"]
@@ -127,19 +128,11 @@ def gf2_dual_basis(vectors: Sequence[int]) -> list[int]:
     return ds
 
 
-def _sorted_vertices(g: Graph, subset: Iterable[int]) -> list[int]:
-    vs = sorted(set(subset))
-    if vs and (vs[0] < 0 or vs[-1] >= g.n):
-        bad = vs[0] if vs[0] < 0 else vs[-1]
-        raise ValueError(f"vertex {bad} out of range for n={g.n}")
-    return vs
-
-
 def cut_rank(g: Graph, subset: Iterable[int]) -> int:
     """GF(2) rank of the cut between ``subset`` and its complement."""
-    a_sorted = _sorted_vertices(g, subset)
     amask = 0
-    for v in a_sorted:
+    for v in subset:
+        if not 0 <= v < g.n:
+            raise InputError(f"vertex {v} out of range for n={g.n}")
         amask |= 1 << v
-    bmask = ((1 << g.n) - 1) ^ amask
-    return cut_rank_masks(g.adj, amask, bmask)
+    return cut_rank_masks(g.adj, amask, ((1 << g.n) - 1) ^ amask)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import GraphParseError, SizeLimitError
+from .errors import GraphParseError, InputError, SizeLimitError
 
 __all__ = [
     "Graph",
@@ -254,7 +254,7 @@ def serialize(g: Graph) -> str:
 
 def _require_positive(kind: str, size: int) -> None:
     if size <= 0:
-        raise ValueError(f"{kind} size must be positive, got {size}")
+        raise InputError(f"{kind} size must be positive, got {size}")
 
 
 def path(n: int) -> Graph:
@@ -269,7 +269,7 @@ def cycle(n: int) -> Graph:
     _require_positive("cycle", n)
     _check_size(n)
     if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+        raise InputError(f"cycle needs at least 3 vertices, got {n}")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], f"cycle({n})")
 
 
@@ -354,7 +354,7 @@ def generate(kind: str, size: int) -> Graph:
         maker = GENERATOR_KINDS[kind]
     except KeyError:
         known = ", ".join(sorted(GENERATOR_KINDS))
-        raise ValueError(f"unknown graph kind {kind!r} (known: {known})") from None
+        raise InputError(f"unknown graph kind {kind!r} (known: {known})") from None
     return maker(size)
 
 

@@ -56,8 +56,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
+from functools import cache
 
-from .errors import FormulaParseError, SizeLimitError
+from .errors import FormulaParseError, InputError, SizeLimitError
 from .graphs import Graph, _Frozen, _set
 
 __all__ = [
@@ -408,7 +409,9 @@ def _compile(
 ) -> tuple[Callable[[list[int]], bool], Callable[[list[int]], int] | None, int]:
     """Compile f on the graph (adj, n) into ``(run, mask, cost)``.
 
-    ``run`` is a closure ``env -> bool`` deciding f. ``slots`` maps each
+    ``run`` is a closure ``env -> bool`` deciding f; it returns a bool, not
+    just a truthy value, as a quantifier compares it with the value it stops
+    at. ``slots`` maps each
     variable in scope to its index in the list ``env``, which holds a vertex
     index or, for a set variable, a vertex bit mask. Every name an atom uses
     is resolved by ``_slot``, which checks its case against its place and
@@ -441,22 +444,17 @@ def _compile(
             domain, cost = range(1 << n), 1 + (1 << n) * body_cost
         else:
             domain, cost = range(n), 1 + max(n, 1) * body_cost
-        if isinstance(f, Exists):
-            def exists(env):
-                for value in domain:
-                    env[slot] = value
-                    if body(env):
-                        return True
-                return False
-            return exists, None, cost
+        # exists stops at the first witness, forall at the first
+        # counterexample
+        want = isinstance(f, Exists)
 
-        def forall(env):
+        def quantify(env):
             for value in domain:
                 env[slot] = value
-                if not body(env):
-                    return False
-            return True
-        return forall, None, cost
+                if body(env) == want:
+                    return want
+            return not want
+        return quantify, None, cost
     if isinstance(f, Not):
         inner, inner_mask, cost = _compile(f.body, slots, free, adj, n, v)
         mask = None if inner_mask is None else (lambda env: full ^ inner_mask(env))
@@ -527,7 +525,7 @@ def evaluate(g: Graph, f: Formula) -> bool:
     free: set[str] = set()
     run, _, cost = _compile(f, {}, free, g.adj, g.n)
     if free:
-        raise ValueError(f"formula has unbound variables: {', '.join(sorted(free))}")
+        raise InputError(f"formula has unbound variables: {', '.join(sorted(free))}")
     if cost > DEFAULT_COST_LIMIT:
         raise SizeLimitError(
             f"evaluation cost {cost} exceeds the limit {DEFAULT_COST_LIMIT}; "
@@ -559,9 +557,7 @@ NAMED_FORMULA_SOURCES = {
     "even_order": "exists X. (forall y. y in X) & Even(X)",
 }
 
-_named_cache: dict[str, Formula] = {}
-
-
+@cache
 def named_formula(name: str) -> Formula:
     """Look up a library formula by name; see NAMED_FORMULA_SOURCES."""
     try:
@@ -569,6 +565,4 @@ def named_formula(name: str) -> Formula:
     except KeyError:
         known = ", ".join(sorted(NAMED_FORMULA_SOURCES))
         raise KeyError(f"unknown formula {name!r} (known: {known})") from None
-    if name not in _named_cache:
-        _named_cache[name] = parse_formula(source)
-    return _named_cache[name]
+    return parse_formula(source)

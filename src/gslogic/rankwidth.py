@@ -25,7 +25,7 @@ import sys
 from typing import Iterator, Sequence
 
 from . import _kernels
-from .errors import SizeLimitError
+from .errors import InputError, SizeLimitError
 from .gf2 import _bits, cut_rank_masks, gf2_reduce
 from .graphs import Graph, _Frozen, _set
 
@@ -177,7 +177,7 @@ def count_subcubic_trees(n: int) -> int:
     a refusal costs no more than the largest printable count.
     """
     if n < 2:
-        raise ValueError(f"subcubic trees need at least 2 leaves, got {n}")
+        raise InputError(f"subcubic trees need at least 2 leaves, got {n}")
     # 0, or an interpreter older than the limit, means no limit
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     too_big = 10**digits if digits else None

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import SizeLimitError
+from .errors import InputError, SizeLimitError
 from .gf2 import _bits, gf2_dual_basis
 from .graphs import Graph, _Frozen
 
@@ -78,7 +78,8 @@ __all__ = [
     "simulate_pattern",
 ]
 
-_BASES = ("X", "Y", "Z")
+# the measurement bases, each letter with its Pauli's index in a frame
+_BASIS_CODE = {"X": 0, "Y": 1, "Z": 2}
 
 
 def _sign(rel: int, message: str) -> int:
@@ -89,6 +90,12 @@ def _sign(rel: int, message: str) -> int:
     if rel == 2:
         return -1
     raise ValueError(message)
+
+
+def _times(t: int, x: int, z: int, t2: int, x2: int, z2: int) -> tuple[int, int, int]:
+    """(i^t X^x Z^z)(i^t2 X^x2 Z^z2) as (t, x, z): moving Z^z right past
+    X^x2 gives a factor (-1)^|z & x2|."""
+    return (t + t2 + 2 * (z & x2).bit_count()) % 4, x ^ x2, z ^ z2
 
 
 def _phase_t(x_bits: int, z_bits: int, sign: int) -> int:
@@ -133,12 +140,11 @@ class PauliOperator(_Frozen):
         """X, Y or Z acting on one qubit of an n-qubit register."""
         if not 0 <= qubit < n:
             raise ValueError(f"qubit {qubit} out of range for n={n}")
-        if basis not in _BASES:
+        if basis not in _BASIS_CODE:
             raise ValueError(f"basis must be one of X, Y, Z, got {basis!r}")
-        bit = 1 << qubit
-        x = bit if basis in ("X", "Y") else 0
-        z = bit if basis in ("Z", "Y") else 0
-        return cls(n, x, z, 1)
+        code, bit = _BASIS_CODE[basis], 1 << qubit
+        # X and Y carry an X factor, Y and Z a Z factor
+        return cls(n, bit if code < 2 else 0, bit if code else 0, 1)
 
     @property
     def is_identity(self) -> bool:
@@ -175,13 +181,8 @@ def multiply_paulis(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     product of anticommuting Hermitian Paulis carries a factor of i."""
     if p.n != q.n:
         raise ValueError("operators act on different register sizes")
-    t = (
-        _phase_t(p.x_bits, p.z_bits, p.sign)
-        + _phase_t(q.x_bits, q.z_bits, q.sign)
-        + 2 * (p.z_bits & q.x_bits).bit_count()
-    ) % 4
-    x = p.x_bits ^ q.x_bits
-    z = p.z_bits ^ q.z_bits
+    t, x, z = _times(_phase_t(p.x_bits, p.z_bits, p.sign), p.x_bits, p.z_bits,
+                     _phase_t(q.x_bits, q.z_bits, q.sign), q.x_bits, q.z_bits)
     sign = _sign((t - (x & z).bit_count()) % 4,
                  "product of anticommuting Paulis is not a signed Pauli")
     return PauliOperator(p.n, x, z, sign)
@@ -206,10 +207,6 @@ def _anticommuting(x_bits: int, z_bits: int, xcol: list[int], zcol: list[int]) -
     for q in _bits(x_bits):
         mask ^= zcol[q]
     return mask
-
-
-# every per-row and per-column list of a tableau
-_LISTS = ("xs", "zs", "ts", "dxs", "dzs", "xcol", "zcol", "dxcol", "dzcol")
 
 
 class StabilizerTableau:
@@ -246,9 +243,8 @@ class StabilizerTableau:
 
     def copy(self) -> "StabilizerTableau":
         dup = StabilizerTableau.__new__(StabilizerTableau)
-        dup.n = self.n
-        for name in _LISTS:
-            setattr(dup, name, list(getattr(self, name)))
+        rows = (self.xs, self.zs, self.ts, self.dxs, self.dzs)
+        dup._set_rows(self.n, *map(list, rows))
         return dup
 
     def _sign_of(self, k: int) -> int:
@@ -269,18 +265,16 @@ class StabilizerTableau:
         n = self.n
         for k in range(n):
             self._sign_of(k)
-        for i in range(n):
-            for j in range(i + 1, n):
-                parity = (
-                    (self.xs[i] & self.zs[j]).bit_count()
-                    + (self.zs[i] & self.xs[j]).bit_count()
-                ) % 2
-                if parity:
-                    raise ValueError(f"generators {i} and {j} anticommute")
         pairs = (("xs", "xcol"), ("zs", "zcol"), ("dxs", "dxcol"), ("dzs", "dzcol"))
         for rows, cols in pairs:
             if _transpose(getattr(self, rows), n) != getattr(self, cols):
                 raise ValueError(f"column masks {cols} do not match the rows")
+        for i in range(n):
+            # the first i found is the smallest generator in an
+            # anticommuting pair, and its lowest bit its smallest partner
+            anti = _anticommuting(self.xs[i], self.zs[i], self.xcol, self.zcol)
+            if anti:
+                raise ValueError(f"generators {i} and {next(_bits(anti))} anticommute")
         for i in range(n):
             if _anticommuting(self.dxs[i], self.dzs[i], self.xcol, self.zcol) != 1 << i:
                 raise ValueError(
@@ -297,9 +291,7 @@ class StabilizerTableau:
         combo = _anticommuting(p.x_bits, p.z_bits, self.dxcol, self.dzcol)
         x = z = t = 0
         for k in _bits(combo):
-            t = (t + self.ts[k] + 2 * (z & self.xs[k]).bit_count()) % 4
-            x ^= self.xs[k]
-            z ^= self.zs[k]
+            t, x, z = _times(t, x, z, self.ts[k], self.xs[k], self.zs[k])
         if x != p.x_bits or z != p.z_bits:
             raise RuntimeError("operator is outside the stabilizer span")
         diff = (t - _phase_t(p.x_bits, p.z_bits, p.sign)) % 4
@@ -363,9 +355,7 @@ class StabilizerTableau:
         x0, z0, t0 = xs[k0], zs[k0], ts[k0]
         rest = anti ^ k0_bit
         for k in _bits(rest):
-            ts[k] = (t0 + ts[k] + 2 * (z0 & xs[k]).bit_count()) % 4
-            xs[k] ^= x0
-            zs[k] ^= z0
+            ts[k], xs[k], zs[k] = _times(t0, x0, z0, ts[k], xs[k], zs[k])
         drest = _anticommuting(px, pz, self.dxcol, self.dzcol) & ~k0_bit
         for i in _bits(drest):
             dxs[i] ^= x0
@@ -442,19 +432,18 @@ def _frame_tables():
 
 
 _FRAMES, (_Z, _MINUS_IZ, _PLUS_IZ, _PLUS_IY, _MINUS_IY) = _frame_tables()
-_BASIS_CODE = {"X": 0, "Y": 1, "Z": 2}
 
 
 def _check_pattern(n: int, pattern) -> None:
     seen = set()
     for pos, (qubit, basis) in enumerate(pattern, start=1):
         if qubit in seen:
-            raise ValueError(f"pattern entry {pos}: qubit {qubit} measured twice")
+            raise InputError(f"pattern entry {pos}: qubit {qubit} measured twice")
         seen.add(qubit)
         if not 0 <= qubit < n:
-            raise ValueError(f"pattern entry {pos}: qubit {qubit} out of range for n={n}")
+            raise InputError(f"pattern entry {pos}: qubit {qubit} out of range for n={n}")
         if basis not in _BASIS_CODE:
-            raise ValueError(
+            raise InputError(
                 f"pattern entry {pos}: basis must be one of X, Y, Z, got {basis!r}"
             )
 

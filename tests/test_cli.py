@@ -282,6 +282,20 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
         gslogic.cli.main(["check", "--named", "connected", "path:3"])
 
 
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # exit 2 is for bad input; a ValueError raised inside an engine is a
+    # fault and leaves main as it is
+    def broken(*args):
+        raise ValueError("rows are linearly dependent at row 0")
+
+    monkeypatch.setattr(gslogic.cli, "evaluate", broken)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        gslogic.cli.main(["check", "--named", "path2", "path:3"])
+    monkeypatch.setattr(gslogic.cli, "exact_rankwidth", broken)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        gslogic.cli.main(["rankwidth", "path:3"])
+
+
 def test_corrupt_tableau_is_not_a_usage_error(monkeypatch):
     # a tableau that broke its own invariants is a fault, not bad input:
     # measure and expectation raise RuntimeError, and a RuntimeError from
@@ -467,6 +481,9 @@ def test_pattern_errors_name_the_entry(capsys):
     assert "pattern entry 3: qubit 0 measured twice" in capsys.readouterr().err
     assert gslogic.cli.main(["simulate", "path:3", "--pattern", "1:X,7:Z"]) == 2
     assert "pattern entry 2: qubit 7 out of range" in capsys.readouterr().err
+    assert gslogic.cli.main(["simulate", "path:3", "--pattern", "0:Z,1:Q"]) == 2
+    assert ("pattern entry 2: basis must be one of X, Y, Z, got 'Q'"
+            in capsys.readouterr().err)
 
 
 def test_options_only_on_the_subcommands_that_read_them():
@@ -533,6 +550,23 @@ def test_graph_file_parse_error(tmp_path):
 def test_missing_file_is_usage_error():
     res = run_cli("rankwidth", "/nonexistent/file.edges")
     assert res.returncode == 2
+
+
+def test_unreadable_inputs_are_usage_errors(tmp_path, capsys):
+    binary = tmp_path / "binary.edges"
+    binary.write_bytes(b"3 1\n0 1\n\xff\xfe\n")
+    digits = "9" * 5000
+    for argv, message in (
+        (["rankwidth", str(binary)], "'utf-8' codec can't decode"),
+        (["rankwidth", ""], "empty graph source"),
+        # more digits than int reads
+        (["rankwidth", f"path:{digits}"], "digits"),
+        (["cutrank", "path:3", "--side", digits], "digits"),
+        (["simulate", "path:3", "--pattern", f"{digits}:X"], "digits"),
+    ):
+        assert gslogic.cli.main(argv) == 2, argv[:2]
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and message in err, argv[:2]
 
 
 def test_usage_errors_from_argparse():

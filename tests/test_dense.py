@@ -61,6 +61,8 @@ def test_state_validation():
         DenseState(2, np.ones(3, dtype=complex))
     with pytest.raises(ValueError, match="normalized"):
         DenseState(1, np.array([1.0, 1.0], dtype=complex))
+    with pytest.raises(ValueError, match="qubit count must be nonnegative"):
+        DenseState(-1, np.ones(1, dtype=complex))
 
 
 def test_size_refusal():

@@ -179,6 +179,8 @@ def test_cut_rank_rejects_bad_vertices():
         cut_rank(g, [3])
     with pytest.raises(ValueError, match="out of range"):
         cut_rank(g, [-1])
+    with pytest.raises(ValueError, match="vertex 99 out of range for n=9"):
+        cut_rank(generate("grid", 3), [0, 99])
 
 
 def test_cut_rank_submodularity_spot_check():

@@ -572,7 +572,19 @@ def test_refusal_names_the_worst_case_cost(name, monkeypatch):
 
 def test_named_formula_library():
     assert named_formula("connected") is named_formula("connected")
-    with pytest.raises(KeyError, match="unknown formula"):
-        named_formula("nope")
+    assert named_formula("path2") is named_formula("path2")
+    # an unknown name is refused on every call, not only the first
+    for _ in range(2):
+        with pytest.raises(KeyError, match="unknown formula 'nope'"):
+            named_formula("nope")
     for source in NAMED_FORMULA_SOURCES.values():
         parse_formula(source)
+
+
+def test_a_non_formula_is_refused_by_every_walk():
+    g = generate("path", 2)
+    for walk in (pretty, free_variables, lambda f: evaluate(g, f)):
+        with pytest.raises(TypeError, match="not a formula node: 'x'"):
+            walk("x")
+        with pytest.raises(TypeError, match="not a formula node"):
+            walk(Not(None))

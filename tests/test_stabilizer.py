@@ -179,6 +179,11 @@ def test_tableau_rejects_bad_generator_sets():
         StabilizerTableau([x0, z0])
     with pytest.raises(ValueError, match="exactly n"):
         StabilizerTableau([x0])
+    # the smallest generator in an anticommuting pair, with its smallest
+    # partner; generator 1 commutes with both
+    x0, x1, z0 = (PauliOperator.single(3, q, b) for q, b in ((0, "X"), (1, "X"), (0, "Z")))
+    with pytest.raises(ValueError, match="generators 0 and 2 anticommute"):
+        StabilizerTableau([x0, x1, z0])
 
 
 def test_operators_on_different_register_sizes_are_refused():
