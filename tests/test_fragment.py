@@ -1,9 +1,11 @@
 """The vertex-order DP for fragment formulas, against exhaustive evaluation."""
 
+import hashlib
 import importlib.util
 import json
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from gslogic import (
     serialize,
 )
 from gslogic.fragment import decide, recognize, theory_member, theory_member_witness
+from gslogic.gf2 import cut_rank_masks, gf2_reduce
 from gslogic.logic import NAMED_FORMULA_SOURCES, And, Edge, Eq, Even, Exists, Forall, In, Not, Or
 from test_logic import EVEN_DEGREES, PERFECT_CODE, TINY_GRAPHS, _closed, _random_body
 
@@ -207,6 +210,115 @@ def test_count_atoms_with_two_bodies_are_refused_unless_the_bodies_agree():
     assert 20 < refused < 180
 
 
+def _shaped_qf(rng: random.Random, vertices: str, depth: int, loose: float):
+    """A quantifier-free body of depth at most ``depth`` over ``vertices``
+    and the sets X and Y; with probability ``loose`` an atom's vertex is
+    any of x, y and z instead."""
+    if depth <= 1 or rng.random() < 0.4:
+        names = [rng.choice("xyz" if rng.random() < loose else vertices) for _ in range(2)]
+        pick = rng.randrange(3)
+        return In(names[0], rng.choice("XY")) if pick == 2 else (Edge, Eq)[pick](*names)
+    if rng.randrange(3) == 0:
+        return Not(_shaped_qf(rng, vertices, depth - 1, loose))
+    return rng.choice((And, Or))(_shaped_qf(rng, vertices, depth - 1, loose),
+                                 _shaped_qf(rng, vertices, depth - 1, loose))
+
+
+def _shaped_count(rng: random.Random, x: str, depth: int, loose: float):
+    """A count atom on x of a shape that fits in ``depth``; its y and z may
+    be x, and the set of "even" may shadow X or Y."""
+    y, z = rng.choice("xyz"), rng.choice("xyz")
+    pick = rng.randrange(4) if depth >= 6 else rng.randrange(3) if depth >= 4 else 0
+    if pick < 2:
+        return (Exists, Forall)[pick](y, _shaped_qf(rng, x + y, depth - 1, loose))
+    beta = _shaped_qf(rng, x + y, depth - 4, loose)
+    if pick == 2:
+        other = _shaped_qf(rng, x + z, depth - 4, loose)
+        return Forall(y, Forall(z, Or(Not(And(beta, other)), Eq(y, z))))
+    s = rng.choice("XY")
+    pinned = Or(And(In(y, s), beta), And(Not(In(y, s)), Not(beta)))
+    even = Even(s) if rng.random() < 0.5 else Not(Even(s))
+    return Exists(s, And(even, Forall(y, pinned)))
+
+
+def _shaped_gamma(rng: random.Random, x: str, depth: int, loose: float):
+    if depth <= 2 or rng.random() < 0.5:
+        if rng.random() < 0.7:
+            return _shaped_count(rng, x, depth, loose)
+        return _shaped_qf(rng, x, depth, loose)
+    if rng.randrange(3) == 0:
+        return Not(_shaped_gamma(rng, x, depth - 1, loose))
+    return rng.choice((And, Or))(_shaped_gamma(rng, x, depth - 1, loose),
+                                 _shaped_gamma(rng, x, depth - 1, loose))
+
+
+def _shaped_piece(rng: random.Random, depth: int, loose: float):
+    """Even, a counting piece, or one to three vertex quantifiers of one
+    kind over a body; the names may repeat."""
+    pick = rng.randrange(5)
+    if pick == 0 or depth <= 1:
+        return Even(rng.choice("XY"))
+    maker = rng.choice((Exists, Forall))
+    if pick == 4:
+        x = rng.choice("xyz")
+        return maker(x, _shaped_gamma(rng, x, depth - 1, loose))
+    names = [rng.choice("xyz") for _ in range(min(pick, depth - 1))]
+    f = _shaped_qf(rng, "".join(names), depth - len(names), loose)
+    for name in reversed(names):
+        f = maker(name, f)
+    return f
+
+
+def _shaped_psi(rng: random.Random, depth: int, loose: float):
+    if depth <= 3 or rng.random() < 0.4:
+        return _shaped_piece(rng, depth, loose)
+    if rng.randrange(3) == 0:
+        return Not(_shaped_psi(rng, depth - 1, loose))
+    return rng.choice((And, Or))(_shaped_psi(rng, depth - 1, loose),
+                                 _shaped_psi(rng, depth - 1, loose))
+
+
+def _shaped_formula(rng: random.Random):
+    """A psi of depth at most 6 under exists or forall X and Y, each maybe
+    negated. About 30% are open: the prefix binds X twice, or an atom
+    names a vertex no quantifier binds."""
+    f = _shaped_psi(rng, 6, rng.choice((0.0, 0.25)))
+    for name in rng.choice(("XY", "YX", "XY", "YX", "XX")):
+        f = rng.choice((Exists, Forall))(name, f)
+        if rng.random() < 0.2:
+            f = Not(f)
+    return f
+
+
+def test_recognition_and_verdicts_of_shaped_formulas_are_pinned(monkeypatch):
+    # 2,000 formulas near the fragment's shapes, open ones and shadowed
+    # names among them; the digest pins which are recognized, and decide's
+    # verdict on each graph. A cap of 32 states keeps each decide short on
+    # grid:3 and pins where it is passed.
+    monkeypatch.setattr(gslogic.fragment, "MAX_STATES", 32)
+    graphs = [generate(*spec) for spec in (("cycle", 5), ("grid", 3), ("path", 4), ("complete", 4))]
+
+    def verdict(g, fragment):
+        try:
+            return decide(g, fragment)
+        except SizeLimitError:
+            return "limit"
+
+    rng = random.Random(34)
+    digest = hashlib.sha256()
+    counts = {"open": 0, "recognized": 0, "limit": 0}
+    for _ in range(2000):
+        f = _shaped_formula(rng)
+        fragment = recognize(f)
+        verdicts = "refused" if fragment is None else [verdict(g, fragment) for g in graphs]
+        digest.update(repr((pretty(f), fragment is None, verdicts)).encode())
+        counts["open"] += any(free_variables(f))
+        counts["recognized"] += fragment is not None
+        counts["limit"] += "limit" in verdicts
+    assert counts == {"open": 575, "recognized": 528, "limit": 201}
+    assert digest.hexdigest() == "f197a95968f505bb7d0a3250c677d2ef83cd1a18e3cd281a987bdc56cd565134"
+
+
 @pytest.mark.parametrize("name", ["perfect_code", "even_degrees"])
 def test_counting_formulas_match_evaluate_on_the_logic_workload(name):
     f = FRAGMENT_FORMULAS[name]
@@ -250,6 +362,44 @@ def test_three_colourability_drops_the_classes_no_later_vertex_sees():
                               ("path", 300, True), ("complete", 4, False), ("cycle", 1000, True),
                               ("cycle", 1001, True), ("path", 1000, True), ("triangular", 32, True)]:
         assert _decide(generate(kind, size), f) == holds, (kind, size)
+
+
+def test_three_colourability_matches_a_brute_force_colouring():
+    fragment = recognize(parse_formula(THREE_COLOURS))
+    colourings = list(product(range(3), repeat=5))
+    for g in all_graphs(5):
+        edges = g.edges()
+        want = any(all(c[u] != c[v] for u, v in edges) for c in colourings)
+        assert decide(g, fragment) == want, edges
+
+
+def test_outside_rows_have_the_cut_rank_of_their_prefix():
+    # a state sums the placed vertices up by their outside rows; along the
+    # order those rows have the GF(2) rank of the prefix's cut, so a step
+    # sees at most 2^rank distinct ones, and the rank sets the states
+    rng = random.Random(8)
+    specs = (("grid", 6), ("triangular", 5), ("hexagonal", 6), ("binary_tree", 5), ("cycle", 20))
+    graphs = [generate(*spec) for spec in specs]
+    graphs += [random_graph(rng.randrange(6, 19), rng, 0.3) for _ in range(15)]
+    prefixes = 0
+    for g in graphs:
+        order = gslogic.fragment._breadth_first(g)
+        rows = gslogic.fragment._outside_rows(g, order)
+        placed = 0
+        for i, v in enumerate(order, 1):
+            placed |= 1 << v
+            # the i-th vertex of the order is bit n - i of a row
+            outside = [row & (1 << g.n - i) - 1 for row in rows[:i]]
+            pivots: dict[int, int] = {}
+            for row in outside:
+                row = gf2_reduce(pivots, row)
+                if row:
+                    pivots[row & -row] = row
+            rank = cut_rank_masks(g.adj, placed, (1 << g.n) - 1 ^ placed)
+            assert len(pivots) == rank, (g.name, i)
+            assert len(set(outside)) <= 1 << rank, (g.name, i)
+            prefixes += 1
+    assert prefixes == 340
 
 
 def test_one_check_builds_the_formula_tables_once(monkeypatch, capsys):

@@ -215,11 +215,23 @@ def test_trailing_spaces_are_ignored():
     assert parse_formula("x = y   ") == parse_formula("x = y")
 
 
+def test_any_unicode_whitespace_separates_tokens():
+    want = parse_formula("exists x. x = x")
+    for space in ("\t", "\n", "\u3000", " \r\n\t "):
+        assert parse_formula(f"{space}exists{space}x.{space}x{space}={space}x{space}") == want
+    with pytest.raises(FormulaParseError) as info:
+        parse_formula("exists\u3000x.\u3000x\u3000=")
+    assert info.value.position == len("exists x. x =")
+
+
 @pytest.mark.parametrize("text, position, message", [
     ("exists . x = x", 7, "expected quantified variable"),
     ("x = y & )", 8, "unexpected ')'"),
     # one row per place the parser raises
     ("x @ y", 2, "unexpected character '@'"),
+    ("  \u00e9", 2, "unexpected character '\u00e9'"),
+    ("x = y @", 6, "unexpected character '@'"),
+    ("1 = x", 0, "unexpected character '1'"),
     ("(x = y", 6, "unexpected end of input"),
     ("edge(x, y", 9, "unexpected end of input"),
     ("x in", 4, "unexpected end of input"),

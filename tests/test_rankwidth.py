@@ -444,6 +444,35 @@ def test_exact_answers_large_graphs_with_small_pieces():
         assert decomposition_width(g, tree) == width
 
 
+def _blocks(rng):
+    """One to six random graphs of 2 to 6 vertices, each glued at one
+    vertex to those before it, in a shuffled numbering."""
+    g = random_graph(rng.randrange(2, 7), rng, rng.uniform(0.3, 0.9))
+    for _ in range(rng.randrange(6)):
+        block = random_graph(rng.randrange(2, 7), rng, rng.uniform(0.3, 0.9))
+        g = _glue(g, block, rng.randrange(g.n), rng.randrange(block.n))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_reduced_widths_and_trees_are_pinned():
+    # graphs that the pendant, twin and cut-vertex rules take apart: the
+    # digest pins how the pieces' trees are glued back, bridges and all
+    rng = random.Random(34)
+    graphs = [_blocks(rng) for _ in range(300)]
+    graphs += [generate("path", 300), generate("binary_tree", 7), generate("complete", 30)]
+    out = []
+    for g in graphs:
+        width, tree = exact_rankwidth(g)
+        out.append([width, [list(e) for e in tree.edges]])
+    assert [sum(width == w for width, _ in out) for w in range(3)] == [4, 205, 94]
+    assert (
+        hashlib.sha256(json.dumps(out).encode()).hexdigest()
+        == "6c006cbe380391a64b0d91b1fc998ba1effcbc83051d1a40b00c567638a682b8"
+    )
+
+
 def test_edgeless_graph_has_width_zero_at_any_size():
     width, tree = exact_rankwidth(Graph.from_edges(65, []))
     assert width == 0
