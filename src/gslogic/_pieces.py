@@ -5,6 +5,10 @@ or two-vertex quantifier over a quantifier-free body, or a counting piece
 ``forall x. gamma`` / ``exists x. gamma``, gamma a Boolean combination of
 one-vertex atoms and count atoms on the number of y with beta(x, y).
 
+``connectives`` is the one compiler of ``!``, ``&`` and ``|``: it builds
+psi around its pieces for ``gslogic.fragment.recognize`` and gamma around
+its atoms here.
+
 Bodies are compiled by ``gslogic.logic``'s own compiler and run on a
 seven-vertex model graph where x, y and z can sit in every way next to
 each other, each vertex under a label: the bits of the sets it belongs
@@ -100,14 +104,13 @@ def piece(node: Formula, sets: dict[str, int]) -> Piece | None:
         return None
     is_forall = isinstance(node, Forall)
     read = prefix(node, False)
-    if read is not None and len(read[1]) <= 2 and _reads(read[2], sets) is not None:
+    if read is not None and len(read[1]) <= 2:
         # forall x. forall x. beta is forall x. beta, also on no vertices
         names = tuple(dict.fromkeys(read[1]))
         # the bit records a witness of exists, a counterexample of forall
         body = _body(Not(read[2]) if is_forall else read[2], names, sets)
-        if body is None:
-            return None
-        return Piece(flip=is_forall, pair=len(names) == 2, hit=body[0], bits=body[1])
+        if body is not None:
+            return Piece(flip=is_forall, pair=len(names) == 2, hit=body[0], bits=body[1])
     counts: list[Count] = []
     gamma = _gamma(node.body, node.var, sets, counts)
     if gamma is None:
@@ -138,34 +141,44 @@ def prefix(node: Formula, is_set: bool) -> tuple[bool, tuple[str, ...], Formula]
     return True in kinds, tuple(names), Not(node) if negate else node
 
 
+def connectives(node: Formula, leaf: Callable[[Formula, bool, bool], Callable | None],
+                neg: bool = False, top: bool = True) -> Callable | None:
+    """node's ``!``, ``&`` and ``|`` compiled around ``leaf(node, neg,
+    top)`` of each of its leaves, ``neg`` the parity of the negations above
+    the leaf and ``top`` whether it is a conjunct of the whole node; None
+    when a leaf is."""
+    if isinstance(node, Not):
+        body = connectives(node.body, leaf, not neg, top)
+        return None if body is None else (lambda *args: not body(*args))
+    if isinstance(node, (And, Or)):
+        top = top and isinstance(node, And) != neg
+        left, right = connectives(node.left, leaf, neg, top), connectives(node.right, leaf, neg, top)
+        if left is None or right is None:
+            return None
+        if isinstance(node, And):
+            return lambda *args: left(*args) and right(*args)
+        return lambda *args: left(*args) or right(*args)
+    return leaf(node, neg, top)
+
+
 def _gamma(
     node: Formula, x: str, sets: dict[str, int], counts: list[Count]
 ) -> Callable[[int, tuple[int, ...]], bool] | None:
     """gamma(x) as a function of x's label and its counts, its count atoms
     appended to ``counts``; None if node is not such a combination."""
-    if _reads(node, sets) is not None:
+    def leaf(node: Formula, neg: bool, top: bool) -> Callable[[int, tuple[int, ...]], bool] | None:
         body = _body(node, (x,), sets)
-        if body is None:
+        if body is not None:
+            alpha = body[0]
+            return lambda label, cs: alpha(label, label, False, True)
+        atom = _count_atom(node, x, sets)
+        if atom is None:
             return None
-        alpha = body[0]
-        return lambda label, cs: alpha(label, label, False, True)
-    if isinstance(node, Not):
-        inner = _gamma(node.body, x, sets, counts)
-        return None if inner is None else (lambda label, cs: not inner(label, cs))
-    if isinstance(node, (And, Or)):
-        left, right = _gamma(node.left, x, sets, counts), _gamma(node.right, x, sets, counts)
-        if left is None or right is None:
-            return None
-        if isinstance(node, And):
-            return lambda label, cs: left(label, cs) and right(label, cs)
-        return lambda label, cs: left(label, cs) or right(label, cs)
-    atom = _count_atom(node, x, sets)
-    if atom is None:
-        return None
-    holds, count = atom
-    j = len(counts)
-    counts.append(count)
-    return lambda label, cs: holds(cs[j])
+        holds, count = atom
+        j = len(counts)
+        counts.append(count)
+        return lambda label, cs: holds(cs[j])
+    return connectives(node, leaf)
 
 
 def _count_atom(

@@ -50,11 +50,11 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from itertools import product
 
-from ._pieces import MAX_COUNT_SETS, Piece, piece, prefix, submasks
+from ._pieces import MAX_COUNT_SETS, Piece, connectives, piece, prefix, submasks
 from .errors import InputError, SizeLimitError
 from .gf2 import _bits
 from .graphs import Graph, _Frozen
-from .logic import And, Formula, Not, Or, evaluate, free_variables
+from .logic import Formula, Not, evaluate, free_variables
 
 __all__ = [
     "Fragment", "recognize", "decide", "theory_member", "theory_member_witness",
@@ -112,22 +112,11 @@ def recognize(f: Formula) -> Fragment | None:
     specs: list[Piece] = []
     prune = 0
 
-    def compile_psi(node: Formula, neg: bool, top: bool) -> Callable[[int], bool] | None:
-        """psi's node under ``neg`` negations; ``top`` when it is a
+    def leaf(node: Formula, neg: bool, top: bool) -> Callable[[int], bool] | None:
+        """A piece of psi under ``neg`` negations; ``top`` when it is a
         conjunct of psi, where a piece false once its bit is set (a forall
         piece, or an exists piece under a negation) prunes."""
         nonlocal prune
-        if isinstance(node, Not):
-            body = compile_psi(node.body, not neg, top)
-            return None if body is None else (lambda bits: not body(bits))
-        if isinstance(node, (And, Or)):
-            top = top and isinstance(node, And) != neg
-            left, right = compile_psi(node.left, neg, top), compile_psi(node.right, neg, top)
-            if left is None or right is None:
-                return None
-            if isinstance(node, And):
-                return lambda bits: left(bits) and right(bits)
-            return lambda bits: left(bits) or right(bits)
         if node not in pieces:
             spec = piece(node, sets)
             if spec is None:
@@ -141,7 +130,7 @@ def recognize(f: Formula) -> Fragment | None:
         return lambda bits: bool((bits >> i) & 1) != spec.flip
 
     # forall X1..Xk. phi is !exists X1..Xk. !phi
-    psi = compile_psi(Not(f) if forall else f, False, True)
+    psi = connectives(Not(f) if forall else f, leaf)
     if psi is None:
         return None
     return _program(negated != forall, len(names), tuple(specs), psi, prune)

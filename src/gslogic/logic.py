@@ -183,7 +183,8 @@ class Forall(Formula):
 
 # ---------------------------------------------------------------- parsing
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|[()&|!=.,])")
+# a token, or else the first character that starts none
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|[()&|!=.,])|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -191,17 +192,12 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     at the end of input. Keywords, identifiers and symbols never share a
     text, so a token's text says its kind."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_pos = len(text) - len(stripped)
-            raise FormulaParseError(f"unexpected character {stripped[0]!r}", bad_pos)
+    # with no trailing space, every search from the end of a match matches
+    # there, so no character is skipped and the scan stays linear
+    for m in _TOKEN_RE.finditer(text.rstrip()):
+        if m.group(2):
+            raise FormulaParseError(f"unexpected character {m.group(2)!r}", m.start(2))
         tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
     tokens.append(("", len(text)))
     return tokens
 

@@ -289,12 +289,10 @@ def exact_rankwidth(g: Graph) -> tuple[int, SubcubicTree | None]:
     for mask, names in pieces:
         verts = list(_bits(mask))
         k = len(verts)
-        local: Sequence[tuple[int, int]] = ((0, 1),)
-        if k > 2:
-            pos = {v: i for i, v in enumerate(verts)}
-            rows = [sum(1 << pos[x] for x in _bits(adj[v] & mask)) for v in verts]
-            piece_width, local = _kernels.rankwidth_search(rows, k)
-            width = max(width, piece_width)
+        pos = {v: i for i, v in enumerate(verts)}
+        rows = [sum(1 << pos[x] for x in _bits(adj[v] & mask)) for v in verts]
+        piece_width, local = _kernels.rankwidth_search(rows, k)
+        width = max(width, piece_width)
         keys = [names.get(v, v) for v in verts]
         for pair in local:
             for z in pair:
