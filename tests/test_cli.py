@@ -726,3 +726,47 @@ def test_bench_run_answers_a_short_logic_round(trace):
     assert res.returncode == 0, res.stderr
     summary = json.loads(res.stdout.splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0
+
+
+# every command in its default, text and JSON form, with the usage errors,
+# refusals and help around them; the files are named relative to the
+# working directory so that their paths print the same everywhere
+OUTPUT_CASES = [
+    ["gen", "path", "4"], ["gen", "grid", "2", "-o", "out.edges"], ["gen", "path", "0"],
+    ["rankwidth", "cycle:6"], ["rankwidth", "grid:3", "--greedy"],
+    ["rankwidth", "path:1", "--greedy"], ["rankwidth", "tri.edges"],
+    ["rankwidth", "loop.edges"], ["rankwidth", "cycle:21"],
+    ["cutrank", "cycle:5", "--side", "0,2"], ["cutrank", "path:3", "--side", ""],
+    ["cutrank", "path:3", "--side", "0,x"],
+    ["check", "--named", "connected", "path:4", "cycle:5"],
+    ["check", "--named", "two_colorable", "cycle:4", "cycle:5", "path:2"],
+    ["check", "--named", "path2", "path:3", "path:2"],
+    ["check", "exists x. exists y. edge(x, y)", "path:2", "path:1"],
+    ["check", "--named", "nope", "path:3"], ["check", "exists x.", "path:3"],
+    ["check", "exists X. forall Y. Even(X) | Even(Y)", "complete:40"],
+    ["simulate", "path:3", "--pattern", "0:X,1:Z,2:Y", "--seed", "1"],
+    ["simulate", "path:3", "--pattern", "", "--seed", "1"],
+    ["simulate", "path:3", "--pattern", "0:Q"], ["simulate", "grid:65", "--pattern", "0:Z"],
+    ["trees-count", "7"], ["trees-count", "1"], ["trees-count", "100000"],
+]
+
+
+def test_cli_output_is_pinned(monkeypatch, tmp_path, capsys):
+    # exit code, stdout, stderr and the -o file of each case, in-process
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    Path("tri.edges").write_text("3 3\n0 1\n1 2\n0 2\n", encoding="utf-8")
+    Path("loop.edges").write_text("2 1\n1 1\n", encoding="utf-8")
+    out = Path("out.edges")
+    argvs = [case + form for case in OUTPUT_CASES
+             for form in ([], ["--format", "text"], ["--format", "json"])]
+    argvs += [[], ["--help"], ["rankwidth", "--help"], ["frobnicate"]]
+    records = []
+    for argv in argvs:
+        code = gslogic.cli.main(argv)
+        written = out.read_text(encoding="utf-8") if out.exists() else None
+        out.unlink(missing_ok=True)
+        records.append([argv, code, *capsys.readouterr(), written])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert len(records) == 82
+    assert digest == "5f89e69b43d70237acb865b372d9b1669b1d4df9ed9e26ef3112202f1aafa26f"
