@@ -8,6 +8,11 @@ humans; --format json is the stable machine interface. Exit codes:
 0 success (a false verdict is still success), 2 usage or input error,
 3 size or resource refusal. Any other error is a fault and leaves a
 traceback.
+
+Each ``_cmd_*`` handler does its command's work, writes no output and
+returns ``(document, lines)``: the JSON document and a generator of the
+text lines, which makes them only when iterated. ``main`` alone prints,
+one or the other by --format.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .errors import InputError, SizeLimitError
@@ -81,28 +87,23 @@ def parse_pattern(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[dict, Iterator[str]]:
     g = generate(args.kind, args.size)
-    text = serialize(g)
     doc = {"kind": args.kind, "size": args.size, "n": g.n, "m": g.edge_count}
     if args.output is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
+        Path(args.output).write_text(serialize(g), encoding="utf-8")
         doc["path"] = args.output
-    elif args.format == "json":
-        doc["edges"] = [list(e) for e in g.edges()]
     else:
-        sys.stdout.write(text)
-        return 0
-    if args.format == "json":
-        _emit_json(doc)
-    return 0
+        doc["edges"] = [list(e) for e in g.edges()]
+
+    def lines():
+        if args.output is None:
+            yield from serialize(g).splitlines()
+
+    return doc, lines()
 
 
-def _cmd_rankwidth(args) -> int:
+def _cmd_rankwidth(args) -> tuple[dict, Iterator[str]]:
     g = load_graph(args.graph)
     # a graph with fewer than two vertices has no tree to bound; the exact
     # answer is width 0 with no decomposition
@@ -112,25 +113,21 @@ def _cmd_rankwidth(args) -> int:
     else:
         width, tree = exact_rankwidth(g)
         method = "exact"
-    decomp_dict = None if tree is None else tree.to_json_dict()
-    if args.format == "json":
-        _emit_json({"graph": args.graph, "n": g.n, "m": g.edge_count,
-                    "method": method, "width": width,
-                    "decomposition": decomp_dict})
-    else:
-        print(f"graph: {args.graph} (n={g.n}, m={g.edge_count})")
-        print(f"method: {method}")
-        print(f"width: {width}")
-        print(f"decomposition: {json.dumps(decomp_dict, sort_keys=True)}")
-    return 0
+    doc = {"graph": args.graph, "n": g.n, "m": g.edge_count, "method": method,
+           "width": width, "decomposition": None if tree is None else tree.to_json_dict()}
+
+    def lines():
+        yield f"graph: {args.graph} (n={g.n}, m={g.edge_count})"
+        yield f"method: {method}"
+        yield f"width: {width}"
+        yield f"decomposition: {json.dumps(doc['decomposition'], sort_keys=True)}"
+
+    return doc, lines()
 
 
 def _parse_side(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
     side = []
-    for piece in text.split(","):
+    for piece in text.split(",") if text.strip() else ():
         piece = piece.strip()
         if not piece.isdecimal():
             raise InputError(f"bad vertex {piece!r} in --side; expected e.g. 0,2,5")
@@ -138,20 +135,18 @@ def _parse_side(text: str) -> list[int]:
     return sorted(set(side))
 
 
-def _cmd_cutrank(args) -> int:
+def _cmd_cutrank(args) -> tuple[dict, Iterator[str]]:
     g = load_graph(args.graph)
     side = _parse_side(args.side)
     rank = cut_rank(g, side)
-    if args.format == "json":
-        _emit_json({"graph": args.graph, "n": g.n, "side": side,
-                    "cut_rank": rank})
-    else:
-        shown = ",".join(str(v) for v in side)
-        print(f"cut-rank of {{{shown}}}: {rank}")
-    return 0
+
+    def lines():
+        yield f"cut-rank of {{{','.join(map(str, side))}}}: {rank}"
+
+    return {"graph": args.graph, "n": g.n, "side": side, "cut_rank": rank}, lines()
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, Iterator[str]]:
     if args.named is not None:
         try:
             formula = named_formula(args.named)
@@ -168,56 +163,44 @@ def _cmd_check(args) -> int:
     graphs = [(src, load_graph(src)) for src in sources]
     # the formula's shape alone picks the method
     fragment = recognize(formula)
-    if fragment is None:
-        method = "exhaustive"
-        verdicts = [evaluate(g, formula) for _, g in graphs]
-    else:
-        method = "decomposition"
-        verdicts = [decide(g, fragment) for _, g in graphs]
+    method = "exhaustive" if fragment is None else "decomposition"
+    verdicts = [evaluate(g, formula) if fragment is None else decide(g, fragment)
+                for _, g in graphs]
     holds = all(verdicts)
     witness = verdicts.index(False) if not holds else None
-    if args.format == "json":
-        _emit_json({"formula": formula_text,
-                    "named": args.named,
-                    "graphs": [src for src, _ in graphs],
-                    "verdicts": verdicts,
-                    "methods": [method] * len(graphs),
-                    "holds": holds,
-                    "witness_index": witness})
-    else:
-        print(f"formula: {formula_text if args.named is None else args.named}")
+
+    def lines():
+        yield f"formula: {formula_text if args.named is None else args.named}"
         for i, ((src, g), verdict) in enumerate(zip(graphs, verdicts)):
-            print(f"graph[{i}] {src} (n={g.n}): {'true' if verdict else 'false'} ({method})")
-        if holds:
-            print("family: true")
-        else:
-            print(f"family: false (first failure at index {witness})")
-    return 0
+            yield f"graph[{i}] {src} (n={g.n}): {'true' if verdict else 'false'} ({method})"
+        yield "family: true" if holds else f"family: false (first failure at index {witness})"
+
+    return {"formula": formula_text, "named": args.named, "graphs": sources,
+            "verdicts": verdicts, "methods": [method] * len(graphs), "holds": holds,
+            "witness_index": witness}, lines()
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict, Iterator[str]]:
     g = load_graph(args.graph)
     pattern = parse_pattern(args.pattern)
     transcript = simulate_pattern(g, pattern, rng_seed=args.seed)
-    if args.format == "json":
-        _emit_json({"graph": args.graph, "n": g.n, "seed": args.seed,
-                    "transcript": transcript})
-    else:
-        print(f"graph: {args.graph} (n={g.n}), seed: {args.seed}")
+
+    def lines():
+        yield f"graph: {args.graph} (n={g.n}), seed: {args.seed}"
         for rec in transcript:
-            print(f"qubit {rec['qubit']} basis {rec['basis']}: "
-                  f"outcome {rec['outcome']:+d} probability {rec['probability']}")
-    return 0
+            yield (f"qubit {rec['qubit']} basis {rec['basis']}: "
+                   f"outcome {rec['outcome']:+d} probability {rec['probability']}")
+
+    return {"graph": args.graph, "n": g.n, "seed": args.seed, "transcript": transcript}, lines()
 
 
-def _cmd_trees_count(args) -> int:
-    n = args.leaves
-    count = count_subcubic_trees(n)
-    if args.format == "json":
-        _emit_json({"leaves": n, "count": count, "method": "formula"})
-    else:
-        print(f"subcubic trees with {n} leaves: {count} (formula)")
-    return 0
+def _cmd_trees_count(args) -> tuple[dict, Iterator[str]]:
+    count = count_subcubic_trees(args.leaves)
+
+    def lines():
+        yield f"subcubic trees with {args.leaves} leaves: {count} (formula)"
+
+    return {"leaves": args.leaves, "count": count, "method": "formula"}, lines()
 
 
 def _gen_arguments(p: argparse.ArgumentParser) -> None:
@@ -225,7 +208,6 @@ def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("size", type=int)
     p.add_argument("-o", "--output", default=None, metavar="PATH",
                    help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_gen)
 
 
 def _rankwidth_arguments(p: argparse.ArgumentParser) -> None:
@@ -236,7 +218,6 @@ def _rankwidth_arguments(p: argparse.ArgumentParser) -> None:
                         "removes pendants and twins, splits at cut vertices "
                         "and refuses when a piece left has more than "
                         f"{EXACT_VERTEX_LIMIT} vertices")
-    p.set_defaults(func=_cmd_rankwidth)
 
 
 def _cutrank_arguments(p: argparse.ArgumentParser) -> None:
@@ -244,7 +225,6 @@ def _cutrank_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--side", required=True, metavar="V,V,...",
                    help="comma-separated vertices of one side of the cut "
                         "(empty string for the empty side)")
-    p.set_defaults(func=_cmd_cutrank)
 
 
 def _check_arguments(p: argparse.ArgumentParser) -> None:
@@ -261,7 +241,6 @@ def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("args", nargs="+", metavar="ARG",
                    help="formula string (omit with --named) followed by one "
                         "or more graph sources")
-    p.set_defaults(func=_cmd_check)
 
 
 def _simulate_arguments(p: argparse.ArgumentParser) -> None:
@@ -271,27 +250,26 @@ def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed for measurement sampling "
                         "(default: fresh entropy)")
-    p.set_defaults(func=_cmd_simulate)
 
 
 def _trees_count_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("leaves", type=int, metavar="N")
-    p.set_defaults(func=_cmd_trees_count)
 
 
-# (name, help, argument adder) of each subcommand, in help order
+# (name, help, handler, argument adder) of each subcommand, in help order
 _COMMANDS = (
-    ("gen", "write a generated graph as an edge list", _gen_arguments),
-    ("rankwidth", "rank-width of a graph with a decomposition tree",
+    ("gen", "write a generated graph as an edge list", _cmd_gen, _gen_arguments),
+    ("rankwidth", "rank-width of a graph with a decomposition tree", _cmd_rankwidth,
      _rankwidth_arguments),
-    ("cutrank", "GF(2) cut-rank of one vertex bipartition", _cutrank_arguments),
-    ("check", "evaluate a counting-logic formula on graphs", _check_arguments),
-    ("simulate", "measure a Pauli pattern on a graph state",
+    ("cutrank", "GF(2) cut-rank of one vertex bipartition", _cmd_cutrank,
+     _cutrank_arguments),
+    ("check", "evaluate a counting-logic formula on graphs", _cmd_check, _check_arguments),
+    ("simulate", "measure a Pauli pattern on a graph state", _cmd_simulate,
      _simulate_arguments),
-    ("trees-count", "number of binary (subcubic) trees on N leaves",
+    ("trees-count", "number of binary (subcubic) trees on N leaves", _cmd_trees_count,
      _trees_count_arguments),
 )
-_COMMAND_NAMES = tuple(name for name, _, _ in _COMMANDS)
+_COMMAND_NAMES = tuple(row[0] for row in _COMMANDS)
 
 
 def build_parser(names=_COMMAND_NAMES) -> argparse.ArgumentParser:
@@ -304,9 +282,10 @@ def build_parser(names=_COMMAND_NAMES) -> argparse.ArgumentParser:
                'path, or "-" for stdin.',
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, help_text, add_arguments in _COMMANDS:
+    for name, help_text, handler, add_arguments in _COMMANDS:
         if name in names:
             p = sub.add_parser(name, help=help_text)
+            p.set_defaults(func=handler)
             p.add_argument("--format", choices=("text", "json"), default="text",
                            help="output format (default: text; json is the "
                                 "stable interface)")
@@ -326,7 +305,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse prints its own diagnostics; normalize the exit code
         return 0 if exc.code == 0 else 2
     try:
-        return args.func(args)
+        document, lines = args.func(args)
+        if args.format == "json":
+            print(json.dumps(document, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return 0
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import argparse
+import ast
 import hashlib
 import importlib.util
+import inspect
 import json
 import random
 import subprocess
@@ -770,3 +772,50 @@ def test_cli_output_is_pinned(monkeypatch, tmp_path, capsys):
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert len(records) == 82
     assert digest == "5f89e69b43d70237acb865b372d9b1669b1d4df9ed9e26ef3112202f1aafa26f"
+
+
+# one run of each handler: the edge-list output and each computing command
+HANDLER_CASES = [["gen", "path", "3"], ["rankwidth", "cycle:5"],
+                 ["cutrank", "path:3", "--side", "1"], ["check", "--named", "connected", "path:3"],
+                 ["simulate", "path:3", "--pattern", "0:X,1:Z", "--seed", "2"],
+                 ["trees-count", "6"]]
+
+
+@pytest.mark.parametrize("argv", HANDLER_CASES, ids=" ".join)
+def test_handlers_return_their_output_and_print_nothing(capsys, argv):
+    args = gslogic.cli.build_parser().parse_args(argv)
+    document, lines = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(document, dict)
+    assert inspect.getgeneratorstate(lines) == inspect.GEN_CREATED
+    assert gslogic.cli.main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == document
+    assert gslogic.cli.main(argv) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("form,state", [("json", inspect.GEN_CREATED), ("text", inspect.GEN_CLOSED)])
+def test_only_a_text_run_makes_the_lines(monkeypatch, capsys, form, state):
+    made = []
+
+    def keep(handler):
+        def run(args):
+            document, lines = handler(args)
+            made.append(lines)
+            return document, lines
+        return run
+
+    monkeypatch.setattr(gslogic.cli, "_COMMANDS", tuple(
+        (name, help_text, keep(handler), add) for name, help_text, handler, add in gslogic.cli._COMMANDS))
+    for argv in HANDLER_CASES:
+        assert gslogic.cli.main(argv + ["--format", form]) == 0
+    capsys.readouterr()
+    assert [inspect.getgeneratorstate(lines) for lines in made] == [state] * len(HANDLER_CASES)
+
+
+def test_only_main_reads_the_format():
+    tree = ast.parse(Path(gslogic.cli.__file__).read_text(encoding="utf-8"))
+    readers = {function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if isinstance(node, ast.Attribute) and node.attr == "format"}
+    assert readers == {"main"}
