@@ -78,6 +78,9 @@ __all__ = [
     "simulate_pattern",
 ]
 
+# Most qubits a tableau or a simulated pattern may have.
+MAX_QUBITS = 4096
+
 # the measurement bases, each letter with its Pauli's index in a frame
 _BASIS_CODE = {"X": 0, "Y": 1, "Z": 2}
 
@@ -390,8 +393,8 @@ class StabilizerTableau:
 def graph_state_tableau(g: Graph) -> StabilizerTableau:
     """Tableau of the graph state: generator a is X on a and Z on each
     neighbor of a, all with sign +1; its destabilizer is Z on a."""
-    if g.n > 4096:
-        raise SizeLimitError("refusing a tableau with more than 4096 qubits")
+    if g.n > MAX_QUBITS:
+        raise SizeLimitError(f"refusing a tableau with more than {MAX_QUBITS} qubits")
     n = g.n
     tab = StabilizerTableau.__new__(StabilizerTableau)
     singles = [1 << a for a in range(n)]
@@ -453,8 +456,8 @@ def _simulate(g: Graph, pattern, rng_seed):
     indices (into _FRAMES) of the state it leaves: C |G'> with C the
     tensor product of the frames and G' the rows, measured qubits isolated."""
     n = g.n
-    if n > 4096:
-        raise SizeLimitError("refusing to simulate more than 4096 qubits")
+    if n > MAX_QUBITS:
+        raise SizeLimitError(f"refusing to simulate more than {MAX_QUBITS} qubits")
     _check_pattern(n, pattern)
     adj = list(g.adj)
     frame = [0] * n
@@ -551,7 +554,7 @@ def simulate_pattern(
 
     pattern is a list of (qubit, basis) pairs with distinct qubits and
     basis in {X, Y, Z}; a bad entry raises ValueError before anything is
-    measured, and a graph of more than 4096 qubits SizeLimitError. Returns
+    measured, and a graph of more than ``MAX_QUBITS`` qubits SizeLimitError. Returns
     one record per measurement: {"qubit", "basis", "outcome",
     "probability"}, with probability 1.0 or 0.5. Each fair coin is one
     draw of random.Random(rng_seed), as in StabilizerTableau.measure, so
