@@ -103,10 +103,16 @@ def recognize(f: Formula) -> Fragment | None:
     if read is None:  # exists X. !exists Y alternates
         return None
     forall, names, f = read
-    # every vertex tries all 2^k labels in every state
-    if 1 << len(names) > MAX_STATES:
+    # exists X. psi is psi when psi names no X, as every graph has the empty
+    # set, so only the sets psi names take a label bit
+    try:
+        named = free_variables(f)[1]
+    except ValueError:  # a name of the wrong sort
         return None
-    sets = {name: i for i, name in enumerate(names)}  # inner ones shadow
+    sets = {name: i for i, name in enumerate(n for n in dict.fromkeys(names) if n in named)}
+    # every vertex tries all 2^k labels in every state
+    if 1 << len(sets) > MAX_STATES:
+        return None
 
     pieces: dict[Formula, int] = {}  # a piece to its bit
     specs: list[Piece] = []
@@ -133,7 +139,7 @@ def recognize(f: Formula) -> Fragment | None:
     psi = connectives(Not(f) if forall else f, leaf)
     if psi is None:
         return None
-    return _program(negated != forall, len(names), tuple(specs), psi, prune)
+    return _program(negated != forall, len(sets), tuple(specs), psi, prune)
 
 
 def decide(g: Graph, fragment: Fragment) -> bool:
