@@ -11,7 +11,7 @@ traceback.
 
 Each ``_cmd_*`` handler does its command's work, writes no output and
 returns ``(document, lines)``: the JSON document and a generator of the
-text lines, which makes them only when iterated. ``main`` alone prints,
+text lines, which makes them only when iterated. ``main`` alone writes,
 one or the other by --format.
 """
 
@@ -94,7 +94,7 @@ def _cmd_gen(args) -> tuple[dict, Iterator[str]]:
         Path(args.output).write_text(serialize(g), encoding="utf-8")
         doc["path"] = args.output
     else:
-        doc["edges"] = [list(e) for e in g.edges()]
+        doc["edges"] = g.edges()  # each (u, v) pair encodes as a JSON array
 
     def lines():
         if args.output is None:
@@ -309,8 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "json":
             print(json.dumps(document, sort_keys=True))
         else:
-            for line in lines:
-                print(line)
+            sys.stdout.writelines(line + "\n" for line in lines)
         return 0
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -789,7 +789,7 @@ def test_handlers_return_their_output_and_print_nothing(capsys, argv):
     assert isinstance(document, dict)
     assert inspect.getgeneratorstate(lines) == inspect.GEN_CREATED
     assert gslogic.cli.main(argv + ["--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out) == document
+    assert capsys.readouterr().out == json.dumps(document, sort_keys=True) + "\n"
     assert gslogic.cli.main(argv) == 0
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
