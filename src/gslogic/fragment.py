@@ -20,8 +20,9 @@ Boolean combination (``!``, ``&``, ``|``) of pieces:
 ``recognize`` compiles a formula of the fragment once into a
 ``Fragment``, a step and an acceptance test over states with every
 table they read, and returns None for any other formula, for ``Even``
-inside alpha or beta, for more set quantifiers than the 2^k labels of
-one vertex leave room for under ``MAX_STATES`` (k > 12), for a count
+inside alpha or beta, for more sets named in psi than the 2^k labels of
+one vertex leave room for under ``MAX_STATES`` (k > 12; a set psi does
+not name takes no label, as exists X. psi is then psi), for a count
 atom whose beta names more than ``MAX_COUNT_SETS`` sets, and for a
 formula with a name it cannot resolve (an open formula or a name of the
 wrong sort), which ``gslogic.logic.evaluate`` then refuses with its own
