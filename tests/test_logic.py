@@ -21,6 +21,7 @@ from gslogic import (
     theory_member,
     theory_member_witness,
 )
+from gslogic.fragment import recognize
 from gslogic.logic import (
     MAX_NESTING,
     NAMED_FORMULA_SOURCES,
@@ -335,22 +336,28 @@ def test_evaluate_rejects_open_formulas():
         evaluate(generate("path", 2), parse_formula("x in X"))
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        Exists("X", Edge("X", "X")),
-        Exists("X", Eq("X", "X")),
-        Exists("x", In("x", "x")),
-        Exists("x", Even("x")),
-        Exists("", Eq("", "")),
-        Exists("", Forall("x", Eq("x", "x"))),
-    ],
-    ids=pretty,
-)
+# hand-built formulas with a name of the wrong sort, each to its first bad name
+WRONG_SORT = {
+    Exists("X", Edge("X", "X")): "X",
+    Exists("X", Eq("X", "X")): "X",
+    Exists("x", In("x", "x")): "x",
+    Exists("x", Even("x")): "x",
+    Exists("", Eq("", "")): "",
+    Exists("", Forall("x", Eq("x", "x"))): "",
+    # under a set prefix, where recognize reads the names of the body
+    Exists("X", Forall("x", In("X", "X"))): "X",
+    Exists("X", Even("x")): "x",
+}
+
+
+@pytest.mark.parametrize("f", WRONG_SORT, ids=pretty)
 def test_evaluate_rejects_a_name_of_the_wrong_sort(f):
-    # the parser refuses these by position; hand-built ASTs reach _compile
-    with pytest.raises(ValueError, match=f"variable '{f.var}'"):
-        evaluate(generate("path", 3), f)
+    # the parser refuses these by position; hand-built ASTs reach every walk
+    g = generate("path", 3)
+    for walk in (lambda f: evaluate(g, f), free_variables, lambda f: theory_member([g], f)):
+        with pytest.raises(ValueError, match=f"variable '{WRONG_SORT[f]}'"):
+            walk(f)
+    assert recognize(f) is None
 
 
 def test_adjacency_is_symmetric_and_irreflexive():
