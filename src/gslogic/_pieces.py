@@ -292,17 +292,17 @@ def _at_most_one(
     return beta, bits
 
 
-def _reads(f: Formula, sets: dict[str, int]) -> int | None:
-    """The label bits of the sets of ``sets`` that f names, or None when f
-    is not built from ``edge``, ``=`` and ``in`` by connectives."""
+def _reads(f: Formula, names: tuple[str, ...], sets: dict[str, int]) -> int | None:
+    """The label bits of the sets f names, or None when f is not built by
+    connectives from ``edge``, ``=`` and ``in`` on ``names`` and ``sets``."""
     if isinstance(f, Not):
-        return _reads(f.body, sets)
+        return _reads(f.body, names, sets)
     if isinstance(f, (And, Or)):
-        left, right = _reads(f.left, sets), _reads(f.right, sets)
+        left, right = _reads(f.left, names, sets), _reads(f.right, names, sets)
         return None if left is None or right is None else left | right
     if isinstance(f, In):
-        return 1 << sets[f.set_var] if f.set_var in sets else 0
-    return 0 if isinstance(f, (Edge, Eq)) else None
+        return 1 << sets[f.set_var] if f.x in names and f.set_var in sets else None
+    return 0 if isinstance(f, (Edge, Eq)) and f.x in names and f.y in names else None
 
 
 def _run(f: Formula, names: tuple[str, ...], sets: dict[str, int]):
@@ -317,18 +317,12 @@ def _run(f: Formula, names: tuple[str, ...], sets: dict[str, int]):
     last at ``places`` and every other vertex under label ``last``, and
     gives the mask of the places of the last name where f holds.
     """
-    bits = _reads(f, sets)
+    bits = _reads(f, names, sets)
     if bits is None:
         return None
     slots = {name: i for i, name in enumerate(names)}
     slots.update((name, 3 + i) for i, name in enumerate(sets))
-    free: set[str] = set()
-    try:
-        run, mask, _ = _compile(f, slots, free, _MODEL, len(_MODEL), len(names) - 1)
-    except ValueError:  # a name of the wrong sort, or an empty one
-        return None
-    if free:
-        return None
+    run, mask, _ = _compile(f, slots, _MODEL, len(_MODEL), len(names) - 1)
     order = list(sets.values())
     everywhere = (1 << len(_MODEL)) - 1
 

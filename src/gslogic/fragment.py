@@ -409,7 +409,7 @@ def theory_member_witness(graphs: Iterable[Graph], f: Formula) -> tuple[bool, in
 
     The method is the one ``gslogic check`` uses: ``decide`` when
     ``recognize`` accepts f, ``evaluate`` when it does not. Raises
-    ValueError for an open formula, graphs or not.
+    InputError for an open formula, graphs or not.
     """
     free = set().union(*free_variables(f))
     if free:

@@ -8,23 +8,23 @@ of a name gives its sort, and so the domain it ranges over. A hand-built
 formula that puts a name of the wrong sort in an atom raises ValueError.
 
 Evaluation on a finite graph is exhaustive enumeration with
-short-circuiting. Each call to ``evaluate`` compiles the formula once into
-closures, with every bound variable resolved to a fixed slot of a list
+short-circuiting. Each call to ``evaluate`` checks the formula's names with
+``free_variables``, a plain walk of the AST, then compiles the formula once
+into closures, with every bound variable resolved to a fixed slot of a list
 environment, so evaluation does no name lookups. A vertex quantifier whose
 body has no quantifier does not loop: its body compiles to one bit-mask
 expression giving the vertices at which the body holds (``v in X`` is the
 mask of X, ``edge(v, y)`` the row of y, ``v = y`` the bit of y, ``!`` the
 complement within all n vertices, ``&`` and ``|`` bitwise), and ``exists``
 tests it for nonzero, ``forall`` for all n bits. Every other quantifier
-loops over its domain and stops at the first witness or counterexample.
-That one compile walk also finds the free variables and charges the
-cost. The environment is a list as long as the formula's height, which
-exceeds the number of binders on any root-to-atom path. Set variables
-range over all 2^n subsets, so the compiler charges each node its
-worst-case work as it compiles it (a looping vertex quantifier max(n, 1)
-times its body, a set quantifier 2^n times, a masked vertex quantifier its
-body once), and a formula whose total could exceed the limit (2^30 by
-default) is refused before any enumeration.
+loops over its domain and stops at the first witness or counterexample. The
+compile walk also charges the cost. The environment is a list as long as the
+formula's height, which exceeds the number of binders on any root-to-atom
+path. Set variables range over all 2^n subsets, so the compiler charges each
+node its worst-case work as it compiles it (a looping vertex quantifier
+max(n, 1) times its body, a set quantifier 2^n times, a masked vertex
+quantifier its body once), and a formula whose total could exceed the limit
+(2^30 by default) is refused before any enumeration.
 
 ``evaluate`` is always exhaustive. ``gslogic.fragment`` decides the
 formulas of the form [!] exists X1..Xk. psi, psi a Boolean combination of
@@ -373,32 +373,41 @@ def pretty(f: Formula) -> str:
 
 
 def free_variables(f: Formula) -> tuple[set[str], set[str]]:
-    """Free vertex variables and free set variables of a formula."""
-    free: set[str] = set()
-    _compile(f, {}, free, (), 0)
-    sets = {v for v in free if is_set_name(v)}
-    return free - sets, sets
+    """Free vertex variables and free set variables of a formula.
 
-
-def _slot(slots: dict[str, int], free: set[str], name: str, is_set: bool) -> int:
-    """The slot of a name used in a set place (``is_set``) or a vertex place.
-
-    A name whose case does not fit its place raises ValueError; an unbound
-    name is recorded in ``free`` and given slot 0.
+    This walk is the one check of a formula's names. A name is bound by the
+    innermost quantifier of it above its atom. Left to right, the first
+    empty name, or name whose case does not fit its place in an atom,
+    raises ValueError; a non-node raises TypeError.
     """
-    if is_set_name(name) != is_set:
-        place, sort = ("set", "vertex") if is_set else ("vertex", "set")
-        raise ValueError(f"{sort} variable {name!r} used in a {place} place")
-    if name in slots:
-        return slots[name]
-    free.add(name)
-    return 0
+    free: tuple[set[str], set[str]] = (set(), set())  # indexed by is_set
+
+    def walk(f: Formula, bound: frozenset[str]) -> None:
+        if isinstance(f, (Exists, Forall)):
+            is_set_name(f.var)  # raises for an empty name
+            walk(f.body, bound | {f.var})
+        elif isinstance(f, Not):
+            walk(f.body, bound)
+        elif isinstance(f, (And, Or)):
+            walk(f.left, bound)
+            walk(f.right, bound)
+        elif isinstance(f, (Edge, In, Even, Eq)):
+            for field in f._fields:
+                name, is_set = getattr(f, field), field == "set_var"
+                if is_set_name(name) != is_set:
+                    place, sort = ("set", "vertex") if is_set else ("vertex", "set")
+                    raise ValueError(f"{sort} variable {name!r} used in a {place} place")
+                if name not in bound:
+                    free[is_set].add(name)
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+    walk(f, frozenset())
+    return free
 
 
 def _compile(
     f: Formula,
     slots: dict[str, int],
-    free: set[str],
     adj: tuple[int, ...],
     n: int,
     v: int = -1,
@@ -410,8 +419,8 @@ def _compile(
     at. ``slots`` maps each
     variable in scope to its index in the list ``env``, which holds a vertex
     index or, for a set variable, a vertex bit mask. Every name an atom uses
-    is resolved by ``_slot``, which checks its case against its place and
-    adds the unbound ones to ``free``.
+    must be in ``slots``, of the sort of its place, as ``free_variables``
+    and ``_pieces._reads`` check; this walk checks no name.
 
     ``v`` is the slot of the innermost binder if that is a vertex
     quantifier, else -1. When v >= 0 and f has no quantifier, ``mask`` is a
@@ -430,7 +439,7 @@ def _compile(
         # name has been rebound, and would hand out a slot still in use
         slot = max(slots.values(), default=-1) + 1
         body, body_mask, body_cost = _compile(
-            f.body, {**slots, f.var: slot}, free, adj, n, -1 if is_set else slot
+            f.body, {**slots, f.var: slot}, adj, n, -1 if is_set else slot
         )
         if body_mask is not None:
             if isinstance(f, Exists):
@@ -452,12 +461,12 @@ def _compile(
             return not want
         return quantify, None, cost
     if isinstance(f, Not):
-        inner, inner_mask, cost = _compile(f.body, slots, free, adj, n, v)
+        inner, inner_mask, cost = _compile(f.body, slots, adj, n, v)
         mask = None if inner_mask is None else (lambda env: full ^ inner_mask(env))
         return (lambda env: not inner(env)), mask, 1 + cost
     if isinstance(f, (And, Or)):
-        left, left_mask, left_cost = _compile(f.left, slots, free, adj, n, v)
-        right, right_mask, right_cost = _compile(f.right, slots, free, adj, n, v)
+        left, left_mask, left_cost = _compile(f.left, slots, adj, n, v)
+        right, right_mask, right_cost = _compile(f.right, slots, adj, n, v)
         cost = 1 + left_cost + right_cost
         mask = None
         if isinstance(f, And):
@@ -468,7 +477,7 @@ def _compile(
             mask = lambda env: left_mask(env) | right_mask(env)
         return (lambda env: left(env) or right(env)), mask, cost
     if isinstance(f, Edge):
-        x, y = _slot(slots, free, f.x, False), _slot(slots, free, f.y, False)
+        x, y = slots[f.x], slots[f.y]
         run = lambda env: (adj[env[x]] >> env[y]) & 1 == 1
         if x == v and y == v:
             mask = lambda env: 0
@@ -479,16 +488,16 @@ def _compile(
             mask = _constant_mask(run, full, v)
         return run, mask, 1
     if isinstance(f, In):
-        x, s = _slot(slots, free, f.x, False), _slot(slots, free, f.set_var, True)
+        x, s = slots[f.x], slots[f.set_var]
         run = lambda env: (env[s] >> env[x]) & 1 == 1
         mask = (lambda env: env[s]) if x == v else _constant_mask(run, full, v)
         return run, mask, 1
     if isinstance(f, Even):
-        s = _slot(slots, free, f.set_var, True)
+        s = slots[f.set_var]
         run = lambda env: env[s].bit_count() % 2 == 0
         return run, _constant_mask(run, full, v), 1
     if isinstance(f, Eq):
-        x, y = _slot(slots, free, f.x, False), _slot(slots, free, f.y, False)
+        x, y = slots[f.x], slots[f.y]
         run = lambda env: env[x] == env[y]
         if x == v and y == v:
             mask = lambda env: full
@@ -514,14 +523,14 @@ def _constant_mask(
 def evaluate(g: Graph, f: Formula) -> bool:
     """Truth of a closed formula on a graph by exhaustive enumeration.
 
-    Raises ValueError for open formulas and for a name whose case does not
-    fit its place in an atom, and SizeLimitError when the worst-case cost
-    exceeds ``DEFAULT_COST_LIMIT``, read at the call.
+    Raises InputError for an open formula, ValueError for a name whose case
+    does not fit its place in an atom, and SizeLimitError when the
+    worst-case cost exceeds ``DEFAULT_COST_LIMIT``, read at the call.
     """
-    free: set[str] = set()
-    run, _, cost = _compile(f, {}, free, g.adj, g.n)
+    free = set().union(*free_variables(f))
     if free:
         raise InputError(f"formula has unbound variables: {', '.join(sorted(free))}")
+    run, _, cost = _compile(f, {}, g.adj, g.n)
     if cost > DEFAULT_COST_LIMIT:
         raise SizeLimitError(
             f"evaluation cost {cost} exceeds the limit {DEFAULT_COST_LIMIT}; "

@@ -226,7 +226,7 @@ def reference_free_variables(f, bound: frozenset = frozenset()) -> tuple[set, se
     Each name is sorted by its place in its atom: the operands of `edge` and
     `=` and the left side of `in` are vertex places, the right side of `in`
     and the argument of `Even` are set places. Nothing is shared with the
-    compile walk of `gslogic.logic.free_variables`.
+    walk of `gslogic.logic.free_variables`.
     """
     if isinstance(f, (Exists, Forall)):
         return reference_free_variables(f.body, bound | {f.var})

@@ -12,6 +12,7 @@ import pytest
 
 import gslogic.cli
 import gslogic.fragment
+import gslogic.logic
 from conftest import all_graphs, random_graph
 from gslogic import (
     Graph,
@@ -875,3 +876,25 @@ def test_the_logic_workload_formulas_stay_in_the_fragment(monkeypatch):
         assert recognize(parse_formula(text)) is not None, text
     for name in NAMED_FORMULA_SOURCES:
         assert (recognize(named_formula(name)) is None) == (name == "path2"), name
+
+
+def test_reading_names_compiles_nothing(monkeypatch):
+    # free_variables walks the AST; recognize reads psi's names with it and
+    # compiles only bodies, through _pieces' own reference to _compile,
+    # whose recursion, and only that, reaches the patched name
+    _bench_module(monkeypatch, "oracles")
+    workloads = _bench_module(monkeypatch, "workloads")
+    calls = []
+    compile_ = gslogic.logic._compile
+
+    def counted(*args):
+        if sys._getframe(1).f_code is not compile_.__code__:
+            calls.append(args[0])
+        return compile_(*args)
+    monkeypatch.setattr(gslogic.logic, "_compile", counted)
+    formulas = [named_formula(name) for name in NAMED_FORMULA_SOURCES]
+    formulas += [parse_formula(text) for text in workloads.USER_FORMULAS.values()]
+    for f in formulas:
+        free_variables(f)
+        recognize(f)
+    assert len(formulas) == 6 and not calls
