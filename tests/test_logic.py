@@ -347,6 +347,8 @@ WRONG_SORT = {
     # under a set prefix, where recognize reads the names of the body
     Exists("X", Forall("x", In("X", "X"))): "X",
     Exists("X", Even("x")): "x",
+    # two bad names: the walk meets the left one first
+    Exists("X", Forall("x", And(Even("x"), Edge("X", "x")))): "x",
 }
 
 
