@@ -13,6 +13,13 @@ Each ``_cmd_*`` handler does its command's work, writes no output and
 returns ``(document, lines)``: the JSON document and a generator of the
 text lines, which makes them only when iterated. ``main`` alone writes,
 one or the other by --format.
+
+A run builds one parser: that of the command argv starts with, which
+parses the rest as its subparser would. The full parser of ``build_parser``
+(the root and every subparser) is built only for help, no or an unknown
+command, an option before the command and arguments the command's parser
+leaves over, and prints every such message. No parser is cached or built
+at import.
 """
 
 from __future__ import annotations
@@ -269,11 +276,23 @@ _COMMANDS = (
     ("trees-count", "number of binary (subcubic) trees on N leaves", _cmd_trees_count,
      _trees_count_arguments),
 )
-_COMMAND_NAMES = tuple(row[0] for row in _COMMANDS)
 
 
-def build_parser(names=_COMMAND_NAMES) -> argparse.ArgumentParser:
-    """The gslogic parser with the subcommands in names registered."""
+def _fill(p: argparse.ArgumentParser, handler, add_arguments) -> None:
+    """Give p a command's handler, its --format option and its own arguments."""
+    p.set_defaults(func=handler)
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="output format (default: text; json is the "
+                        "stable interface)")
+    add_arguments(p)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full gslogic parser: the root and every command's subparser.
+
+    main builds it only for help, no or an unknown command, an option
+    before the command, and arguments the command's own parser leaves over.
+    """
     parser = argparse.ArgumentParser(
         prog="gslogic",
         description="Graph states, rank-width, and counting logic on graphs.",
@@ -283,24 +302,26 @@ def build_parser(names=_COMMAND_NAMES) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, help_text, handler, add_arguments in _COMMANDS:
-        if name in names:
-            p = sub.add_parser(name, help=help_text)
-            p.set_defaults(func=handler)
-            p.add_argument("--format", choices=("text", "json"), default="text",
-                           help="output format (default: text; json is the "
-                                "stable interface)")
-            add_arguments(p)
+        _fill(sub.add_parser(name, help=help_text), handler, add_arguments)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a process runs one command, so only its subparser is built; help,
-    # errors and an option before the command need all of them
-    commands = argv[:1] if argv and argv[0] in _COMMAND_NAMES else _COMMAND_NAMES
+    # a process runs one command, so when argv starts with one, that
+    # command's parser alone is built and parses the rest, as its subparser
+    # would; help, no or an unknown command, an option before the command
+    # and arguments left over go to the full parser, whose messages these are
     try:
-        args = build_parser(commands).parse_args(argv)
+        args = rest = None
+        for name, _, handler, add_arguments in _COMMANDS:
+            if argv and argv[0] == name:
+                parser = argparse.ArgumentParser(prog=f"gslogic {name}")
+                _fill(parser, handler, add_arguments)
+                args, rest = parser.parse_known_args(argv[1:])
+        if args is None or rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse prints its own diagnostics; normalize the exit code
         return 0 if exc.code == 0 else 2

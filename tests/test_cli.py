@@ -631,9 +631,11 @@ def test_help_text_is_pinned(monkeypatch, capsys, argv, text):
 
 
 COMMAND_NAMES = ["gen", "rankwidth", "cutrank", "check", "simulate", "trees-count"]
+FULL_PARSER = ["gslogic"] + [f"gslogic {name}" for name in COMMAND_NAMES]
 
 # per command: valid, a value outside choices, a required argument missing,
-# -h and an unknown option
+# -h and an unknown option; then the forms of options, positionals and "--"
+# that the command's own parser and the full parser must read alike
 PARSER_CASES = [
     ["gen", "path", "3"], ["gen", "moebius", "3"], ["gen"], ["gen", "-h"],
     ["gen", "path", "3", "--bogus"],
@@ -653,36 +655,78 @@ PARSER_CASES = [
     ["simulate", "path:3", "--pattern", "0:Z", "--bogus"],
     ["trees-count", "5"], ["trees-count", "5", "--format", "yaml"],
     ["trees-count"], ["trees-count", "-h"], ["trees-count", "5", "--bogus"],
+    ["rankwidth", "path:4", "--format=json"],
+    ["trees-count", "5", "--form", "json"],
+    ["cutrank", "path:4", "--side", "0", "--format", "json", "--format", "text"],
+    ["simulate", "--pattern", "0:Z", "--seed", "1", "path:3"],
+    ["rankwidth", "path:4", "path:5"],
+    ["check", "--named", "connected", "--", "path:4"],
+    ["gen", "--", "path", "3"],
+    ["gen", "moebius", "3", "-h"],
+    ["simulate", "path:3", "--pattern=0:Z", "--seed", "1"],
 ]
+
+
+def spy_on_parsers(monkeypatch, built, full=False):
+    """Append the prog of each ArgumentParser made to built. With full, the
+    first one, main's one-command parser, parses nothing and leaves argv
+    over, so main parses with build_parser() as for help and errors."""
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if full and not built:
+            self.parse_known_args = lambda argv: (None, argv)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_one_command_parser_answers_like_the_full_parser(monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")
     got = (gslogic.cli.main(argv), *capsys.readouterr())
-    build_parser = gslogic.cli.build_parser
-    monkeypatch.setattr(gslogic.cli, "build_parser", lambda names: build_parser())
+    built = []
+    spy_on_parsers(monkeypatch, built, full=True)
     assert (gslogic.cli.main(argv), *capsys.readouterr()) == got
+    assert built == [f"gslogic {argv[0]}"] + FULL_PARSER
+
+
+VALID_RUNS = [["gen", "path", "3"], ["rankwidth", "path:4"],
+              ["cutrank", "path:4", "--side", "0,1"],
+              ["check", "--named", "connected", "path:4"],
+              ["simulate", "path:3", "--pattern", "0:Z", "--seed", "1"],
+              ["trees-count", "5"]]
 
 
 def test_main_builds_only_the_invoked_command(monkeypatch, capsys):
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def spy(self, name, *args, **kwargs):
-        built.append(name)
-        return add_parser(self, name, *args, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-    for _ in range(2):  # a second call builds again: nothing is cached
-        built.clear()
-        assert gslogic.cli.main(["check", "--named", "connected", "path:4"]) == 0
-        assert built == ["check"]
+    spy_on_parsers(monkeypatch, built)
+    for argv in VALID_RUNS:
+        for _ in range(2):  # a second call builds again: nothing is cached
+            built.clear()
+            assert gslogic.cli.main(argv) == 0
+            assert built == [f"gslogic {argv[0]}"], argv
     for argv in (["--help"], [], ["frobnicate"]):
         built.clear()
         gslogic.cli.main(argv)
-        assert built == COMMAND_NAMES, argv
+        assert built == FULL_PARSER, argv
+    built.clear()
+    assert gslogic.cli.main(["rankwidth", "path:4", "--bogus"]) == 2
+    assert built == ["gslogic rankwidth"] + FULL_PARSER
     capsys.readouterr()
+
+
+def test_importing_the_cli_builds_no_parser(monkeypatch):
+    # the benchmark counts the parser build in each query, so no parser may
+    # be made at import time, where the query metrics would not see it
+    built = []
+    spy_on_parsers(monkeypatch, built)
+    spec = importlib.util.find_spec("gslogic.cli")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert built == []
+    assert not any(isinstance(value, argparse.ArgumentParser) for value in vars(module).values())
 
 
 @pytest.mark.parametrize("source,n", [("path:4", 4), ("binary_tree:2", 7)])
