@@ -692,17 +692,10 @@ def test_one_command_parser_answers_like_the_full_parser(monkeypatch, capsys, ar
     assert built == [f"gslogic {argv[0]}"] + FULL_PARSER
 
 
-VALID_RUNS = [["gen", "path", "3"], ["rankwidth", "path:4"],
-              ["cutrank", "path:4", "--side", "0,1"],
-              ["check", "--named", "connected", "path:4"],
-              ["simulate", "path:3", "--pattern", "0:Z", "--seed", "1"],
-              ["trees-count", "5"]]
-
-
 def test_main_builds_only_the_invoked_command(monkeypatch, capsys):
     built = []
     spy_on_parsers(monkeypatch, built)
-    for argv in VALID_RUNS:
+    for argv in HANDLER_CASES:  # a valid run of each command
         for _ in range(2):  # a second call builds again: nothing is cached
             built.clear()
             assert gslogic.cli.main(argv) == 0
