@@ -52,10 +52,10 @@ from functools import cache
 from itertools import product
 
 from ._pieces import MAX_COUNT_SETS, Piece, connectives, piece, prefix, submasks
-from .errors import InputError, SizeLimitError
+from .errors import SizeLimitError
 from .gf2 import _bits
 from .graphs import Graph, _Frozen
-from .logic import Formula, Not, evaluate, free_variables
+from .logic import Formula, Not, _check_closed, _evaluate, free_variables
 
 __all__ = [
     "Fragment", "recognize", "decide", "theory_member", "theory_member_witness",
@@ -411,12 +411,10 @@ def theory_member_witness(graphs: Iterable[Graph], f: Formula) -> tuple[bool, in
     ``recognize`` accepts f, ``evaluate`` when it does not. Raises
     InputError for an open formula, graphs or not.
     """
-    free = set().union(*free_variables(f))
-    if free:
-        raise InputError(f"formula has unbound variables: {', '.join(sorted(free))}")
+    _check_closed(f)
     fragment = recognize(f)
     for i, g in enumerate(graphs):
-        if not (evaluate(g, f) if fragment is None else decide(g, fragment)):
+        if not (_evaluate(g, f) if fragment is None else decide(g, fragment)):
             return False, i
     return True, None
 

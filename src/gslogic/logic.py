@@ -527,9 +527,18 @@ def evaluate(g: Graph, f: Formula) -> bool:
     does not fit its place in an atom, and SizeLimitError when the
     worst-case cost exceeds ``DEFAULT_COST_LIMIT``, read at the call.
     """
+    _check_closed(f)
+    return _evaluate(g, f)
+
+
+def _check_closed(f: Formula) -> None:
     free = set().union(*free_variables(f))
     if free:
         raise InputError(f"formula has unbound variables: {', '.join(sorted(free))}")
+
+
+def _evaluate(g: Graph, f: Formula) -> bool:
+    """``evaluate`` of a formula that ``_check_closed`` passed."""
     run, _, cost = _compile(f, {}, g.adj, g.n)
     if cost > DEFAULT_COST_LIMIT:
         raise SizeLimitError(

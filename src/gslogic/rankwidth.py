@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from . import _kernels
 from .errors import InputError, SizeLimitError
 from .gf2 import _bits, cut_rank_masks, gf2_reduce
-from .graphs import Graph, _Frozen, _set
+from .graphs import Graph, _Frozen
 
 __all__ = [
     "SubcubicTree",
@@ -52,14 +52,9 @@ class SubcubicTree(_Frozen):
     and leaf v carries graph vertex v.
     """
 
-    _fields = ("n", "edges")
-    # set by _check: the parent of each tree vertex, rooted at 0, and the
-    # child-side leaf mask of each edge, keyed by (min, max) endpoint
-    __slots__ = _fields + ("_parent", "_masks")
+    __slots__ = _fields = ("n", "edges")
     n: int
     edges: tuple[tuple[int, int], ...]
-    _parent: list[int]
-    _masks: dict[tuple[int, int], int]
 
     def _check(self) -> None:
         if self.n < 2:
@@ -67,7 +62,6 @@ class SubcubicTree(_Frozen):
         v_count = 2 * self.n - 2
         if len(self.edges) != v_count - 1:
             raise ValueError(f"expected {v_count - 1} edges, got {len(self.edges)}")
-        adj: list[list[int]] = [[] for _ in range(v_count)]
         seen = set()
         for u, v in self.edges:
             if not (0 <= u < v_count and 0 <= v < v_count) or u == v:
@@ -76,16 +70,22 @@ class SubcubicTree(_Frozen):
             if key in seen:
                 raise ValueError(f"duplicate tree edge ({u}, {v})")
             seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
+        adj, _, order = self._walk()
         for v in range(v_count):
             want = 1 if v < self.n else 3
             if len(adj[v]) != want:
                 raise ValueError(f"tree vertex {v} has degree {len(adj[v])}, expected {want}")
-        # one traversal from tree vertex 0, which is its own parent; with
-        # 2n-3 edges on 2n-2 vertices, it reaches every vertex exactly when
-        # the graph is a tree
-        parent = [-1] * v_count
+        # 2n-3 edges on 2n-2 vertices form a tree exactly when they connect
+        if len(order) != v_count:
+            raise ValueError("tree is not connected")
+
+    def _walk(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """``(adj, parent, order)`` of a breadth-first walk from tree vertex 0, its own parent."""
+        adj: list[list[int]] = [[] for _ in range(2 * self.n - 2)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        parent = [-1] * len(adj)
         parent[0] = 0
         order = [0]
         for u in order:
@@ -93,26 +93,19 @@ class SubcubicTree(_Frozen):
                 if parent[w] < 0:
                     parent[w] = u
                     order.append(w)
-        if len(order) != v_count:
-            raise ValueError("tree is not connected")
-        below = [0] * v_count
-        for u in reversed(order):
-            if u < self.n:
-                below[u] |= 1 << u
-            below[parent[u]] |= below[u]
-        masks = {}
-        for u, v in self.edges:
-            masks[min(u, v), max(u, v)] = below[v] if parent[v] == u else below[u]
-        _set(self, "_parent", parent)
-        _set(self, "_masks", masks)
+        return adj, parent, order
 
     def leaf_masks(self) -> list[int]:
         """For each edge, the leaves on one side of its cut, as a bitmask.
 
         Side convention: the component not containing tree vertex 0. The
-        masks are read from the traversal made when the tree was built.
+        masks come from one walk of the tree, made at each call.
         """
-        return list(self._masks.values())
+        _, parent, order = self._walk()
+        below = [1 << v for v in range(self.n)] + [0] * (self.n - 2)  # child-side leaves
+        for u in reversed(order):
+            below[parent[u]] |= below[u]
+        return [below[v] if parent[v] == u else below[u] for u, v in self.edges]
 
     def to_json_dict(self) -> dict:
         """The tree as a JSON document; leaf i carries graph vertex i, so
@@ -196,16 +189,19 @@ def tree_edge_bipartition(tree: SubcubicTree, edge: tuple[int, int]) -> tuple[se
     """Leaves of the two components of the tree with ``edge`` deleted.
 
     The first set is the side containing the smaller endpoint of the edge.
-    Both are read from the traversal made when the tree was built.
+    Both come from one walk of the tree, made at each call.
     """
-    key = (min(edge), max(edge))
-    if key not in tree._masks:
+    lo, hi = min(edge), max(edge)
+    _, parent, order = tree._walk()
+    if not 0 <= lo < hi < len(parent) or lo != parent[hi] and hi != parent[lo]:
         raise ValueError(f"({edge[0]}, {edge[1]}) is not an edge of the tree")
-    mask = tree._masks[key]
-    if tree._parent[key[0]] != key[1]:
-        # the smaller endpoint is the parent, on the side of tree vertex 0
-        mask ^= (1 << tree.n) - 1
-    first = {v for v in range(tree.n) if mask >> v & 1}
+    # the child's side lacks tree vertex 0; the walk lists parents first
+    child = lo if parent[lo] == hi else hi
+    inside = {child}
+    for v in order:
+        if parent[v] in inside:
+            inside.add(v)
+    first = {v for v in range(tree.n) if (v in inside) == (child == lo)}
     return first, set(range(tree.n)) - first
 
 
@@ -214,10 +210,7 @@ def decomposition_width(g: Graph, tree: SubcubicTree) -> int:
     if tree.n != g.n:
         raise ValueError(f"tree has {tree.n} leaves but graph has {g.n} vertices")
     full = (1 << g.n) - 1
-    width = 0
-    for mask in tree.leaf_masks():
-        width = max(width, cut_rank_masks(g.adj, mask, full ^ mask))
-    return width
+    return max(cut_rank_masks(g.adj, mask, full ^ mask) for mask in tree.leaf_masks())
 
 
 def exact_rankwidth(g: Graph) -> tuple[int, SubcubicTree | None]:

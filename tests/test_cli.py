@@ -541,6 +541,16 @@ def test_huge_graphs_are_refused_under_a_memory_limit(tmp_path):
         assert res.stderr.startswith("error:") and "exceed" in res.stderr, argv
 
 
+def test_rankwidth_of_the_largest_path_fits_a_memory_limit():
+    # path:65536 is the vertex ceiling; its witness tree keeps only its
+    # edges, as one leaf mask per edge would take O(n^2) bits here
+    res = run_with_memory_limit(["-m", "gslogic.cli", "rankwidth", "path:65536",
+                                 "--format", "json"])
+    assert res.returncode == 0, res.stderr[-500:]
+    out = json.loads(res.stdout)
+    assert (out["n"], out["width"]) == (65536, 1)
+
+
 def test_graph_file_parse_error(tmp_path):
     bad = tmp_path / "bad.edges"
     bad.write_text("3 1\n9 9\n")

@@ -810,6 +810,25 @@ def test_theory_member_witness_is_the_first_failure():
     assert theory_member_witness(graphs, f) == (False, 0)
 
 
+def test_theory_member_walks_the_names_at_most_twice(monkeypatch):
+    # one walk finds f closed and one reads psi's names in recognize; the
+    # graphs that evaluate answers (path2 holds on all five) add none
+    walks = []
+    real = gslogic.logic.free_variables
+
+    def counted(f):
+        walks.append(f)
+        return real(f)
+    monkeypatch.setattr(gslogic.logic, "free_variables", counted)
+    monkeypatch.setattr(gslogic.fragment, "free_variables", counted)
+    graphs = [generate(kind, k) for kind, k in
+              [("path", 3), ("cycle", 4), ("grid", 2), ("complete", 4), ("binary_tree", 2)]]
+    for name, verdict in [("path2", (True, None)), ("two_colorable", (False, 3))]:
+        walks.clear()
+        assert theory_member_witness(graphs, named_formula(name)) == verdict
+        assert 0 < len(walks) <= 2, name
+
+
 @pytest.mark.parametrize("name", ["connected", "even_order"])
 def test_theory_member_on_a_nine_hundred_vertex_grid(name):
     assert theory_member([generate("grid", 30)], named_formula(name))

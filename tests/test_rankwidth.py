@@ -192,6 +192,28 @@ def test_bipartition_first_side_holds_smaller_endpoint():
                 assert sides == set(map(frozenset, tree_edge_bipartition(flipped, flipped_edge)))
 
 
+@pytest.mark.parametrize("spec, search", [
+    ("path:300", exact_rankwidth), ("binary_tree:7", exact_rankwidth),
+    ("cycle:12", exact_rankwidth), ("grid:4", exact_rankwidth),
+    ("grid:16", greedy_decomposition),
+])
+def test_masks_of_answered_trees_match_an_independent_walk(spec, search):
+    kind, k = spec.split(":")
+    g = generate(kind, int(k))
+    width, tree = search(g)
+    leaves = set(range(tree.n))
+    for (u, v), mask in zip(tree.edges, tree.leaf_masks()):
+        from_u, from_v = (_leaves_reached(tree, x, (u, v)) for x in (u, v))
+        assert from_u | from_v == leaves and not from_u & from_v
+        # tree vertex 0 is leaf 0
+        away = from_v if 0 in from_u else from_u
+        assert mask == sum(1 << x for x in away)
+        near = from_u if u < v else from_v
+        for edge in ((u, v), (v, u)):
+            assert tree_edge_bipartition(tree, edge) == (near, leaves - near)
+    assert decomposition_width(g, tree) == width
+
+
 def test_decomposition_json_round_trip():
     _, tree = exact_rankwidth(generate("cycle", 5))
     payload = json.loads(json.dumps(tree.to_json_dict()))

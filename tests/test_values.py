@@ -49,6 +49,12 @@ def test_values_refuse_assignment_and_del(kind):
     assert repr(value) == before
 
 
+def test_a_tree_stores_only_its_fields():
+    # the leaf masks are O(n^2) bits on a path-shaped tree, so a tree keeps
+    # none and computes them at each call
+    assert SubcubicTree.__slots__ == SubcubicTree._fields == ("n", "edges")
+
+
 def test_nodes_of_different_classes_with_equal_fields_differ():
     assert Edge("x", "y") != Eq("x", "y")
     assert Edge("x", "y") == Edge("x", "y")
