@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from math import log2
+
 
 class SizeLimitError(RuntimeError):
     """An input exceeds a configured size or cost bound.
@@ -28,3 +30,12 @@ class FormulaParseError(InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"position {position}: {message}")
         self.position = position
+
+
+def _figure(x: int, spec: str = "") -> str:
+    """``format(x, spec)`` while x has at most 30 digits, else x as a power
+    of two, ``2^e`` with e to one decimal place: a refusal must not write
+    out a number with no bound, and ``str`` refuses one past 4,300 digits."""
+    if x < 10 ** 30:
+        return format(x, spec)
+    return f"2^{log2(x):.1f}".removesuffix(".0")

@@ -37,7 +37,10 @@ prefix, each the cut classes of the order seen as a caterpillar
 decomposition plus one bit per piece (see ``_program``), and steps every
 state with the fragment's ``step``. The number of states per step, not
 2^n, sets the cost, and passing ``MAX_STATES`` raises SizeLimitError
-after that work.
+after that work. One walk gives the order: it makes each vertex's
+outside row, its neighbours later in the order, when it reaches the
+vertex, so no row outlives its step. A formula whose pieces read no edge
+needs no walk: its rows are all 0, and any order gives the same states.
 
 ``theory_member`` and ``theory_member_witness`` decide whether a closed
 formula holds on every graph of a finite sequence, by the method rule of
@@ -47,13 +50,13 @@ formula holds on every graph of a finite sequence, by the method rule of
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from functools import cache
-from itertools import product
+from itertools import product, repeat
 
 from ._pieces import MAX_COUNT_SETS, Piece, connectives, piece, prefix, submasks
 from .errors import SizeLimitError
-from .gf2 import _bits
 from .graphs import Graph, _Frozen
 from .logic import Formula, Not, _check_closed, _evaluate, free_variables
 
@@ -147,10 +150,10 @@ def decide(g: Graph, fragment: Fragment) -> bool:
     """Truth of a recognized formula on g, by the cut-class DP along a
     breadth-first order. Raises SizeLimitError when a step holds more than
     ``MAX_STATES`` states."""
-    order = _breadth_first(g)
-    n = len(order)
-    # with no pair piece and no count the placed vertices meet no one
-    rows = _outside_rows(g, order) if fragment.meets else [0] * n
+    n = g.n
+    # with no pair piece and no count the placed vertices meet no one, so
+    # every row is 0 and any order gives the same states: no walk is needed
+    rows = _outside_rows(g) if fragment.meets else repeat(0, n)
     step = fragment.step
     states: set[State] = {(frozenset(), 0)}
     for i, row in enumerate(rows, 1):
@@ -168,22 +171,36 @@ def decide(g: Graph, fragment: Fragment) -> bool:
     return any(map(fragment.accepts, states)) != fragment.negated
 
 
-def _outside_rows(g: Graph, order: list[int]) -> list[int]:
-    """Per vertex of the order, its neighbours later in the order, the
-    i-th vertex of the order as bit n - 1 - i."""
-    n = len(order)
-    bit = [0] * n
-    for i, v in enumerate(order):
-        bit[v] = n - 1 - i
-    rows = []
-    later = (1 << n) - 1  # the vertices after v in the order
-    for v in order:
+def _outside_rows(g: Graph) -> Iterator[int]:
+    """The outside row of each vertex in breadth-first order, each component
+    from its lowest unplaced vertex and each vertex's new neighbours in
+    increasing order: its neighbours later in the order, the vertex at
+    place i (from 0) as bit n - 1 - i. The walk makes a row when it reaches
+    its vertex, once every neighbour has its place, and keeps only the bits
+    of the placed vertices it has not reached."""
+    later = (1 << g.n) - 1  # the vertices not yet reached
+    waiting: dict[int, int] = {}  # a placed vertex not yet reached -> its bit
+    queue: deque[int] = deque()  # those vertices in the order
+    free = g.n  # one above the bit of the next place
+    while later:
+        if queue:
+            v = queue.popleft()
+            del waiting[v]
+        else:  # the next component starts at its lowest vertex
+            v = (later & -later).bit_length() - 1
+            free -= 1
         later ^= 1 << v
-        row = 0
-        for u in _bits(g.adj[v] & later):
-            row |= 1 << bit[u]
-        rows.append(row)
-    return rows
+        row, rest = 0, g.adj[v] & later
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if u not in waiting:  # a new neighbour takes the next place
+                free -= 1
+                waiting[u] = free
+                queue.append(u)
+            row |= 1 << waiting[u]
+            rest ^= low
+        yield row
 
 
 def _far(bodies: list, labels: range) -> frozenset[int]:
@@ -381,26 +398,6 @@ def _program(negated: bool, k: int, pieces: tuple[Piece, ...],
         return psi(bits)
 
     return Fragment(negated, bool(pairs or counts), step, accepts)
-
-
-def _breadth_first(g: Graph) -> list[int]:
-    """The vertices in breadth-first order, each component from its lowest
-    unplaced vertex and each vertex's new neighbours in increasing order."""
-    order: list[int] = []
-    unseen = (1 << g.n) - 1
-    i = 0  # order[i] is the next vertex whose neighbours are queued
-    while unseen:
-        if i == len(order):  # the next component starts at its lowest vertex
-            fresh = unseen & -unseen
-        else:
-            fresh = g.adj[order[i]] & unseen
-            i += 1
-        unseen ^= fresh
-        while fresh:
-            low = fresh & -fresh
-            order.append(low.bit_length() - 1)
-            fresh ^= low
-    return order
 
 
 def theory_member_witness(graphs: Iterable[Graph], f: Formula) -> tuple[bool, int | None]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import GraphParseError, InputError, SizeLimitError
+from .errors import GraphParseError, InputError, SizeLimitError, _figure
 
 __all__ = [
     "Graph",
@@ -39,10 +39,10 @@ def _check_size(n: int, m: int = 0) -> None:
     is built; its adjacency rows cost about n^2/16 bytes."""
     if n > MAX_VERTICES:
         raise SizeLimitError(
-            f"{n:,} vertices exceed the limit of {MAX_VERTICES:,}; their "
-            f"adjacency rows would take about {n * n >> 24:,} MiB")
+            f"{_figure(n, ',')} vertices exceed the limit of {MAX_VERTICES:,}; "
+            f"their adjacency rows would take about {_figure(n * n >> 24, ',')} MiB")
     if m > MAX_EDGES:
-        raise SizeLimitError(f"{m:,} edges exceed the limit of {MAX_EDGES:,}")
+        raise SizeLimitError(f"{_figure(m, ',')} edges exceed the limit of {MAX_EDGES:,}")
 
 
 _set = object.__setattr__

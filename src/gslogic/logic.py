@@ -58,7 +58,7 @@ import re
 from collections.abc import Callable
 from functools import cache
 
-from .errors import FormulaParseError, InputError, SizeLimitError
+from .errors import FormulaParseError, InputError, SizeLimitError, _figure
 from .graphs import Graph, _Frozen, _set
 
 __all__ = [
@@ -542,7 +542,7 @@ def _evaluate(g: Graph, f: Formula) -> bool:
     run, _, cost = _compile(f, {}, g.adj, g.n)
     if cost > DEFAULT_COST_LIMIT:
         raise SizeLimitError(
-            f"evaluation cost {cost} exceeds the limit {DEFAULT_COST_LIMIT}; "
+            f"evaluation cost {_figure(cost)} exceeds the limit {DEFAULT_COST_LIMIT}; "
             f"reduce the graph or the quantifier nesting"
         )
     # a binder's slot is below the number of binders above it, and every

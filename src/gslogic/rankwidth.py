@@ -25,7 +25,7 @@ import sys
 from typing import Iterator, Sequence
 
 from . import _kernels
-from .errors import InputError, SizeLimitError
+from .errors import InputError, SizeLimitError, _figure
 from .gf2 import _bits, cut_rank_masks, gf2_reduce
 from .graphs import Graph, _Frozen
 
@@ -268,12 +268,15 @@ def exact_rankwidth(g: Graph) -> tuple[int, SubcubicTree | None]:
         todo.append((mask ^ side, {**names, c: alias}))
     k = max(mask.bit_count() for mask, _ in pieces)
     if k > EXACT_VERTEX_LIMIT:
+        entries = _figure(1 << k - 1, ",")
+        if not entries.startswith("2^"):  # the exact count, while it is short
+            entries = f"2^{k - 1} = {entries}"
         raise SizeLimitError(
             f"exact rank-width is limited to {EXACT_VERTEX_LIMIT} vertices in "
             f"each piece left by the pendant, twin and cut-vertex reductions; "
             f"the largest piece of this {g.n}-vertex graph has {k} vertices, and "
-            f"its DP table for {k} vertices would have "
-            f"2^{k - 1} = {1 << (k - 1):,} entries; use greedy_decomposition"
+            f"its DP table for {k} vertices would have {entries} entries; "
+            f"use greedy_decomposition"
         )
     width = 1  # G has an edge
     edges: list[tuple[int, int]] = []
@@ -316,15 +319,15 @@ def _peel(adj: Sequence[int], mask: int, names: dict[int, int],
     has more than two vertices, logging ``(False, u, v)`` for v removed at
     u; return what is left.
 
-    Each kept vertex is filed under both of its twin keys, and the
-    neighbours of a removed vertex are checked again. A key that is no
-    longer a current row holds a removed vertex, so it matches no row
-    checked later, and a filed key is never overwritten while it is
-    current: one sweep finds every removal.
+    Each kept vertex is filed under both of its twin keys in one dict,
+    and the neighbours of a removed vertex are checked again. An open row
+    N(u) never equals a closed row N[v], as that would put u in its own
+    neighbourhood. A key that is no longer a current row holds a removed
+    vertex, so it matches no row checked later, and a filed key is never
+    overwritten while it is current: one sweep finds every removal.
     """
     size = mask.bit_count()
-    false_twins: dict[int, int] = {}
-    true_twins: dict[int, int] = {}
+    twins: dict[int, int] = {}  # open row N(v) and closed row N[v] -> v
     rest = mask
     while rest and size > 2:
         bit = rest & -rest
@@ -336,10 +339,9 @@ def _peel(adj: Sequence[int], mask: int, names: dict[int, int],
             row = row or mask ^ bit
             u = (row & -row).bit_length() - 1
         else:
-            u = false_twins.get(row, true_twins.get(row | bit, -1))
+            u = twins.get(row, twins.get(row | bit, -1))
             if u < 0:
-                false_twins[row] = v
-                true_twins[row | bit] = v
+                twins[row] = twins[row | bit] = v
                 continue
         mask ^= bit
         rest |= adj[v] & mask

@@ -5,6 +5,7 @@ import ast
 import hashlib
 import importlib.util
 import inspect
+import io
 import json
 import random
 import subprocess
@@ -17,6 +18,7 @@ import gslogic.cli
 import gslogic.stabilizer
 from gslogic import PauliOperator, generate, graph_state_tableau, parse_edge_list
 from conftest import run_with_memory_limit, src_env
+from gslogic.errors import _figure
 from test_logic import EVEN_DEGREES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -549,6 +551,40 @@ def test_rankwidth_of_the_largest_path_fits_a_memory_limit():
     assert res.returncode == 0, res.stderr[-500:]
     out = json.loads(res.stdout)
     assert (out["n"], out["width"]) == (65536, 1)
+
+
+def test_two_colourability_of_a_long_path_fits_a_memory_limit():
+    # decide makes each outside row when its walk reaches the vertex; a list
+    # of all n rows would take O(n^2) bits, past this limit at path:50000
+    res = run_with_memory_limit(["-m", "gslogic.cli", "check", "--named", "two_colorable",
+                                 "path:50000", "--format", "json"], limit=320 << 20)
+    assert res.returncode == 0, res.stderr[-500:]
+    assert json.loads(res.stdout)["verdicts"] == [True]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "path", "9" * 3000],
+    ["rankwidth", "-"],  # an edge list whose header declares that many vertices
+    ["gen", "grid", "9" * 2200],
+    ["rankwidth", "cycle:14286"],
+    ["check", "exists X. forall Y. Even(X) | Even(Y)", "path:7150"],
+], ids=["gen-path", "edge-list-header", "gen-grid", "rankwidth-table", "check-cost"])
+def test_refusals_write_no_unbounded_number(argv, monkeypatch, capsys):
+    # each figure would pass the 4,300 digits that str() writes; a refusal
+    # gives it as a power of two instead
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{'9' * 3000} 0\n"))
+    assert gslogic.cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err) < 300, err[:500]
+    assert "2^" in err
+
+
+def test_figures_are_exact_while_short():
+    assert _figure(1 << 20, ",") == "1,048,576"
+    assert _figure(10 ** 30 - 1) == "9" * 30
+    assert _figure(10 ** 30) == "2^99.7"
+    assert _figure(1 << 14285, ",") == "2^14285"
+    assert _figure(10 ** 3000) == "2^9965.8"
 
 
 def test_graph_file_parse_error(tmp_path):

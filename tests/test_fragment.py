@@ -5,6 +5,7 @@ import importlib.util
 import json
 import random
 import sys
+from collections import deque
 from itertools import product
 from pathlib import Path
 
@@ -374,6 +375,24 @@ def test_three_colourability_matches_a_brute_force_colouring():
         assert decide(g, fragment) == want, edges
 
 
+def _reference_breadth_first(g):
+    """The vertices in breadth-first order, each component from its lowest
+    unplaced vertex and each vertex's new neighbours in increasing order."""
+    order, queue = [], deque()
+    for root in range(g.n):
+        if root in order:
+            continue
+        order.append(root)
+        queue.append(root)
+        while queue:
+            v = queue.popleft()
+            for u in range(g.n):
+                if g.adj[v] >> u & 1 and u not in order:
+                    order.append(u)
+                    queue.append(u)
+    return order
+
+
 def test_outside_rows_have_the_cut_rank_of_their_prefix():
     # a state sums the placed vertices up by their outside rows; along the
     # order those rows have the GF(2) rank of the prefix's cut, so a step
@@ -384,8 +403,13 @@ def test_outside_rows_have_the_cut_rank_of_their_prefix():
     graphs += [random_graph(rng.randrange(6, 19), rng, 0.3) for _ in range(15)]
     prefixes = 0
     for g in graphs:
-        order = gslogic.fragment._breadth_first(g)
-        rows = gslogic.fragment._outside_rows(g, order)
+        order = _reference_breadth_first(g)
+        place = {v: i for i, v in enumerate(order)}
+        rows = list(gslogic.fragment._outside_rows(g))
+        # each row holds the later neighbours of its vertex in this order
+        assert rows == [sum(1 << g.n - 1 - place[u] for u in range(g.n)
+                            if g.adj[v] >> u & 1 and place[u] > place[v])
+                        for v in order], g.name
         placed = 0
         for i, v in enumerate(order, 1):
             placed |= 1 << v
@@ -641,10 +665,8 @@ def test_state_limit_refuses_after_the_work(monkeypatch, capsys):
 def _walk(g, fragment):
     """The verdict and the most states of one step, stepping the states by
     hand along decide's order and outside rows."""
-    order = gslogic.fragment._breadth_first(g)
-    rows = gslogic.fragment._outside_rows(g, order)
     states, peak = {(frozenset(), 0)}, 1
-    for i, row in enumerate(rows, 1):
+    for i, row in enumerate(gslogic.fragment._outside_rows(g), 1):
         states = {after for state in states for after in fragment.step(state, row, 1 << g.n - i)}
         peak = max(peak, len(states))
     return any(map(fragment.accepts, states)) != fragment.negated, peak
