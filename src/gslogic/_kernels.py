@@ -11,9 +11,9 @@ counting the edge above its root; w({v}) = f({v}) and
 
 where f is the cut-rank. Rooting every tree at the edge of leaf 0 gives
 rank-width w* = w(V - {0}). The cut-ranks of the subsets of V - {0} come
-from one walk of their subset trie (:func:`gslogic.gf2._cut_rank_table`),
-two row insertions per set. The DP then fills w in at most 3^(n-1)/2 split
-checks and one table of 2^(n-1) bytes.
+from counting kernels (:func:`gslogic.gf2._cut_rank_table`): one XOR per
+set and one subset-sum transform of n - 1 passes. The DP then fills w in at
+most 3^(n-1)/2 split checks and one table of 2^(n-1) bytes.
 
 Every subcubic tree with n leaves has an edge with at least ceil(n/3)
 leaves on each side, so L, the least f(X) over ceil(n/3) <= |X| <= n -

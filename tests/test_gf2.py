@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from conftest import all_graphs, random_graph, reference_cut_rank, small_corpus
+from conftest import (all_graphs, random_graph, reference_cut_rank, run_with_memory_limit,
+                      small_corpus)
 from gslogic import Graph, cut_rank, cut_rank_masks, generate
 from gslogic.gf2 import _cut_rank_table, gf2_dual_basis, gf2_reduce
 
@@ -213,19 +214,63 @@ def test_cut_rank_masks_matches_subset_form():
 
 
 def test_cut_rank_table_matches_one_cut_at_a_time():
-    # the walk's two-row insertions against a fresh elimination of each set
+    # the table's kernel counts against a fresh elimination of each set;
+    # vertex 0 isolated or universal decides which T(Y) = Y | s_Y hold it,
+    # the ones the count must drop
     graphs = [g for n in range(1, 6) for g in all_graphs(n)]
     rng = random.Random(28)
     graphs += [random_graph(n, rng, p=rng.uniform(0.1, 0.9))
                for n in range(2, 13) for _ in range(4)]
     graphs += [generate("grid", 3), generate("cycle", 12)]
+    for n in (2, 6, 9, 12):
+        rest = [(u, v) for u, v in random_graph(n, rng).edges() if u]
+        graphs += [
+            Graph.from_edges(n, rest, name=f"vertex 0 isolated({n})"),
+            Graph.from_edges(n, rest + [(0, v) for v in range(1, n)],
+                             name=f"vertex 0 universal({n})"),
+            Graph.from_edges(n, [], name=f"edgeless({n})"),
+            generate("complete", n),
+        ]
+    graphs += [random_graph(n, rng, p=rng.uniform(0.1, 0.9)) for n in range(13, 17)]
     for g in graphs:
         full = (1 << g.n) - 1
         table = _cut_rank_table(g.adj, g.n)
         assert len(table) == 1 << (g.n - 1)
         assert list(table) == [
             cut_rank_masks(g.adj, i << 1, full ^ (i << 1)) for i in range(len(table))
-        ], g.edges()
+        ], (g.name, g.edges())
+
+
+# G(20, 1/2): 2,000 random entries of its table, and every set of at least
+# 17 vertices, among them the 20 whose kernels hold 2^16 or 2^18
+# combinations
+TABLE_AT_20 = """
+import random
+from gslogic import cut_rank_masks
+from gslogic.gf2 import _cut_rank_table
+n = 20
+rng = random.Random(2009)
+adj = [0] * n
+for u in range(n):
+    for v in range(u + 1, n):
+        if rng.random() < 0.5:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+table = _cut_rank_table(adj, n)
+assert len(table) == 1 << (n - 1)
+full = (1 << n) - 1
+picks = [rng.randrange(len(table)) for _ in range(2000)]
+picks += [i for i in range(len(table)) if i.bit_count() >= 17]
+for i in picks:
+    assert table[i] == cut_rank_masks(adj, i << 1, full ^ (i << 1)), i
+"""
+
+
+def test_cut_rank_table_at_twenty_vertices():
+    # the table at the exact search's vertex limit, under a 512 MiB address
+    # space: its counts reach 2^18, so a field too narrow for them fails here
+    res = run_with_memory_limit(["-c", TABLE_AT_20])
+    assert res.returncode == 0, res.stderr[-1000:]
 
 
 def _local_complement(adj: list[int], a: int) -> None:
