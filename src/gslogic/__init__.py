@@ -42,7 +42,6 @@ from .graphs import (
     serialize,
 )
 from .logic import (
-    DEFAULT_COST_LIMIT,
     NAMED_FORMULA_SOURCES,
     Formula,
     evaluate,
@@ -100,7 +99,6 @@ __all__ = [
     "exact_rankwidth",
     "greedy_decomposition",
     # logic
-    "DEFAULT_COST_LIMIT",
     "NAMED_FORMULA_SOURCES",
     "Formula",
     "parse_formula",

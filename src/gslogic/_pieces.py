@@ -322,7 +322,7 @@ def _run(f: Formula, names: tuple[str, ...], sets: dict[str, int]):
         return None
     slots = {name: i for i, name in enumerate(names)}
     slots.update((name, 3 + i) for i, name in enumerate(sets))
-    run, mask, _ = _compile(f, slots, _MODEL, len(_MODEL), len(names) - 1)
+    run, mask = _compile(f, slots, _MODEL, len(_MODEL), [0], len(names) - 1)
     order = list(sets.values())
     everywhere = (1 << len(_MODEL)) - 1
 

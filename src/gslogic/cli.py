@@ -242,7 +242,7 @@ def _check_arguments(p: argparse.ArgumentParser) -> None:
                      "by a DP along a breadth-first order of the graph "
                      "(method \"decomposition\"; exit 3 past its state "
                      "limit); any other by exhaustive enumeration (method "
-                     "\"exhaustive\"; exit 3 past its cost limit).")
+                     "\"exhaustive\"; exit 3 once its work passes its limit).")
     p.add_argument("--named", default=None, metavar="NAME",
                    help="use a library formula instead of a formula argument")
     p.add_argument("args", nargs="+", metavar="ARG",

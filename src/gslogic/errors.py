@@ -4,7 +4,7 @@ from math import log2
 
 
 class SizeLimitError(RuntimeError):
-    """An input exceeds a configured size or cost bound.
+    """An input exceeds a configured size bound or work limit.
 
     Raised instead of silently falling back to a cheaper method; the message
     names the limit that was hit. The CLI maps this to exit code 3.

@@ -20,14 +20,14 @@ Boolean combination (``!``, ``&``, ``|``) of pieces:
 ``recognize`` compiles a formula of the fragment once into a
 ``Fragment``, a step and an acceptance test over states with every
 table they read, and returns None for any other formula, for ``Even``
-inside alpha or beta, for more sets named in psi than the 2^k labels of
-one vertex leave room for under ``MAX_STATES`` (k > 12; a set psi does
-not name takes no label, as exists X. psi is then psi), for a count
-atom whose beta names more than ``MAX_COUNT_SETS`` sets, and for a
-formula with a name it cannot resolve (an open formula or a name of the
-wrong sort), which ``gslogic.logic.evaluate`` then refuses with its own
-ValueError. The pieces are read by ``gslogic._pieces``, count atoms by
-their truth tables, not by their syntax.
+inside alpha or beta, for more than 12 sets named in psi, as each vertex
+tries all 2^k labels in every state (a set psi does not name takes no
+label, as exists X. psi is then psi), for a count atom whose beta names
+more than ``MAX_COUNT_SETS`` sets, and for a formula with a name it
+cannot resolve (an open formula or a name of the wrong sort), which
+``gslogic.logic.evaluate`` then refuses with its own ValueError. The
+pieces are read by ``gslogic._pieces``, count atoms by their truth
+tables, not by their syntax.
 
 ``decide`` does only the work of one graph. It places the vertices one
 at a time in a breadth-first order of the graph, each component from its
@@ -71,6 +71,7 @@ __all__ = [
 # test formula "some vertex set is independent" passes 4096 on G(60, 1/2)
 # after about 0.7 s.
 MAX_STATES = 1 << 12
+_MAX_LABEL_SETS = 12  # most sets psi may name; see recognize
 
 
 # A state of a placed prefix: its class codes and one bit per piece.
@@ -114,8 +115,7 @@ def recognize(f: Formula) -> Fragment | None:
     except ValueError:  # a name of the wrong sort
         return None
     sets = {name: i for i, name in enumerate(n for n in dict.fromkeys(names) if n in named)}
-    # every vertex tries all 2^k labels in every state
-    if 1 << len(sets) > MAX_STATES:
+    if len(sets) > _MAX_LABEL_SETS:
         return None
 
     pieces: dict[Formula, int] = {}  # a piece to its bit

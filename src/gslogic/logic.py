@@ -18,13 +18,13 @@ mask of X, ``edge(v, y)`` the row of y, ``v = y`` the bit of y, ``!`` the
 complement within all n vertices, ``&`` and ``|`` bitwise), and ``exists``
 tests it for nonzero, ``forall`` for all n bits. Every other quantifier
 loops over its domain and stops at the first witness or counterexample. The
-compile walk also charges the cost. The environment is a list as long as the
-formula's height, which exceeds the number of binders on any root-to-atom
-path. Set variables range over all 2^n subsets, so the compiler charges each
-node its worst-case work as it compiles it (a looping vertex quantifier
-max(n, 1) times its body, a set quantifier 2^n times, a masked vertex
-quantifier its body once), and a formula whose total could exceed the limit
-(2^30 by default) is refused before any enumeration.
+environment is a list as long as the formula's height, which exceeds the
+number of binders on any root-to-atom path. Each call to ``evaluate`` has
+one work budget: a loop charges its domain size when it starts (n for a
+vertex loop, 2^n for a set loop, nothing for a masked quantifier), and the
+loop that takes the total past the limit (2^25, about 10 s of enumeration)
+raises SizeLimitError before it runs. So a refusal follows real work, and a
+formula whose loops stop early answers on graphs of any size.
 
 ``evaluate`` is always exhaustive. ``gslogic.fragment`` decides the
 formulas of the form [!] exists X1..Xk. psi, psi a Boolean combination of
@@ -78,11 +78,12 @@ __all__ = [
     "evaluate",
     "named_formula",
     "NAMED_FORMULA_SOURCES",
-    "DEFAULT_COST_LIMIT",
     "MAX_NESTING",
 ]
 
-DEFAULT_COST_LIMIT = 2**30
+# Most work one call to ``evaluate`` may do, summed over the domain sizes
+# of the loops it starts; about 10 s of enumeration.
+_WORK_LIMIT = 1 << 25
 
 # Deepest formula the parser accepts: the AST nodes on a root-to-atom path,
 # atom included, plus the parentheses around them (a chain of k operands
@@ -410,9 +411,10 @@ def _compile(
     slots: dict[str, int],
     adj: tuple[int, ...],
     n: int,
+    budget: list[int],
     v: int = -1,
-) -> tuple[Callable[[list[int]], bool], Callable[[list[int]], int] | None, int]:
-    """Compile f on the graph (adj, n) into ``(run, mask, cost)``.
+) -> tuple[Callable[[list[int]], bool], Callable[[list[int]], int] | None]:
+    """Compile f on the graph (adj, n) into ``(run, mask)``.
 
     ``run`` is a closure ``env -> bool`` deciding f; it returns a bool, not
     just a truthy value, as a quantifier compares it with the value it stops
@@ -428,9 +430,9 @@ def _compile(
     holds when they are put in slot v; it never reads ``env[v]``. Otherwise
     ``mask`` is None.
 
-    The cost charges each node its worst-case work: a quantifier that loops
-    runs its body once per vertex (at least once) or once per vertex set, a
-    masked one runs its body's mask once.
+    ``budget`` is a one-element list holding the work left. A quantifier
+    that loops takes its domain size from it each time the loop starts, and
+    raises SizeLimitError, before the loop, when that leaves it below 0.
     """
     full = (1 << n) - 1
     if isinstance(f, (Exists, Forall)):
@@ -438,44 +440,47 @@ def _compile(
         # one above the highest slot in scope: len(slots) is not, once a
         # name has been rebound, and would hand out a slot still in use
         slot = max(slots.values(), default=-1) + 1
-        body, body_mask, body_cost = _compile(
-            f.body, {**slots, f.var: slot}, adj, n, -1 if is_set else slot
+        body, body_mask = _compile(
+            f.body, {**slots, f.var: slot}, adj, n, budget, -1 if is_set else slot
         )
         if body_mask is not None:
             if isinstance(f, Exists):
-                return (lambda env: body_mask(env) != 0), None, 1 + body_cost
-            return (lambda env: body_mask(env) == full), None, 1 + body_cost
-        if is_set:
-            domain, cost = range(1 << n), 1 + (1 << n) * body_cost
-        else:
-            domain, cost = range(n), 1 + max(n, 1) * body_cost
+                return (lambda env: body_mask(env) != 0), None
+            return (lambda env: body_mask(env) == full), None
+        # 1 << n, not len(range(1 << n)), which overflows past 2^63
+        size = 1 << n if is_set else n
+        domain, what = range(size), "set" if is_set else "vertex"
         # exists stops at the first witness, forall at the first
         # counterexample
         want = isinstance(f, Exists)
 
         def quantify(env):
+            budget[0] -= size
+            if budget[0] < 0:
+                raise SizeLimitError(
+                    f"exhaustive evaluation passes its work limit of {_figure(_WORK_LIMIT, ',')} "
+                    f"at a {what} loop of size {_figure(size, ',')}; reduce the graph or the formula")
             for value in domain:
                 env[slot] = value
                 if body(env) == want:
                     return want
             return not want
-        return quantify, None, cost
+        return quantify, None
     if isinstance(f, Not):
-        inner, inner_mask, cost = _compile(f.body, slots, adj, n, v)
+        inner, inner_mask = _compile(f.body, slots, adj, n, budget, v)
         mask = None if inner_mask is None else (lambda env: full ^ inner_mask(env))
-        return (lambda env: not inner(env)), mask, 1 + cost
+        return (lambda env: not inner(env)), mask
     if isinstance(f, (And, Or)):
-        left, left_mask, left_cost = _compile(f.left, slots, adj, n, v)
-        right, right_mask, right_cost = _compile(f.right, slots, adj, n, v)
-        cost = 1 + left_cost + right_cost
+        left, left_mask = _compile(f.left, slots, adj, n, budget, v)
+        right, right_mask = _compile(f.right, slots, adj, n, budget, v)
         mask = None
         if isinstance(f, And):
             if left_mask is not None and right_mask is not None:
                 mask = lambda env: left_mask(env) & right_mask(env)
-            return (lambda env: left(env) and right(env)), mask, cost
+            return (lambda env: left(env) and right(env)), mask
         if left_mask is not None and right_mask is not None:
             mask = lambda env: left_mask(env) | right_mask(env)
-        return (lambda env: left(env) or right(env)), mask, cost
+        return (lambda env: left(env) or right(env)), mask
     if isinstance(f, Edge):
         x, y = slots[f.x], slots[f.y]
         run = lambda env: (adj[env[x]] >> env[y]) & 1 == 1
@@ -486,16 +491,16 @@ def _compile(
             mask = lambda env: adj[env[other]]
         else:
             mask = _constant_mask(run, full, v)
-        return run, mask, 1
+        return run, mask
     if isinstance(f, In):
         x, s = slots[f.x], slots[f.set_var]
         run = lambda env: (env[s] >> env[x]) & 1 == 1
         mask = (lambda env: env[s]) if x == v else _constant_mask(run, full, v)
-        return run, mask, 1
+        return run, mask
     if isinstance(f, Even):
         s = slots[f.set_var]
         run = lambda env: env[s].bit_count() % 2 == 0
-        return run, _constant_mask(run, full, v), 1
+        return run, _constant_mask(run, full, v)
     if isinstance(f, Eq):
         x, y = slots[f.x], slots[f.y]
         run = lambda env: env[x] == env[y]
@@ -506,7 +511,7 @@ def _compile(
             mask = lambda env: 1 << env[other]
         else:
             mask = _constant_mask(run, full, v)
-        return run, mask, 1
+        return run, mask
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -524,8 +529,8 @@ def evaluate(g: Graph, f: Formula) -> bool:
     """Truth of a closed formula on a graph by exhaustive enumeration.
 
     Raises InputError for an open formula, ValueError for a name whose case
-    does not fit its place in an atom, and SizeLimitError when the
-    worst-case cost exceeds ``DEFAULT_COST_LIMIT``, read at the call.
+    does not fit its place in an atom, and SizeLimitError when a loop would
+    take the work past ``_WORK_LIMIT``, before that loop runs.
     """
     _check_closed(f)
     return _evaluate(g, f)
@@ -539,12 +544,7 @@ def _check_closed(f: Formula) -> None:
 
 def _evaluate(g: Graph, f: Formula) -> bool:
     """``evaluate`` of a formula that ``_check_closed`` passed."""
-    run, _, cost = _compile(f, {}, g.adj, g.n)
-    if cost > DEFAULT_COST_LIMIT:
-        raise SizeLimitError(
-            f"evaluation cost {_figure(cost)} exceeds the limit {DEFAULT_COST_LIMIT}; "
-            f"reduce the graph or the quantifier nesting"
-        )
+    run, _ = _compile(f, {}, g.adj, g.n, [_WORK_LIMIT])
     # a binder's slot is below the number of binders above it, and every
     # root-to-atom path has fewer binders than the root's height
     return run([0] * f.height)

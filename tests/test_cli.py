@@ -217,11 +217,10 @@ def test_check_named_single_graph():
 
 
 def test_check_cost_follows_the_masked_work(capsys):
-    # masked vertex quantifiers put path:10 at cost 132,121,601, below 2^30
     res = run_cli("check", "--named", "two_colorable", "path:10", "--format", "json")
     assert res.returncode == 0
     assert json.loads(res.stdout)["verdicts"] == [True]
-    # the vertex-order DP answers a fragment formula past the cost limit
+    # the vertex-order DP answers a fragment formula evaluate would refuse
     argv = ["check", "--named", "two_colorable", "complete:40", "--format", "json"]
     assert gslogic.cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["verdicts"] == [False]
@@ -230,9 +229,18 @@ def test_check_cost_follows_the_masked_work(capsys):
     assert gslogic.cli.main(argv) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdicts"] == [False] and out["methods"] == ["decomposition"]
-    # a formula outside the fragment is still refused by its worst-case cost
-    assert gslogic.cli.main(["check", "exists X. forall Y. Even(X) | Even(Y)", "complete:40"]) == 3
-    assert "evaluation cost" in capsys.readouterr().err
+    # a formula outside the fragment is refused only by the loops it starts:
+    # on path:16 the first X, the empty set, is a witness after one loop over Y
+    alternating = "exists X. forall Y. Even(X) | Even(Y)"
+    argv = ["check", alternating, "path:16", "--format", "json"]
+    assert gslogic.cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdicts"] == [True] and out["methods"] == ["exhaustive"]
+    # while on complete:40 the first loop, over 2^40 sets, is refused before it starts
+    assert gslogic.cli.main(["check", alternating, "complete:40"]) == 3
+    assert capsys.readouterr().err == (
+        "error: exhaustive evaluation passes its work limit of 33,554,432 at a set loop "
+        "of size 1,099,511,627,776; reduce the graph or the formula\n")
 
 
 def test_check_formula_on_edgeless_graph(tmp_path):
@@ -854,7 +862,7 @@ def test_cli_output_is_pinned(monkeypatch, tmp_path, capsys):
         records.append([argv, code, *capsys.readouterr(), written])
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert len(records) == 82
-    assert digest == "5f89e69b43d70237acb865b372d9b1669b1d4df9ed9e26ef3112202f1aafa26f"
+    assert digest == "44680e7b515b56ec075f3079238b349f7a483879a97ee28ee60460d55919878a"
 
 
 # one run of each handler: the edge-list output and each computing command

@@ -566,7 +566,7 @@ NOT_RECOGNIZED = [
     # a count body naming five sets, more than MAX_COUNT_SETS
     "exists A. exists B. exists C. exists D. exists E. forall x. exists y."
     " y in A & y in B & y in C & y in D & y in E & edge(x, y)",
-    # 2^13 labels for one vertex, more than MAX_STATES; psi names each set
+    # 13 sets named in psi, one more than the labels of a vertex may take
     "".join(f"exists X{i}. " for i in range(13)) + " & ".join(f"Even(X{i})" for i in range(13)),
 ]
 
@@ -584,7 +584,7 @@ def test_recognizer_refuses(source):
     assert recognize(parse_formula(source)) is None
 
 
-def test_twelve_set_variables_are_the_most_the_fragment_takes():
+def test_twelve_set_variables_are_the_most_the_fragment_takes(monkeypatch):
     # psi names every set, so each takes a label bit
     def named(k):
         evens = " & ".join(f"Even(X{i})" for i in range(1, k))
@@ -594,6 +594,9 @@ def test_twelve_set_variables_are_the_most_the_fragment_takes():
     one = generate("path", 1)
     assert _decide(one, named(12)) and evaluate(one, named(12))
     assert recognize(named(13)) is None and evaluate(one, named(13))
+    # the label limit is its own, not the state limit of decide
+    monkeypatch.setattr(gslogic.fragment, "MAX_STATES", 8)
+    assert recognize(named(12)) is not None
 
 
 # some vertex has no neighbour in Y; its X and the outer ones are named
@@ -818,7 +821,7 @@ def test_a_pair_body_over_seven_sets_is_far_at_every_label(monkeypatch):
 
 
 def test_theory_member_decides_a_thousand_vertex_cycle():
-    # evaluate alone refuses this: its worst-case cost is about 5.5e73
+    # evaluate alone refuses this: its first loop is over 2^1001 sets
     assert not theory_member([generate("cycle", 1001)], named_formula("two_colorable"))
 
 

@@ -557,38 +557,66 @@ def test_theory_member_empty_family_is_vacuous():
     assert theory_member([], named_formula("connected"))
 
 
-def test_cost_refusal(monkeypatch):
-    f = named_formula("two_colorable")
-    with pytest.raises(SizeLimitError, match="cost"):
-        evaluate(generate("complete", 40), f)
-    monkeypatch.setattr(gslogic.logic, "DEFAULT_COST_LIMIT", 10)
-    with pytest.raises(SizeLimitError):
-        evaluate(generate("path", 3), named_formula("path2"))
+def _least_work_limit(g, f, monkeypatch) -> int:
+    """The least work limit under which evaluate answers f on g, found by
+    bisection; evaluate gives the same verdict under every limit it answers."""
+    verdicts = set()
+
+    def answers(limit):
+        monkeypatch.setattr(gslogic.logic, "_WORK_LIMIT", limit)
+        try:
+            verdicts.add(evaluate(g, f))
+        except SizeLimitError:
+            return False
+        return True
+
+    low, high = -1, 1 << 25  # refused at low, answered at high
+    assert answers(high) and not answers(low)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if answers(mid) else (mid, high)
+    assert len(verdicts) == 1
+    return high
 
 
-# worst-case costs on path:n for n = 0, 1, 3, 10: every node charges 1, a
-# connective adds its operands, a vertex quantifier whose body has no
-# quantifier adds its body once (one mask), any other vertex quantifier
-# max(n, 1) = m times its body and a set quantifier 2^n = N times. By hand:
-#   connected      1 + N * (8 + 7m)   (masks: exists x 2, forall y 7, forall z 2)
-#   even_order     1 + 4N             (mask: forall y 2)
-#   path2          1 + m * (1 + 4m)   (mask: exists z 4)
-#   two_colorable  1 + N * (1 + N * (6 + 12m))   (masks: forall z 4, forall w 12)
-NAMED_COSTS = {
-    "connected": (16, 31, 233, 79873),
-    "even_order": (5, 9, 33, 4097),
-    "path2": (6, 6, 40, 411),
-    "two_colorable": (20, 75, 2697, 132121601),
+# the work evaluate does on path:n for n = 0, 1, 3, 10: each loop charges
+# its domain size when it starts, n for a vertex, N = 2^n for a set, and a
+# masked vertex quantifier charges nothing. By hand:
+#   alternating  2N: X = {} comes first, then one full loop over Y
+#   connected    N + n(N - 1): the graph is connected, so every X is tried,
+#                and forall x loops unless X is empty
+#   even_order   N: the X loop runs to the full set, the last (forall y masked)
+#   path2        2n: x = 0 loops over y, and y = 1 finds z (exists z masked)
+ALTERNATING = "exists X. forall Y. Even(X) | Even(Y)"
+WORK = {
+    "alternating": lambda n: 2 << n,
+    "connected": lambda n: (1 << n) + n * ((1 << n) - 1),
+    "even_order": lambda n: 1 << n,
+    "path2": lambda n: 2 * n,
 }
 
 
-@pytest.mark.parametrize("name", sorted(NAMED_COSTS))
-def test_refusal_names_the_worst_case_cost(name, monkeypatch):
-    monkeypatch.setattr(gslogic.logic, "DEFAULT_COST_LIMIT", 0)
-    graphs = (Graph(0, ()), generate("path", 1), generate("path", 3), generate("path", 10))
-    for g, cost in zip(graphs, NAMED_COSTS[name]):
-        with pytest.raises(SizeLimitError, match=f"evaluation cost {cost} exceeds the limit 0;"):
-            evaluate(g, named_formula(name))
+@pytest.mark.parametrize("name", sorted(WORK))
+def test_evaluate_answers_under_exactly_its_work(name, monkeypatch):
+    f = parse_formula(ALTERNATING) if name == "alternating" else named_formula(name)
+    for n in (0, 1, 3, 10):
+        g = generate("path", n) if n else Graph(0, ())
+        assert _least_work_limit(g, f, monkeypatch) == WORK[name](n), n
+
+
+def test_a_refusal_names_the_limit_and_the_loop(monkeypatch):
+    f, n = parse_formula(ALTERNATING), 10
+    monkeypatch.setattr(gslogic.logic, "_WORK_LIMIT", (2 << n) - 1)
+    # the Y loop is the one that passes: the X loop started first
+    with pytest.raises(SizeLimitError, match="work limit of 2,047 at a set loop of size 1,024;"):
+        evaluate(generate("path", n), f)
+    monkeypatch.setattr(gslogic.logic, "_WORK_LIMIT", 5)
+    with pytest.raises(SizeLimitError, match="work limit of 5 at a vertex loop of size 3;"):
+        evaluate(generate("path", 3), named_formula("path2"))
+    # the default refuses a first loop over 2^40 sets before it starts
+    monkeypatch.undo()
+    with pytest.raises(SizeLimitError, match="at a set loop of size 1,099,511,627,776;"):
+        evaluate(generate("complete", 40), named_formula("two_colorable"))
 
 
 def test_named_formula_library():
