@@ -4,13 +4,14 @@ The rank-width of a graph is the min over subcubic trees (every vertex of
 degree 1 or 3, leaves labeled bijectively by the graph's vertices) of the max
 cut-rank over the bipartitions induced by deleting a tree edge. There are
 (2n-5)!! such trees. `exact_rankwidth` does not walk them. It removes
-pendants and twins and splits at cut vertices, which keeps the width, and
-on each piece left a subset DP over the 2^(n-1) vertex sets on one side
-of a tree edge gives the width in O(3^n) steps with one 2^(n-1)-byte
-table; an optimal tree is read from that table top down in at most
-n * 2^(n-2) split checks (see `gslogic._kernels`), and the pieces' trees
-are joined back into one. Both it and the `greedy_decomposition` bound
-answer ``(width, tree)``: a width and a subcubic tree that witnesses it.
+pendants and twins in one sweep and splits each piece into its blocks in
+one depth-first walk, which keeps the width, and on each piece left a
+subset DP over the 2^(n-1) vertex sets on one side of a tree edge gives
+the width in O(3^n) steps with one 2^(n-1)-byte table; an optimal tree
+is read from that table top down in at most n * 2^(n-2) split checks
+(see `gslogic._kernels`), and the pieces' trees are joined back into
+one. Both it and the `greedy_decomposition` bound answer ``(width,
+tree)``: a width and a subcubic tree that witnesses it.
 
 Tree encoding: leaves are tree vertices 0..n-1, internal vertices n..2n-3.
 Every tree arises from the unique 2-leaf tree by inserting leaf k = 2..n-1
@@ -228,10 +229,13 @@ def exact_rankwidth(g: Graph) -> tuple[int, SubcubicTree | None]:
       max(rw(G1), rw(G2), 1), and the trees are glued by dropping leaf c
       of G2's tree and hanging its neighbour from a new node on the edge
       at leaf c in G1's tree;
-    - both are repeated until neither applies.
+    - both are repeated until neither applies: each piece is swept once
+      for pendants and twins, and one walk splits what is left into all
+      its blocks, each glued at the vertex it hangs from.
 
-    A split vertex stays a leaf of both pieces' trees, so G2's tree calls
-    its copy by a negative alias until the trees are glued.
+    A split vertex stays a leaf of both pieces' trees, so the block that
+    hangs from it calls its copy by a negative alias until the trees are
+    glued, and carries the aliases of its own vertices only.
 
     Trees and other distance-hereditary graphs, which have rank-width 1,
     reduce to one edge (Bandelt & Mulder, JCTB 41, 1986; Oum, JCTB 95,
@@ -257,15 +261,15 @@ def exact_rankwidth(g: Graph) -> tuple[int, SubcubicTree | None]:
     while todo:
         mask, names = todo.pop()
         mask = _peel(adj, mask, names, log)
-        split = _split(adj, mask) if mask.bit_count() > 2 else None
-        if split is None:
-            pieces.append((mask, names))
-            continue
-        c, side = split
-        alias = -1 - len(log)
-        log.append((True, names.get(c, c), alias))
-        todo.append((side | 1 << c, names))
-        todo.append((mask ^ side, {**names, c: alias}))
+        # a block calls the vertex c it hangs from by a new alias; the last
+        # one hangs from the root and keeps the piece's names, and a piece
+        # of one block is left for the DP
+        *hung, (last, _) = _blocks(adj, mask)
+        for block, c in hung:
+            alias = -1 - len(log)
+            log.append((True, names.get(c, c), alias))
+            todo.append((block, {v: names[v] for v in _bits(block) if v in names} | {c: alias}))
+        (todo if hung else pieces).append((last, names))
     k = max(mask.bit_count() for mask, _ in pieces)
     if k > EXACT_VERTEX_LIMIT:
         entries = _figure(1 << k - 1, ",")
@@ -319,15 +323,16 @@ def _peel(adj: Sequence[int], mask: int, names: dict[int, int],
     has more than two vertices, logging ``(False, u, v)`` for v removed at
     u; return what is left.
 
-    Each kept vertex is filed under both of its twin keys in one dict,
-    and the neighbours of a removed vertex are checked again. An open row
-    N(u) never equals a closed row N[v], as that would put u in its own
-    neighbourhood. A key that is no longer a current row holds a removed
-    vertex, so it matches no row checked later, and a filed key is never
-    overwritten while it is current: one sweep finds every removal.
+    Each kept vertex is filed under the hashes of its rows N(v) and N[v]
+    in one dict, and the neighbours of a removed vertex are checked again.
+    A filed vertex may since have left the piece or changed its row, and
+    two rows may share a hash, so a candidate u (v itself for a key not
+    filed) is taken only when it is not v, is still in the piece, and its
+    row, read again, makes it a twin of v. A shared hash can so hide a
+    removal but never make a wrong one.
     """
     size = mask.bit_count()
-    twins: dict[int, int] = {}  # open row N(v) and closed row N[v] -> v
+    twins: dict[int, int] = {}  # hash of N(v) and of N[v] -> v
     rest = mask
     while rest and size > 2:
         bit = rest & -rest
@@ -339,9 +344,12 @@ def _peel(adj: Sequence[int], mask: int, names: dict[int, int],
             row = row or mask ^ bit
             u = (row & -row).bit_length() - 1
         else:
-            u = twins.get(row, twins.get(row | bit, -1))
-            if u < 0:
-                twins[row] = twins[row | bit] = v
+            open_key, closed_key = hash(row), hash(row | bit)
+            for u in twins.get(open_key, v), twins.get(closed_key, v):
+                if u != v and mask >> u & 1 and adj[u] & mask in (row, row ^ bit ^ 1 << u):
+                    break
+            else:
+                twins[open_key] = twins[closed_key] = v
                 continue
         mask ^= bit
         rest |= adj[v] & mask
@@ -350,42 +358,43 @@ def _peel(adj: Sequence[int], mask: int, names: dict[int, int],
     return mask
 
 
-def _split(adj: Sequence[int], mask: int) -> tuple[int, int] | None:
-    """``(c, side)``: side and the rest of the piece meet only at c, with no
-    edge between side and the rest; None when the piece is 2-connected.
+def _blocks(adj: Sequence[int], mask: int) -> list[tuple[int, int]]:
+    """Every block of the piece as ``(block, c)``, c the vertex of the block
+    it hangs from; the last block hangs from the root, the lowest vertex.
 
-    A depth-first search from the lowest vertex; c is the first vertex
-    found with a child v whose subtree, the side, has no edge above c
-    (Hopcroft & Tarjan). At the root that holds for every child, so the
-    root splits when its first subtree misses a vertex, which also splits
-    a disconnected piece. The piece has no isolated vertex, so the root
-    has a child.
+    One depth-first walk from the root keeps Hopcroft and Tarjan's vertex
+    stack: when no edge leaves the subtree of a child v of p above p, p
+    and the vertices stacked from v on form a block that hangs from p.
+    After its neighbours, the root meets every vertex not yet reached as
+    a child, so another component hangs from the root by a block of two
+    vertices and no edge. The frames hold vertices, not masks.
     """
     root = (mask & -mask).bit_length() - 1
-    seen = 1 << root
-    depth = {root: 0}
-    low = {root: 0}
-    stack = [[root, adj[root] & mask, 0]]
-    while True:
-        frame = stack[-1]
-        fresh = frame[1] & ~seen
-        if fresh:
-            bit = fresh & -fresh
-            frame[1] = fresh ^ bit
-            w = bit.bit_length() - 1
-            depth[w] = len(stack)
-            # the seen neighbours of w are its ancestors
-            low[w] = min(depth[x] for x in _bits(adj[w] & seen))
-            stack.append([w, adj[w] & mask, seen])
-            seen |= bit
-            continue
-        v, _, before = stack.pop()
-        if not stack:
-            return None
-        p = stack[-1][0]
-        if low[v] >= depth[p] and (p != root or seen != mask):
-            return p, seen & ~before
-        low[p] = min(low[p], low[v])
+    found: list[tuple[int, int]] = []
+    index = {root: 0}  # vertex -> order of discovery
+    low = {root: 0}  # least index that one edge reaches from the subtree
+    stack = [root]
+    walk = [(root, iter([*_bits(adj[root] & mask), *_bits(mask)]))]
+    while walk:
+        v, todo = walk[-1]
+        for w in todo:
+            if w not in index:
+                index[w] = low[w] = len(index)
+                stack.append(w)
+                walk.append((w, iter(list(_bits(adj[w] & mask)))))
+                break
+            if index[w] < low[v]:
+                low[v] = index[w]
+        else:
+            walk.pop()
+            if walk:
+                p = walk[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= index[p]:
+                    block = sum(1 << x for x in iter(stack.pop, v))
+                    found.append((block | 1 << v | 1 << p, p))
+    return found
 
 
 def _caterpillar(order: Sequence[int]) -> SubcubicTree:

@@ -561,6 +561,15 @@ def test_rankwidth_of_the_largest_path_fits_a_memory_limit():
     assert (out["n"], out["width"]) == (65536, 1)
 
 
+def test_rankwidth_of_a_long_cycle_fits_a_memory_limit():
+    # a cycle has no pendant, twin or cut vertex, so it is one piece, refused
+    # by size; a whole row kept as a twin key for each vertex, or a mask in
+    # each frame of the block walk, takes O(n^2) bits, past this limit here
+    res = run_with_memory_limit(["-m", "gslogic.cli", "rankwidth", "cycle:30000"],
+                                limit=160 << 20)
+    assert res.returncode in (0, 3), res.stderr[-500:]
+
+
 def test_two_colourability_of_a_long_path_fits_a_memory_limit():
     # decide makes each outside row when its walk reaches the vertex; a list
     # of all n rows would take O(n^2) bits, past this limit at path:50000

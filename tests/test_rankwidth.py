@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -30,7 +31,7 @@ from gslogic import (
 )
 import gslogic.rankwidth
 from gslogic import _kernels
-from gslogic.gf2 import _cut_rank_table
+from gslogic.gf2 import _bits, _cut_rank_table
 from gslogic.rankwidth import _caterpillar, tree_from_choices
 
 
@@ -313,17 +314,25 @@ def test_exact_closed_forms_past_twelve_vertices(spec, width):
     assert decomposition_width(g, tree) == width
 
 
+def _grow(rows, kind, u):
+    """Append to the adjacency rows a vertex v that is a pendant at u, a
+    true twin of u or a false twin of u."""
+    v = len(rows)
+    if kind == "pendant":
+        row = 1 << u
+    else:
+        row = rows[u] | (1 << u if kind == "true_twin" else 0)
+    for w in _bits(row):
+        rows[w] |= 1 << v
+    rows.append(row)
+
+
 def _add_vertex(g, kind, u):
     """G plus a vertex v = g.n that is a pendant at u, a true twin of u or
     a false twin of u."""
-    v = g.n
-    if kind == "pendant":
-        new = [(u, v)]
-    else:
-        new = [(w, v) for w in range(g.n) if g.has_edge(u, w)]
-        if kind == "true_twin":
-            new.append((u, v))
-    return Graph.from_edges(v + 1, g.edges() + new)
+    rows = list(g.adj)
+    _grow(rows, kind, u)
+    return Graph(g.n + 1, tuple(rows))
 
 
 @pytest.mark.parametrize("kind", ["pendant", "true_twin", "false_twin"])
@@ -488,11 +497,69 @@ def test_reduced_widths_and_trees_are_pinned():
     for g in graphs:
         width, tree = exact_rankwidth(g)
         out.append([width, [list(e) for e in tree.edges]])
-    assert [sum(width == w for width, _ in out) for w in range(3)] == [4, 205, 94]
+    # the widths must not move; the trees move with the order of the glue
+    widths = [width for width, _ in out]
+    assert [widths.count(w) for w in range(3)] == [4, 205, 94]
+    assert (
+        hashlib.sha256(json.dumps(widths).encode()).hexdigest()
+        == "07f84c34cc4b3dda9bb94572df9cf9cacdcf17517b6a8904cfe7db93f9d4ba00"
+    )
     assert (
         hashlib.sha256(json.dumps(out).encode()).hexdigest()
-        == "6c006cbe380391a64b0d91b1fc998ba1effcbc83051d1a40b00c567638a682b8"
+        == "099c94696552fd248cc182c7a160275c49482c3d490dd725cb2462734984a5c3"
     )
+
+
+@pytest.mark.parametrize("bridged", [True, False], ids=["chain", "union"])
+def test_reductions_walk_each_vertex_a_bounded_number_of_times(bridged, monkeypatch):
+    # 600 five-cycles joined in a chain by bridges, or 1,200 apart: one walk
+    # finds every block of a piece, so the walks see each vertex about
+    # twice; walking the rest again after each block sees about k * n / 2
+    k = 600 if bridged else 1200
+    edges = [(5 * i + j, 5 * i + (j + 1) % 5) for i in range(k) for j in range(5)]
+    if bridged:
+        edges += [(5 * i + 2, 5 * i + 5) for i in range(k - 1)]
+    g = Graph.from_edges(5 * k, edges)
+    walked = []
+    blocks = gslogic.rankwidth._blocks
+
+    def counting(adj, mask):
+        walked.append(mask.bit_count())
+        return blocks(adj, mask)
+
+    monkeypatch.setattr(gslogic.rankwidth, "_blocks", counting)
+    width, tree = exact_rankwidth(g)
+    assert width == 2
+    assert sum(walked) <= 3 * g.n
+    assert decomposition_width(g, tree) == width
+
+
+def test_rows_that_share_a_hash_are_not_twins():
+    # ints hash modulo 2^e - 1, so N(a) = {0, 1} and N(b) = {e, e + 1} share
+    # a hash; b lies on the five-cycle 0, 1, e + 1, b, e and a on a triangle
+    # with 0 and 1, and taking b for a twin of a would leave rank-width 1
+    # (vertices 2 to e - 1 have no edge and leave before a and b are met)
+    e = sys.hash_info.modulus.bit_length()
+    a, b = e + 2, e + 3
+    assert hash(0b11) == hash(0b11 << e)
+    g = Graph.from_edges(e + 4, [(0, 1), (1, e + 1), (e + 1, b), (b, e), (e, 0),
+                                 (a, 0), (a, 1)])
+    width, tree = exact_rankwidth(g)
+    assert width == 2
+    assert decomposition_width(g, tree) == width
+
+
+def test_large_distance_hereditary_graph_has_width_one():
+    # 2,000 vertices grown from one edge by pendants and twins reduce to one
+    # edge, whatever the order in which the sweep meets them
+    rng = random.Random(2000)
+    rows = [0b10, 0b01]
+    while len(rows) < 2000:
+        _grow(rows, rng.choice(["pendant", "true_twin", "false_twin"]), rng.randrange(len(rows)))
+    g = Graph(len(rows), tuple(rows))
+    width, tree = exact_rankwidth(g)
+    assert width == 1
+    assert decomposition_width(g, tree) == width
 
 
 def test_edgeless_graph_has_width_zero_at_any_size():
