@@ -5,31 +5,33 @@ Graph arguments accept either a generator spec "kind:size" (e.g. grid:3,
 path:6; takes precedence over files of the same name), a path to an
 edge-list file, or "-" for an edge list on stdin. Text output is for
 humans; --format json is the stable machine interface. Exit codes:
-0 success (a false verdict is still success), 2 usage or input error,
-3 size or resource refusal. Any other error is a fault and leaves a
-traceback.
+0 success (a false verdict is still success, and so is a run whose reader
+closes stdout early: the rest of the output is dropped with no message),
+2 usage or input error, 3 size or resource refusal. Any other error is a
+fault and leaves a traceback.
 
 Each ``_cmd_*`` handler does its command's work, writes no output and
 returns ``(document, lines)``: the JSON document and a generator of the
 text lines, which makes them only when iterated. ``main`` alone writes,
 one or the other by --format.
 
-A run builds one parser: that of the command argv starts with, which
-parses the rest as its subparser would. The full parser of ``build_parser``
-(the root and every subparser) is built only for help, no or an unknown
-command, an option before the command and arguments the command's parser
-leaves over, and prints every such message. No parser is cached or built
-at import.
+A run in the plain form (see ``_read``) is read from the command table
+``_COMMANDS`` and builds no parser, so a valid run never loads argparse.
+The full parser of ``build_parser`` is built, and argparse imported, only
+for the other command lines: help, usage errors and the other forms of
+options and positionals. It parses them or prints their message. No
+parser is cached or built at import.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import re
 import sys
 from collections.abc import Iterator
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import InputError, SizeLimitError
 from .fragment import decide, recognize
@@ -210,89 +212,82 @@ def _cmd_trees_count(args) -> tuple[dict, Iterator[str]]:
     return {"leaves": args.leaves, "count": count, "method": "formula"}, lines()
 
 
-def _gen_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("kind", choices=sorted(GENERATOR_KINDS))
-    p.add_argument("size", type=int)
-    p.add_argument("-o", "--output", default=None, metavar="PATH",
-                   help="write to a file instead of stdout")
+# Each argument is the (flags, keywords) of one add_argument call. _read
+# models these keywords and no other: action "store_true", choices, default,
+# help, metavar, nargs "+" on the last positional, required and type int.
+_FORMAT = (("--format",), {"choices": ("text", "json"), "default": "text",
+                           "help": "output format (default: text; json is the "
+                                   "stable interface)"})
 
-
-def _rankwidth_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph", help="graph source")
-    p.add_argument("--greedy", action="store_true",
-                   help="fast upper bound from a greedy vertex order instead "
-                        "of the exact answer with an optimal tree, which "
-                        "removes pendants and twins, splits at cut vertices "
-                        "and refuses when a piece left has more than "
-                        f"{EXACT_VERTEX_LIMIT} vertices")
-
-
-def _cutrank_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph", help="graph source")
-    p.add_argument("--side", required=True, metavar="V,V,...",
-                   help="comma-separated vertices of one side of the cut "
-                        "(empty string for the empty side)")
-
-
-def _check_arguments(p: argparse.ArgumentParser) -> None:
-    p.description = ("Decide a C2MS formula on each graph. A formula of the "
-                     "form [!] exists X1..Xk. psi, psi a Boolean combination "
-                     "of Even(Xi), one-vertex, two-vertex and neighbourhood-"
-                     "counting quantifier pieces (see the README), is decided "
-                     "by a DP along a breadth-first order of the graph "
-                     "(method \"decomposition\"; exit 3 past its state "
-                     "limit); any other by exhaustive enumeration (method "
-                     "\"exhaustive\"; exit 3 once its work passes its limit).")
-    p.add_argument("--named", default=None, metavar="NAME",
-                   help="use a library formula instead of a formula argument")
-    p.add_argument("args", nargs="+", metavar="ARG",
-                   help="formula string (omit with --named) followed by one "
-                        "or more graph sources")
-
-
-def _simulate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph", help="graph source")
-    p.add_argument("--pattern", required=True, metavar="Q:B,...",
-                   help='measurement sequence, e.g. "0:Z,3:X"')
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed for measurement sampling "
-                        "(default: fresh entropy)")
-
-
-def _trees_count_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("leaves", type=int, metavar="N")
-
-
-# (name, help, handler, argument adder) of each subcommand, in help order
+# (name, help, handler, arguments) of each subcommand, in help order; every
+# command also takes _FORMAT, before its own arguments
 _COMMANDS = (
-    ("gen", "write a generated graph as an edge list", _cmd_gen, _gen_arguments),
-    ("rankwidth", "rank-width of a graph with a decomposition tree", _cmd_rankwidth,
-     _rankwidth_arguments),
-    ("cutrank", "GF(2) cut-rank of one vertex bipartition", _cmd_cutrank,
-     _cutrank_arguments),
-    ("check", "evaluate a counting-logic formula on graphs", _cmd_check, _check_arguments),
-    ("simulate", "measure a Pauli pattern on a graph state", _cmd_simulate,
-     _simulate_arguments),
-    ("trees-count", "number of binary (subcubic) trees on N leaves", _cmd_trees_count,
-     _trees_count_arguments),
+    ("gen", "write a generated graph as an edge list", _cmd_gen, (
+        (("kind",), {"choices": sorted(GENERATOR_KINDS)}),
+        (("size",), {"type": int}),
+        (("-o", "--output"), {"metavar": "PATH",
+                              "help": "write to a file instead of stdout"}),
+    )),
+    ("rankwidth", "rank-width of a graph with a decomposition tree", _cmd_rankwidth, (
+        (("graph",), {"help": "graph source"}),
+        (("--greedy",), {"action": "store_true",
+                         "help": "fast upper bound from a greedy vertex order "
+                                 "instead of the exact answer with an optimal "
+                                 "tree, which removes pendants and twins, splits "
+                                 "at cut vertices and refuses when a piece left "
+                                 f"has more than {EXACT_VERTEX_LIMIT} vertices"}),
+    )),
+    ("cutrank", "GF(2) cut-rank of one vertex bipartition", _cmd_cutrank, (
+        (("graph",), {"help": "graph source"}),
+        (("--side",), {"required": True, "metavar": "V,V,...",
+                       "help": "comma-separated vertices of one side of the cut "
+                               "(empty string for the empty side)"}),
+    )),
+    ("check", "evaluate a counting-logic formula on graphs", _cmd_check, (
+        (("--named",), {"metavar": "NAME",
+                        "help": "use a library formula instead of a formula argument"}),
+        (("args",), {"nargs": "+", "metavar": "ARG",
+                     "help": "formula string (omit with --named) followed by one "
+                             "or more graph sources"}),
+    )),
+    ("simulate", "measure a Pauli pattern on a graph state", _cmd_simulate, (
+        (("graph",), {"help": "graph source"}),
+        (("--pattern",), {"required": True, "metavar": "Q:B,...",
+                          "help": 'measurement sequence, e.g. "0:Z,3:X"'}),
+        (("--seed",), {"type": int, "help": "RNG seed for measurement sampling "
+                                            "(default: fresh entropy)"}),
+    )),
+    ("trees-count", "number of binary (subcubic) trees on N leaves", _cmd_trees_count, (
+        (("leaves",), {"type": int, "metavar": "N"}),
+    )),
 )
 
+_DESCRIPTIONS = {
+    "check": "Decide a C2MS formula on each graph. A formula of the form [!] "
+             "exists X1..Xk. psi, psi a Boolean combination of Even(Xi), "
+             "one-vertex, two-vertex and neighbourhood-counting quantifier "
+             "pieces (see the README), is decided by a DP along a breadth-first "
+             "order of the graph (method \"decomposition\"; exit 3 past its "
+             "state limit); any other by exhaustive enumeration (method "
+             "\"exhaustive\"; exit 3 once its work passes its limit).",
+}
 
-def _fill(p: argparse.ArgumentParser, handler, add_arguments) -> None:
+
+def _fill(p, handler, arguments) -> None:
     """Give p a command's handler, its --format option and its own arguments."""
     p.set_defaults(func=handler)
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="output format (default: text; json is the "
-                        "stable interface)")
-    add_arguments(p)
+    for flags, keywords in (_FORMAT, *arguments):
+        p.add_argument(*flags, **keywords)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full gslogic parser: the root and every command's subparser.
-
-    main builds it only for help, no or an unknown command, an option
-    before the command, and arguments the command's own parser leaves over.
+def build_parser():
+    """The full gslogic parser (an ``argparse.ArgumentParser``): the root
+    and every command's subparser. main builds it only for the command
+    lines that _read does not take: help, usage errors and the forms of
+    options and positionals other than the plain one.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gslogic",
         description="Graph states, rank-width, and counting logic on graphs.",
@@ -301,43 +296,117 @@ def build_parser() -> argparse.ArgumentParser:
                'path, or "-" for stdin.',
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, help_text, handler, add_arguments in _COMMANDS:
-        _fill(sub.add_parser(name, help=help_text), handler, add_arguments)
+    for name, help_text, handler, arguments in _COMMANDS:
+        _fill(sub.add_parser(name, help=help_text, description=_DESCRIPTIONS.get(name)),
+              handler, arguments)
     return parser
+
+
+def _value(keywords: dict, token: str):
+    """token as the argument of keywords stores it, or None where argparse
+    would refuse it or might read it as an option."""
+    if token.startswith("-"):
+        return None
+    try:
+        value = keywords.get("type", str)(token)
+    except ValueError:
+        return None
+    if "choices" in keywords and value not in keywords["choices"]:
+        return None
+    return value
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read from the
+    command table, when argv has the plain form; otherwise None.
+
+    The plain form: a command name first; each option an exact option
+    string of that command, given at most once, with its value (if it takes
+    one) as the next token; no value or positional starting with "-"; the
+    positionals one contiguous run of the declared count; every value of its
+    type and in its choices; every required option present.
+    """
+    row = next((row for row in _COMMANDS if argv and argv[0] == row[0]), None)
+    if row is None:
+        return None
+    name, _, handler, arguments = row
+    options, positionals = {}, []
+    for flags, keywords in (_FORMAT, *arguments):
+        if flags[0].startswith("-"):
+            # argparse's dest: the first long flag, else the first flag
+            dest = next((f for f in flags if f.startswith("--")), flags[0])
+            options.update(dict.fromkeys(flags, (dest.lstrip("-").replace("-", "_"), keywords)))
+        else:
+            positionals.append((flags[0], keywords))
+    values = {"command": name, "func": handler}
+    run: list[str] = []
+    after_run = False  # an option has come after the positionals began
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if after_run:
+                return None
+            run.append(token)
+            continue
+        after_run = bool(run)
+        dest, keywords = options.get(token, (None, None))
+        if dest is None or dest in values:
+            return None
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+        else:
+            values[dest] = _value(keywords, next(tokens, "-"))
+    *single, (last, keywords) = positionals
+    many = keywords.get("nargs") == "+"
+    if len(run) < len(positionals) or len(run) > len(positionals) and not many:
+        return None
+    for (dest, kw), token in zip(single, run):
+        values[dest] = _value(kw, token)
+    rest = [_value(keywords, token) for token in run[len(single):]]
+    values[last] = rest if many else rest[0]
+    if None in values.values() or None in rest:
+        return None
+    for dest, keywords in options.values():
+        if dest not in values:
+            if keywords.get("required"):
+                return None
+            values[dest] = keywords.get("default", False if keywords.get("action") else None)
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a process runs one command, so when argv starts with one, that
-    # command's parser alone is built and parses the rest, as its subparser
-    # would; help, no or an unknown command, an option before the command
-    # and arguments left over go to the full parser, whose messages these are
-    try:
-        args = rest = None
-        for name, _, handler, add_arguments in _COMMANDS:
-            if argv and argv[0] == name:
-                parser = argparse.ArgumentParser(prog=f"gslogic {name}")
-                _fill(parser, handler, add_arguments)
-                args, rest = parser.parse_known_args(argv[1:])
-        if args is None or rest:
+    # a plain command line is read from the table; help, errors and every
+    # other form go to the full parser, whose results and messages these are
+    args = _read(argv)
+    if args is None:
+        try:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse prints its own diagnostics; normalize the exit code
-        return 0 if exc.code == 0 else 2
+        except SystemExit as exc:
+            # argparse prints its own diagnostics; normalize the exit code
+            return 0 if exc.code == 0 else 2
     try:
         document, lines = args.func(args)
-        if args.format == "json":
-            print(json.dumps(document, sort_keys=True))
-        else:
-            sys.stdout.writelines(line + "\n" for line in lines)
-        return 0
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        if args.format == "json":
+            print(json.dumps(document, sort_keys=True))
+        else:
+            sys.stdout.writelines(line + "\n" for line in lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull, so that the
+        # flush at exit writes nowhere, as the Python documentation advises
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return 0
 
 
 if __name__ == "__main__":

@@ -160,6 +160,12 @@ class Graph(_Frozen):
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+        return cls._unchecked(n, rows, name)
+
+    @classmethod
+    def _unchecked(cls, n: int, rows: list[int], name: str | None = None) -> "Graph":
+        """The graph of n rows that are symmetric with a zero diagonal by
+        construction, built without the checks of ``Graph(n, adj)``."""
         g = object.__new__(cls)
         _set(g, "n", n)
         _set(g, "adj", tuple(rows))
@@ -203,16 +209,13 @@ def parse_edge_list(text: str) -> Graph:
     either vertex order and duplicates collapse, but self-loops, out-of-range
     vertices, and malformed lines are errors that name the offending line.
     """
-    header: tuple[int, int] | None = None
-    header_line = 0
-    edges: list[tuple[int, int]] = []
-    n = 0
+    rows: list[int] | None = None  # the adjacency rows, once the header is read
+    n = m = header_line = found = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if header is None:
+        if rows is None:
             if len(parts) != 2:
                 raise GraphParseError("expected header 'n m'", lineno)
             try:
@@ -222,7 +225,7 @@ def parse_edge_list(text: str) -> Graph:
             if n < 0 or m < 0:
                 raise GraphParseError("header values must be non-negative", lineno)
             _check_size(n)
-            header = (n, m)
+            rows = [0] * n
             header_line = lineno
             continue
         if len(parts) != 2:
@@ -235,14 +238,14 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"self-loop at vertex {u}", lineno)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"vertex out of range (n={n})", lineno)
-        edges.append((u, v))
-    if header is None:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        found += 1
+    if rows is None:
         raise GraphParseError("missing header 'n m'", 1)
-    if len(edges) != header[1]:
-        raise GraphParseError(
-            f"declared {header[1]} edges but found {len(edges)}", header_line
-        )
-    return Graph.from_edges(n, edges)
+    if found != m:
+        raise GraphParseError(f"declared {m} edges but found {found}", header_line)
+    return Graph._unchecked(n, rows)
 
 
 def serialize(g: Graph) -> str:

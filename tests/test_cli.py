@@ -16,7 +16,7 @@ import pytest
 
 import gslogic.cli
 import gslogic.stabilizer
-from gslogic import PauliOperator, generate, graph_state_tableau, parse_edge_list
+from gslogic import PauliOperator, generate, graph_state_tableau, parse_edge_list, serialize
 from conftest import run_with_memory_limit, src_env
 from gslogic.errors import _figure
 from test_logic import EVEN_DEGREES
@@ -570,6 +570,18 @@ def test_rankwidth_of_a_long_cycle_fits_a_memory_limit():
     assert res.returncode in (0, 3), res.stderr[-500:]
 
 
+def test_a_large_edge_list_fits_a_memory_limit(tmp_path):
+    # parse_edge_list builds the adjacency rows as it reads the lines: this
+    # run peaks at 55 MB, and a list of every edge as a tuple on top of the
+    # rows took it to 115 MB, which fails under this limit
+    edges = tmp_path / "complete1024.edges"
+    edges.write_text(serialize(generate("complete", 1024)), encoding="utf-8")
+    res = run_with_memory_limit(["-m", "gslogic.cli", "cutrank", str(edges), "--side", "0"],
+                                limit=88 << 20)
+    assert res.returncode == 0, res.stderr[-500:]
+    assert res.stdout == "cut-rank of {0}: 1\n"
+
+
 def test_two_colourability_of_a_long_path_fits_a_memory_limit():
     # decide makes each outside row when its walk reaches the vertex; a list
     # of all n rows would take O(n^2) bits, past this limit at path:50000
@@ -645,6 +657,18 @@ def test_help_exits_zero():
     assert run_cli("rankwidth", "--help").returncode == 0
 
 
+def test_a_closed_stdout_ends_the_run_quietly():
+    # a reader that stops after one line, as in `gslogic gen path 60000 | head -1`:
+    # the work succeeded, so the rest of the output is dropped with no message
+    proc = subprocess.Popen([sys.executable, "-m", "gslogic.cli", "gen", "path", "60000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
+    with proc:
+        assert proc.stdout.readline() == b"60000 59999\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+
+
 MAIN_HELP = """\
 usage: gslogic [-h] COMMAND ...
 
@@ -698,7 +722,7 @@ FULL_PARSER = ["gslogic"] + [f"gslogic {name}" for name in COMMAND_NAMES]
 
 # per command: valid, a value outside choices, a required argument missing,
 # -h and an unknown option; then the forms of options, positionals and "--"
-# that the command's own parser and the full parser must read alike
+# that the reader must leave to the full parser or read alike
 PARSER_CASES = [
     ["gen", "path", "3"], ["gen", "moebius", "3"], ["gen"], ["gen", "-h"],
     ["gen", "path", "3", "--bogus"],
@@ -730,16 +754,12 @@ PARSER_CASES = [
 ]
 
 
-def spy_on_parsers(monkeypatch, built, full=False):
-    """Append the prog of each ArgumentParser made to built. With full, the
-    first one, main's one-command parser, parses nothing and leaves argv
-    over, so main parses with build_parser() as for help and errors."""
+def spy_on_parsers(monkeypatch, built):
+    """Append the prog of each ArgumentParser made to built."""
     init = argparse.ArgumentParser.__init__
 
     def spy(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        if full and not built:
-            self.parse_known_args = lambda argv: (None, argv)
         built.append(self.prog)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
@@ -747,35 +767,50 @@ def spy_on_parsers(monkeypatch, built, full=False):
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_one_command_parser_answers_like_the_full_parser(monkeypatch, capsys, argv):
+    # the command table's reader answers like the full parser: a run with
+    # _read and one with _read turned off give the same exit code, stdout
+    # and stderr, and only a line that _read leaves builds a parser
     monkeypatch.setenv("COLUMNS", "80")
-    got = (gslogic.cli.main(argv), *capsys.readouterr())
     built = []
-    spy_on_parsers(monkeypatch, built, full=True)
+    spy_on_parsers(monkeypatch, built)
+    got = (gslogic.cli.main(argv), *capsys.readouterr())
+    assert built == ([] if gslogic.cli._read(argv) else FULL_PARSER)
+    built.clear()
+    monkeypatch.setattr(gslogic.cli, "_read", lambda argv: None)
     assert (gslogic.cli.main(argv), *capsys.readouterr()) == got
-    assert built == [f"gslogic {argv[0]}"] + FULL_PARSER
+    assert built == FULL_PARSER
 
 
-def test_main_builds_only_the_invoked_command(monkeypatch, capsys):
+def test_a_valid_run_builds_no_parser(monkeypatch, capsys):
     built = []
     spy_on_parsers(monkeypatch, built)
     for argv in HANDLER_CASES:  # a valid run of each command
+        assert gslogic.cli.main(argv) == 0, argv
+        assert gslogic.cli.main(argv + ["--format", "json"]) == 0, argv
+    assert built == []
+    for argv in (["--help"], [], ["frobnicate"], ["rankwidth", "path:4", "--bogus"]):
         for _ in range(2):  # a second call builds again: nothing is cached
             built.clear()
-            assert gslogic.cli.main(argv) == 0
-            assert built == [f"gslogic {argv[0]}"], argv
-    for argv in (["--help"], [], ["frobnicate"]):
-        built.clear()
-        gslogic.cli.main(argv)
-        assert built == FULL_PARSER, argv
-    built.clear()
-    assert gslogic.cli.main(["rankwidth", "path:4", "--bogus"]) == 2
-    assert built == ["gslogic rankwidth"] + FULL_PARSER
+            gslogic.cli.main(argv)
+            assert built == FULL_PARSER, argv
     capsys.readouterr()
 
 
+def test_a_valid_run_loads_no_argparse():
+    # pytest itself imports argparse, so a fresh interpreter runs the check
+    code = ("import sys, gslogic.cli; "
+            "code = gslogic.cli.main(['check', '--named', 'connected', 'path:4']); "
+            "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env=src_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 []"
+
+
 def test_importing_the_cli_builds_no_parser(monkeypatch):
-    # the benchmark counts the parser build in each query, so no parser may
-    # be made at import time, where the query metrics would not see it
+    # the benchmark counts the parsing in each query, so no parser may be
+    # made at import time, where the query metrics would not see it; a
+    # valid run makes none at all and loads no argparse
     built = []
     spy_on_parsers(monkeypatch, built)
     spec = importlib.util.find_spec("gslogic.cli")
@@ -783,6 +818,117 @@ def test_importing_the_cli_builds_no_parser(monkeypatch):
     spec.loader.exec_module(module)
     assert built == []
     assert not any(isinstance(value, argparse.ArgumentParser) for value in vars(module).values())
+
+
+# the add_argument keywords that _read models, with the values it models
+READ_KEYWORDS = {"action": {"store_true"}, "choices": None, "default": None, "help": None,
+                 "metavar": None, "nargs": {"+"}, "required": {True}, "type": {int}}
+
+
+def test_the_reader_models_every_keyword_of_the_table():
+    for name, _, _, arguments in gslogic.cli._COMMANDS:
+        entries = (gslogic.cli._FORMAT, *arguments)
+        positionals = [keywords for flags, keywords in entries if not flags[0].startswith("-")]
+        assert positionals, name
+        for flags, keywords in entries:
+            assert set(keywords) <= set(READ_KEYWORDS), (name, flags)
+            for key, value in keywords.items():
+                assert READ_KEYWORDS[key] is None or value in READ_KEYWORDS[key], (name, flags, key)
+            # a positional has one flag, which is its dest
+            assert flags[0].startswith("-") or len(flags) == 1, (name, flags)
+            # argparse passes a string default through type; _read does not
+            assert not (isinstance(keywords.get("default"), str) and "type" in keywords)
+            # a flag alone has no value: no type, choices, nargs or requirement
+            if "action" in keywords:
+                assert set(keywords) <= {"action", "help"}, (name, flags)
+            # nargs "+" only on the last positional, which takes the rest of the run
+            assert "nargs" not in keywords or keywords is positionals[-1], (name, flags)
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """A command line near the plain form: valid positionals and options of
+    one command in a random order, then up to three random edits drawn from
+    the tokens that argparse reads in other ways."""
+    plain = {
+        "gen": ([["path", "3"], ["cycle", "12"], ["grid", "\u0665"]],
+                [["-o", "out"], ["--output", "x y"]]),
+        "rankwidth": ([["path:4"], [""]], [["--greedy"]]),
+        "cutrank": ([["path:4"], ["g.edges"]], [["--side", "0,1"], ["--side", ""]]),
+        "check": ([["exists x. x = x", "path:3"], ["path:3"], ["a", "b", "c"]],
+                  [["--named", "connected"]]),
+        "simulate": ([["path:3"]], [["--pattern", "0:Z"], ["--seed", "7"], ["--seed", "+2"]]),
+        "trees-count": ([["5"], [" 9"], ["1_0"]], []),
+    }
+    name = rng.choice(list(plain))
+    run_choices, option_choices = plain[name]
+    options = rng.sample(option_choices, rng.randrange(len(option_choices) + 1))
+    options.append(["--format", rng.choice(["text", "json"])] if rng.random() < 0.7 else [])
+    parts = options + [rng.choice(run_choices)]
+    rng.shuffle(parts)
+    argv = [name] + [token for part in parts for token in part]
+    tokens = COMMAND_NAMES + [
+        "frobnicate", "--format", "--form", "--format=json", "-o", "--output", "--out",
+        "-ox", "--greedy", "--gr", "--side", "--si", "--side=0", "--named", "--nam",
+        "--pattern", "--pat", "--seed", "--seed=3", "-h", "--help", "--", "-", "",
+        "text", "json", "yaml", "path", "moebius", "3", "0", "-1", "-2.5", "\u0663",
+        "\uff17", "7\u00b2", "x", "path:4", "0:Z", "-x", "\u00e9",
+    ]
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        at = rng.randrange(len(argv) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            argv.insert(at, rng.choice(tokens))
+        elif at < len(argv):
+            if edit == 1:
+                del argv[at]
+            else:
+                argv[at] = rng.choice(tokens)
+    return argv
+
+
+def reader_disagreements(count: int, seed: int) -> tuple[int, list]:
+    """Read count random argvs with _read and with the full parser. Returns
+    the number _read accepts and each accepted argv whose namespace differs
+    from the full parser's, with both namespaces."""
+    rng = random.Random(seed)
+    parser = gslogic.cli.build_parser()
+    accepted, wrong = 0, []
+    for _ in range(count):
+        argv = random_argv(rng)
+        args = gslogic.cli._read(argv)
+        if args is None:
+            continue
+        accepted += 1
+        try:
+            want = vars(parser.parse_args(argv))
+        except SystemExit:
+            want = "refused"
+        if vars(args) != want:
+            wrong.append((argv, vars(args), want))
+    return accepted, wrong
+
+
+def test_the_reader_agrees_with_argparse_on_random_argvs(capsys):
+    accepted, wrong = reader_disagreements(3000, seed=20061003)
+    assert wrong == []
+    # both ways are taken often: the reader's lines and the parser's
+    assert 600 < accepted < 2400, accepted
+    capsys.readouterr()
+
+
+def test_every_benchmark_command_line_is_read_from_the_table(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    parser = gslogic.cli.build_parser()
+    seen = 0
+    for workload in workloads.BUILDERS:
+        for seed in (1, 2, 3):
+            for query in workloads.build(workload, seed, tmp_path / f"{workload}-{seed}"):
+                args = gslogic.cli._read(query.argv)
+                assert args is not None, query.argv
+                assert vars(args) == vars(parser.parse_args(query.argv)), query.argv
+                seen += 1
+    assert seen >= 9 * 40
 
 
 @pytest.mark.parametrize("source,n", [("path:4", 4), ("binary_tree:2", 7)])
