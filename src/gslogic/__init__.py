@@ -4,9 +4,10 @@ Three interlocking toolkits around simple undirected graphs:
 
 - GF(2) cut-rank and exact rank-width. All GF(2) code is in ``gf2`` and
   works on bit-packed int rows (bit j = column j). A subset dynamic
-  program gives the width from 2^(n-1) cut-ranks, taken in one walk of the
-  subsets, and at most 3^(n-1)/2 split checks; an optimal subcubic tree,
-  the witness, is read from its table in at most n * 2^(n-2) split checks.
+  program gives the width from 2^(n-1) cut-ranks, counted as kernels by
+  one subset-sum transform, and at most 3^(n-1)/2 split checks; an optimal
+  subcubic tree, the witness, is read from its table in at most
+  n * 2^(n-2) split checks.
   A greedy upper bound covers larger graphs: it scores each candidate
   vertex by span tests against one GF(2) basis of the current cut, with no
   fresh cut-rank per candidate.

@@ -4,17 +4,17 @@ of some rows is the size of their basis. The cut-rank of a vertex
 subset A, the GF(2) rank of the adjacency block between A and its
 complement, is what the rank-width search minimizes over tree cuts:
 `cut_rank_masks` takes one, and `_cut_rank_table` every one the exact
-search needs, by counting kernels with one subset-sum transform.
-`gf2_reduce` tests membership in a span, and the dual basis gives a
-stabilizer tableau its destabilizers.
+search needs, by counting kernels with one subset-sum transform on
+counters packed in explicit little-endian fields of one int, the same on
+every host. `gf2_reduce` tests membership in a span, and the dual basis
+gives a stabilizer tableau its destabilizers.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import Counter
 from operator import or_, sub
+from struct import Struct
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -86,9 +86,10 @@ def _cut_rank_table(adj: Sequence[int], n: int) -> bytearray:
     Vertex v sits on bit v - 1 and vertex 0 on bit n - 1, past the table, so
     the s_Y come by doubling, one XOR per set, and T(Y) is in range exactly
     when it misses vertex 0. The counters c(X) share one int, field i in
-    bits 32i to 32i + 31 on any host, and each of the n - 1 zeta passes is
-    one mask, shift and add on it. A count is at most 2^(n-1), 2^19 for the
-    20 vertices the exact search allows, so no carry crosses a field.
+    bits 32i to 32i + 31, packed and read back by one little-endian struct
+    on every host, and each of the n - 1 zeta passes is one mask, shift and
+    add on it. A count is at most 2^(n-1), so no carry crosses a field and
+    the table is exact for n <= 32.
     """
     size = 1 << (n - 1)
     s = [0]
@@ -96,13 +97,14 @@ def _cut_rank_table(adj: Sequence[int], n: int) -> bytearray:
         a = adj[v]
         key = a >> 1 | (a & 1) << (n - 1)
         s += [x ^ key for x in s]
-    counts = array("I", bytes(4 * size))  # 32-bit fields
-    for t, c in Counter(filter(size.__gt__, map(or_, s, range(size)))).items():
-        counts[t] = c
+    # s goes before the counters are made, so the histogram is the peak
+    histogram = Counter(filter(size.__gt__, map(or_, s, range(size))))
     del s
-    if sys.byteorder == "big":
-        counts.byteswap()
-    packed = int.from_bytes(counts, "little")
+    counts = [0] * size
+    for t, c in histogram.items():
+        counts[t] = c
+    fields = Struct(f"<{size}I")  # 32-bit fields, field i at byte 4i
+    packed = int.from_bytes(fields.pack(*counts), "little")
     # the fields whose index has bit k clear, for k = n - 2 down to 0, each
     # mask made from the last by one shift and XOR
     mask = (1 << 16 * size) - 1
@@ -110,12 +112,9 @@ def _cut_rank_table(adj: Sequence[int], n: int) -> bytearray:
         shift = 32 << k
         packed += (packed & mask) << shift
         mask ^= mask << (shift >> 1)
-    counts = array("I", packed.to_bytes(4 * size, "little"))
-    if sys.byteorder == "big":
-        counts.byteswap()
     # c(X) = 2^(|X| - f(X)), and |X| + 1 is the bit count of 2i + 1
     return bytearray(map(sub, map(int.bit_count, range(1, 2 * size, 2)),
-                         map(int.bit_length, counts)))
+                         map(int.bit_length, fields.unpack(packed.to_bytes(4 * size, "little")))))
 
 
 def gf2_dual_basis(vectors: Sequence[int]) -> list[int]:

@@ -202,6 +202,26 @@ def neighbors(g: Graph, a: int) -> set[int]:
     return {b for b in range(g.n) if (row >> b) & 1}
 
 
+# Characters of edge-list text that parse_edge_list splits into lines at a
+# time, so that no list of every line is held at once
+_CHUNK = 1 << 16
+
+
+def _lines(text: str):
+    """The lines of ``text.splitlines()``, split one chunk at a time.
+
+    A chunk runs through the first "\\n" at least ``_CHUNK`` characters on,
+    or to the end of the text. A "\\n" always ends a line break: a break of
+    its own, or the end of "\\r\\n", the one break of two characters. So no
+    break straddles two chunks, and the chunks' lines are the text's lines.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text: header "n m", then m lines "u v".
 
@@ -211,7 +231,7 @@ def parse_edge_list(text: str) -> Graph:
     """
     rows: list[int] | None = None  # the adjacency rows, once the header is read
     n = m = header_line = found = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue

@@ -21,10 +21,11 @@ loops over its domain and stops at the first witness or counterexample. The
 environment is a list as long as the formula's height, which exceeds the
 number of binders on any root-to-atom path. Each call to ``evaluate`` has
 one work budget: a loop charges its domain size when it starts (n for a
-vertex loop, 2^n for a set loop, nothing for a masked quantifier), and the
-loop that takes the total past the limit (2^25, about 10 s of enumeration)
-raises SizeLimitError before it runs. So a refusal follows real work, and a
-formula whose loops stop early answers on graphs of any size.
+vertex loop, 2^n for a set loop), a masked quantifier 1 each time it runs,
+and the quantifier that takes the total past the limit (2^25, about 10 s
+of enumeration) raises SizeLimitError before it runs. So a refusal follows
+real work, and a formula whose loops stop early answers on graphs of any
+size.
 
 ``evaluate`` is always exhaustive. ``gslogic.fragment`` decides the
 formulas of the form [!] exists X1..Xk. psi, psi a Boolean combination of
@@ -82,7 +83,8 @@ __all__ = [
 ]
 
 # Most work one call to ``evaluate`` may do, summed over the domain sizes
-# of the loops it starts; about 10 s of enumeration.
+# of the loops it starts and one for each run of a masked quantifier;
+# about 10 s of enumeration.
 _WORK_LIMIT = 1 << 25
 
 # Deepest formula the parser accepts: the AST nodes on a root-to-atom path,
@@ -431,8 +433,9 @@ def _compile(
     ``mask`` is None.
 
     ``budget`` is a one-element list holding the work left. A quantifier
-    that loops takes its domain size from it each time the loop starts, and
-    raises SizeLimitError, before the loop, when that leaves it below 0.
+    that loops takes its domain size from it each time the loop starts, a
+    masked one takes 1 each time it runs, and either raises SizeLimitError,
+    before it runs, when that leaves the budget below 0.
     """
     full = (1 << n) - 1
     if isinstance(f, (Exists, Forall)):
@@ -443,23 +446,28 @@ def _compile(
         body, body_mask = _compile(
             f.body, {**slots, f.var: slot}, adj, n, budget, -1 if is_set else slot
         )
-        if body_mask is not None:
-            if isinstance(f, Exists):
-                return (lambda env: body_mask(env) != 0), None
-            return (lambda env: body_mask(env) == full), None
-        # 1 << n, not len(range(1 << n)), which overflows past 2^63
-        size = 1 << n if is_set else n
-        domain, what = range(size), "set" if is_set else "vertex"
         # exists stops at the first witness, forall at the first
         # counterexample
         want = isinstance(f, Exists)
+        if body_mask is not None:
+            # one mask value decides: exists is false at 0, forall true at
+            # all n vertices
+            extreme = 0 if want else full
+
+            def masked(env):
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise _refusal("a masked vertex quantifier")
+                return (body_mask(env) == extreme) != want
+            return masked, None
+        # 1 << n, not len(range(1 << n)), which overflows past 2^63
+        size = 1 << n if is_set else n
+        domain, what = range(size), "set" if is_set else "vertex"
 
         def quantify(env):
             budget[0] -= size
             if budget[0] < 0:
-                raise SizeLimitError(
-                    f"exhaustive evaluation passes its work limit of {_figure(_WORK_LIMIT, ',')} "
-                    f"at a {what} loop of size {_figure(size, ',')}; reduce the graph or the formula")
+                raise _refusal(f"a {what} loop of size {_figure(size, ',')}")
             for value in domain:
                 env[slot] = value
                 if body(env) == want:
@@ -515,6 +523,12 @@ def _compile(
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def _refusal(where: str) -> SizeLimitError:
+    return SizeLimitError(
+        f"exhaustive evaluation passes its work limit of {_figure(_WORK_LIMIT, ',')} "
+        f"at {where}; reduce the graph or the formula")
+
+
 def _constant_mask(
     run: Callable[[list[int]], bool], full: int, v: int
 ) -> Callable[[list[int]], int] | None:
@@ -529,8 +543,8 @@ def evaluate(g: Graph, f: Formula) -> bool:
     """Truth of a closed formula on a graph by exhaustive enumeration.
 
     Raises InputError for an open formula, ValueError for a name whose case
-    does not fit its place in an atom, and SizeLimitError when a loop would
-    take the work past ``_WORK_LIMIT``, before that loop runs.
+    does not fit its place in an atom, and SizeLimitError when a quantifier
+    would take the work past ``_WORK_LIMIT``, before that quantifier runs.
     """
     _check_closed(f)
     return _evaluate(g, f)

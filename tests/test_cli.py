@@ -571,13 +571,14 @@ def test_rankwidth_of_a_long_cycle_fits_a_memory_limit():
 
 
 def test_a_large_edge_list_fits_a_memory_limit(tmp_path):
-    # parse_edge_list builds the adjacency rows as it reads the lines: this
-    # run peaks at 55 MB, and a list of every edge as a tuple on top of the
-    # rows took it to 115 MB, which fails under this limit
+    # parse_edge_list builds the adjacency rows as it splits the text into
+    # lines, one chunk at a time: this run peaks at 23 MB. A list of every
+    # line (4 MB of text, 523,777 lines) took it to 55 MB and failed under
+    # this limit, and a list of every edge as a tuple as well to 115 MB
     edges = tmp_path / "complete1024.edges"
     edges.write_text(serialize(generate("complete", 1024)), encoding="utf-8")
     res = run_with_memory_limit(["-m", "gslogic.cli", "cutrank", str(edges), "--side", "0"],
-                                limit=88 << 20)
+                                limit=48 << 20)
     assert res.returncode == 0, res.stderr[-500:]
     assert res.stdout == "cut-rank of {0}: 1\n"
 

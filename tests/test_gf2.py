@@ -9,6 +9,7 @@ dot products with the rows, and cut-ranks against
 """
 
 import random
+import sys
 
 import pytest
 
@@ -240,6 +241,21 @@ def test_cut_rank_table_matches_one_cut_at_a_time():
             cut_rank_masks(g.adj, i << 1, full ^ (i << 1)) for i in range(len(table))
         ], (g.name, g.edges())
 
+
+
+@pytest.mark.parametrize("n", [2, 10, 16])
+def test_cut_rank_table_does_not_depend_on_the_byte_order(n, monkeypatch):
+    # the counters are packed in explicit little-endian fields, so a host of
+    # the other byte order builds the same table; the table must not read
+    # sys.byteorder and swap a native array on the strength of it
+    other = "little" if sys.byteorder == "big" else "big"
+    monkeypatch.setattr(sys, "byteorder", other)
+    g = random_graph(n, random.Random(n))
+    full = (1 << n) - 1
+    table = _cut_rank_table(g.adj, n)
+    assert list(table) == [
+        cut_rank_masks(g.adj, i << 1, full ^ (i << 1)) for i in range(1 << (n - 1))
+    ]
 
 # G(20, 1/2): 2,000 random entries of its table, and every set of at least
 # 17 vertices, among them the 20 whose kernels hold 2^16 or 2^18

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import gslogic.graphs
 from conftest import random_graph, run_with_memory_limit, small_corpus
 from gslogic import (
     GENERATOR_KINDS,
@@ -161,6 +162,27 @@ def test_parse_rejects_bad_header_values_on_their_line():
     with pytest.raises(GraphParseError, match="^line 1: header values must be non-negative$"):
         parse_edge_list("-3 0\n")
 
+
+# every line break of str.splitlines, "\r\n" the one of two characters
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+def test_edge_list_lines_are_split_a_chunk_at_a_time(monkeypatch):
+    # the list is complete: one text with every code point between two a's
+    every = "a".join(map(chr, range(0x110000))).splitlines(keepends=True)
+    assert {line[-1] for line in every[:-1]} | {"\r\n"} == set(LINE_BREAKS)
+    # the chunks' lines are the text's lines wherever a chunk ends, so the
+    # line numbers in messages do not move
+    rng = random.Random(2006)
+    pieces = LINE_BREAKS + ["0", "1 2", " ", "#"]
+    texts = ["".join(rng.choices(pieces, k=rng.randrange(12))) for _ in range(3000)]
+    for chunk in range(8):
+        monkeypatch.setattr(gslogic.graphs, "_CHUNK", chunk)
+        for text in texts:
+            assert list(gslogic.graphs._lines(text)) == text.splitlines(), (chunk, text)
+        with pytest.raises(GraphParseError, match="^line 5: edge endpoints must be integers$"):
+            parse_edge_list("3 2\r\n0 1\r\n\x85\u20281 x\n2 0\n")
 
 def test_path_generator():
     g = generate("path", 5)

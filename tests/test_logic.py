@@ -581,18 +581,27 @@ def _least_work_limit(g, f, monkeypatch) -> int:
 
 # the work evaluate does on path:n for n = 0, 1, 3, 10: each loop charges
 # its domain size when it starts, n for a vertex, N = 2^n for a set, and a
-# masked vertex quantifier charges nothing. By hand:
+# masked vertex quantifier charges 1 each time it runs. By hand:
 #   alternating  2N: X = {} comes first, then one full loop over Y
-#   connected    N + n(N - 1): the graph is connected, so every X is tried,
-#                and forall x loops unless X is empty
-#   even_order   N: the X loop runs to the full set, the last (forall y masked)
-#   path2        2n: x = 0 loops over y, and y = 1 finds z (exists z masked)
+#   connected    every X is tried, as the graph is connected: N for the X
+#                loop, then per X the masked exists x; for X = {} that is
+#                all. For the N - 2 other X short of V, the forall x loop, n,
+#                and a masked forall y for each x up to the first in X with
+#                a neighbour outside X: there are k + 1 of them for k the
+#                least such vertex, which sums to 5N/2 - 2n - 3 over these X
+#                (the X without one of 0..j-1 are those that miss 0..j-1 or
+#                hold 0..j). For X = V, 1 + 2n and the masked forall z. In
+#                all 7N/2 + (N - 2)(n + 1), or 2 at n = 0, where {} is V
+#   even_order   2N: the X loop runs to the full set, the last, and charges
+#                the masked forall y at every X
+#   path2        2n + min(n, 2): the x loop, then at x = 0 the y loop and the
+#                masked exists z at y = 0 and, if n > 1, y = 1, which finds z
 ALTERNATING = "exists X. forall Y. Even(X) | Even(Y)"
 WORK = {
     "alternating": lambda n: 2 << n,
-    "connected": lambda n: (1 << n) + n * ((1 << n) - 1),
-    "even_order": lambda n: 1 << n,
-    "path2": lambda n: 2 * n,
+    "connected": lambda n: (7 << n >> 1) + ((1 << n) - 2) * (n + 1) if n else 2,
+    "even_order": lambda n: 2 << n,
+    "path2": lambda n: 2 * n + min(n, 2),
 }
 
 
@@ -613,6 +622,18 @@ def test_a_refusal_names_the_limit_and_the_loop(monkeypatch):
     monkeypatch.setattr(gslogic.logic, "_WORK_LIMIT", 5)
     with pytest.raises(SizeLimitError, match="work limit of 5 at a vertex loop of size 3;"):
         evaluate(generate("path", 3), named_formula("path2"))
+    # the x and y loops take 6, and the masked exists z the seventh
+    monkeypatch.setattr(gslogic.logic, "_WORK_LIMIT", 6)
+    with pytest.raises(SizeLimitError, match="work limit of 6 at a masked vertex quantifier;"):
+        evaluate(generate("path", 3), named_formula("path2"))
+    # 30 masked quantifiers under one set loop charge 31 * 2^14 on path:14:
+    # the limit of 2^18 stops the loop halfway, where charging the loop
+    # alone would let it finish
+    masked = " & ".join(f"(forall x{i}. x{i} in X | !x{i} in X)" for i in range(30))
+    f = parse_formula(f"forall X. !({masked}) | Even(X) | !Even(X)")
+    monkeypatch.setattr(gslogic.logic, "_WORK_LIMIT", 1 << 18)
+    with pytest.raises(SizeLimitError, match="work limit of 262,144 at a masked vertex quantifier;"):
+        evaluate(generate("path", 14), f)
     # the default refuses a first loop over 2^40 sets before it starts
     monkeypatch.undo()
     with pytest.raises(SizeLimitError, match="at a set loop of size 1,099,511,627,776;"):
