@@ -3,11 +3,11 @@
 Three interlocking toolkits around simple undirected graphs:
 
 - GF(2) cut-rank and exact rank-width. All GF(2) code is in ``gf2`` and
-  works on bit-packed int rows (bit j = column j). A subset dynamic
-  program gives the width from 2^(n-1) cut-ranks, counted as kernels by
-  one subset-sum transform, and at most 3^(n-1)/2 split checks; an optimal
-  subcubic tree, the witness, is read from its table in at most
-  n * 2^(n-2) split checks.
+  works on bit-packed int rows (bit j = column j). The width comes from
+  2^(n-1) cut-ranks, counted as kernels by one subset-sum transform, and a
+  threshold search that visits only the sets a tree of width k can use,
+  for k up from a lower bound; an optimal subcubic tree, the witness, is
+  read at the width in at most n * 2^(n-2) split checks.
   A greedy upper bound covers larger graphs: it scores each candidate
   vertex by span tests against one GF(2) basis of the current cut, with no
   fresh cut-rank per candidate.

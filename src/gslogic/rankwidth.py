@@ -6,11 +6,11 @@ cut-rank over the bipartitions induced by deleting a tree edge. There are
 (2n-5)!! such trees. `exact_rankwidth` does not walk them. It removes
 pendants and twins in one sweep and splits each piece into its blocks in
 one depth-first walk, which keeps the width, and on each piece left a
-subset DP over the 2^(n-1) vertex sets on one side of a tree edge gives
-the width in O(3^n) steps with one 2^(n-1)-byte table; an optimal tree
-is read from that table top down in at most n * 2^(n-2) split checks
-(see `gslogic._kernels`), and the pieces' trees are joined back into
-one. Both it and the `greedy_decomposition` bound answer ``(width,
+threshold search on the cut-ranks of the 2^(n-1) vertex sets on one side
+of a tree edge gives the width, visiting only the sets a tree of width k
+can use; an optimal tree is read top down in at most n * 2^(n-2) split
+checks (see `gslogic._kernels`), and the pieces' trees are joined back
+into one. Both it and the `greedy_decomposition` bound answer ``(width,
 tree)``: a width and a subcubic tree that witnesses it.
 
 Tree encoding: leaves are tree vertices 0..n-1, internal vertices n..2n-3.
@@ -41,8 +41,8 @@ __all__ = [
     "greedy_decomposition",
 ]
 
-# Largest piece, left by the reductions of exact_rankwidth, that the subset
-# DP accepts: its table takes 2^(n-1) bytes, 512 KiB at this limit.
+# Largest piece left by the reductions of exact_rankwidth that the search
+# accepts: 2^(n-1) bytes of cut-ranks and as many of marks, 1 MiB in all.
 EXACT_VERTEX_LIMIT = 20
 
 
@@ -218,7 +218,7 @@ def exact_rankwidth(g: Graph) -> tuple[int, SubcubicTree | None]:
     """Exact rank-width and an optimal subcubic tree: ``(width, tree)``.
 
     The graph is first reduced by three rules that keep rank-width, and
-    the subset DP runs only on the pieces that are left:
+    the threshold search runs only on the pieces that are left:
 
     - a pendant, a false twin or a true twin v of a vertex u is removed:
       rw(G) = max(rw(G - v), 1) when G has an edge, and a tree for G - v
@@ -239,15 +239,15 @@ def exact_rankwidth(g: Graph) -> tuple[int, SubcubicTree | None]:
 
     Trees and other distance-hereditary graphs, which have rank-width 1,
     reduce to one edge (Bandelt & Mulder, JCTB 41, 1986; Oum, JCTB 95,
-    2005). A graph that does not reduce gets the DP's own tree, read from
-    its table, so the answer is a deterministic function of the graph.
+    2005). A graph that does not reduce gets the search's own tree, read
+    at its width, so the answer is a deterministic function of the graph.
     Graphs with fewer than two vertices have rank-width 0 and no tree;
     ``None`` stands in for the tree there. An edgeless graph has width 0,
     witnessed by the tree of all-zero insertion choices, at any size.
 
-    Raises SizeLimitError, before any DP runs, when a piece left has more
-    than EXACT_VERTEX_LIMIT vertices, since the DP table grows as 2^n; use
-    :func:`greedy_decomposition` for an upper bound instead.
+    Raises SizeLimitError, before any search runs, when a piece left has
+    more than EXACT_VERTEX_LIMIT vertices, since its cut-rank table grows
+    as 2^n; use :func:`greedy_decomposition` for an upper bound instead.
     """
     if g.n < 2:
         return 0, None
@@ -263,7 +263,7 @@ def exact_rankwidth(g: Graph) -> tuple[int, SubcubicTree | None]:
         mask = _peel(adj, mask, names, log)
         # a block calls the vertex c it hangs from by a new alias; the last
         # one hangs from the root and keeps the piece's names, and a piece
-        # of one block is left for the DP
+        # of one block is left for the search
         *hung, (last, _) = _blocks(adj, mask)
         for block, c in hung:
             alias = -1 - len(log)

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from gslogic import Graph, generate
+from gslogic.gf2 import cut_rank_masks
 from gslogic.logic import (
     And,
     Edge,
@@ -138,7 +139,7 @@ def exhaustive_rankwidth(g: Graph) -> int:
     Leaf k = 2..n-1 is inserted into every edge of each tree on leaves
     0..k-1. Each edge is kept as its far side (the leaves away from leaf 0),
     and the cut-ranks come from `reference_cut_rank`, so nothing here is
-    shared with the subset DP of `exact_rankwidth`.
+    shared with the search of `exact_rankwidth`.
     """
     n = g.n
     cut_ranks = [
@@ -163,6 +164,48 @@ def exhaustive_rankwidth(g: Graph) -> int:
         return min(best(insert(far, i, 1 << k), k + 1) for i in range(len(far)))
 
     return best([2], 2)
+
+
+def reference_subset_widths(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Rank-width and tree of `gslogic._kernels.rankwidth_search` (n >= 2)
+    by the textbook subset DP.
+
+    Set X of vertices other than 0 is entry X >> 1. Every entry starts as
+    the cut-rank f(X), one `cut_rank_masks` elimination each, and in index
+    order, after all its proper subsets, becomes w(X) = max(f(X), min over
+    all splits X = Y + Z of max(w(Y), w(Z))), with no lower bound and no
+    early stop. The tree is read top down: leaf 0 on the edge (0, root),
+    and each set split at the first Z, in the order rest, (Z - 1) & rest,
+    ..., with w(Y) and w(Z) both at most the width.
+    """
+    n = g.n
+    everything = (1 << n) - 1
+    w = [cut_rank_masks(g.adj, i << 1, everything ^ (i << 1)) for i in range(1 << (n - 1))]
+
+    def splits(x: int):
+        # Z runs over the non-empty subsets of X minus its lowest vertex
+        rest = z = x & (x - 1)
+        while z:
+            yield z
+            z = (z - 1) & rest
+
+    for x in range(1, len(w)):
+        if x & (x - 1):
+            w[x] = max(w[x], min(max(w[x ^ z], w[z]) for z in splits(x)))
+    width = w[-1]
+    edges: list[tuple[int, int]] = []
+    internal = iter(range(n, 2 * n))
+
+    def build(x: int) -> int:
+        if x & (x - 1) == 0:
+            return x.bit_length()
+        node = next(internal)
+        z = next(z for z in splits(x) if max(w[x ^ z], w[z]) <= width)
+        edges.append((node, build(x ^ z)))
+        edges.append((node, build(z)))
+        return node
+
+    return width, ((0, build(len(w) - 1)), *sorted(edges))
 
 
 def reference_greedy_order(g: Graph) -> list[int]:

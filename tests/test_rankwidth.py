@@ -13,6 +13,7 @@ from conftest import (
     random_graph,
     reference_cut_rank,
     reference_greedy_order,
+    reference_subset_widths,
     small_corpus,
 )
 from gslogic import (
@@ -383,8 +384,8 @@ def _random_tree(n, rng):
     return Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
 
 
-def _dp_width(g):
-    # the subset DP on the whole graph, with no reduction
+def _search_width(g):
+    # the threshold search on the whole graph, with no reduction
     return _kernels.rankwidth_search(g.adj, g.n)[0]
 
 
@@ -403,11 +404,27 @@ def test_balanced_cut_bound_is_at_most_the_width():
     tight = 0
     for _ in range(200):
         g = random_graph(rng.randrange(2, 13), rng, p=rng.uniform(0.1, 0.9))
-        bound, width = _balanced_cut_bound(g), _dp_width(g)
+        bound, width = _balanced_cut_bound(g), _search_width(g)
         assert bound <= width, g.edges()
         tight += bound == width
     # the bound is not vacuous: it reaches the width on most of these
     assert tight > 100
+
+
+def test_search_matches_the_textbook_dp():
+    # same width and same tree as the bottom-up DP over every set, on every
+    # graph with 2-5 vertices and 300 random ones with 6-12
+    rng = random.Random(45)
+    graphs = [g for n in range(2, 6) for g in all_graphs(n)]
+    sizes = [6, 7, 8, 9, 10] * 56 + [11] * 12 + [12] * 8
+    graphs += [random_graph(n, rng, p=rng.uniform(0.1, 0.9)) for n in sizes]
+    below = 0
+    for g in graphs:
+        result = _kernels.rankwidth_search(g.adj, g.n)
+        assert result == reference_subset_widths(g), g.edges()
+        below += _balanced_cut_bound(g) < result[0]
+    # enough searches go past the first threshold to clear their marks
+    assert below >= 30
 
 
 def test_dp_widths_and_trees_are_pinned():
@@ -437,7 +454,7 @@ def test_reductions_agree_with_the_unreduced_dp():
             g = _add_vertex(g, rng.choice(kinds), rng.randrange(g.n))
             if g.n in (14, 16):
                 width, tree = exact_rankwidth(g)
-                assert width == _dp_width(g), (n, g.edges())
+                assert width == _search_width(g), (n, g.edges())
                 assert decomposition_width(g, tree) == width
     # two graphs with one vertex in common: rw = max(rw(G1), rw(G2), 1)
     for n1, n2 in ((8, 8), (8, 9), (9, 10), (10, 10), (10, 8)):
@@ -445,9 +462,9 @@ def test_reductions_agree_with_the_unreduced_dp():
         g2 = random_graph(n2, rng, p=rng.uniform(0.3, 0.7))
         g = _glue(g1, g2, rng.randrange(n1), rng.randrange(n2))
         width, tree = exact_rankwidth(g)
-        assert width == max(_dp_width(g1), _dp_width(g2), 1), (n1, n2)
+        assert width == max(_search_width(g1), _search_width(g2), 1), (n1, n2)
         if g.n <= 16:
-            assert width == _dp_width(g), (n1, n2)
+            assert width == _search_width(g), (n1, n2)
         assert decomposition_width(g, tree) == width
 
 
